@@ -114,7 +114,7 @@ func TestDaemonClusterEndToEnd(t *testing.T) {
 	for i := 0; i < n; i++ {
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			resp, err := http.Get("http://" + httpa[i] + "/healthz")
+			resp, err := http.Get("http://" + httpa[i] + "/v1/healthz")
 			if err == nil {
 				resp.Body.Close()
 				break

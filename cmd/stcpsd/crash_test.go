@@ -233,7 +233,7 @@ func TestDaemonHTTPDurabilityStats(t *testing.T) {
 	var st statsResponse
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		httpGetJSON(t, base+"/stats", &st)
+		httpGetJSON(t, base+"/v1/stats", &st)
 		if st.Durability.Enabled && st.Durability.Appended >= 12 && st.Durability.SnapshotSeq > 0 {
 			break
 		}

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 	"sync/atomic"
 
 	"github.com/stcps/stcps"
@@ -31,26 +30,16 @@ type api struct {
 	cluster  *clusterRuntime // nil without -cluster
 }
 
-// handler builds the query API routes. Every endpoint is mounted twice:
-// under the versioned /v1/ prefix (the documented contract, see
-// docs/http.md) and at its historical unversioned path, kept as an
-// alias for pre-versioning clients.
+// handler builds the query API routes, all under the versioned /v1/
+// prefix (the documented contract, see docs/http.md).
 func (a *api) handler() http.Handler {
 	mux := http.NewServeMux()
-	for _, r := range []struct {
-		pattern string
-		fn      http.HandlerFunc
-	}{
-		{"/healthz", a.healthz},
-		{"/stats", a.stats},
-		{"/query", a.query},
-		{"/lineage/{entity}", a.lineage},
-		{"/subscribe", a.subscribe},
-		{"/subscriptions", a.subscriptions},
-	} {
-		mux.HandleFunc("GET /v1"+r.pattern, r.fn)
-		mux.HandleFunc("GET "+r.pattern, r.fn)
-	}
+	mux.HandleFunc("GET /v1/healthz", a.healthz)
+	mux.HandleFunc("GET /v1/stats", a.stats)
+	mux.HandleFunc("GET /v1/query", a.query)
+	mux.HandleFunc("GET /v1/lineage/{entity}", a.lineage)
+	mux.HandleFunc("GET /v1/subscribe", a.subscribe)
+	mux.HandleFunc("GET /v1/subscriptions", a.subscriptions)
 	return mux
 }
 
@@ -199,10 +188,8 @@ func parseSTPredicates(v url.Values) (stPredicates, error) {
 }
 
 // query answers
-// GET /v1/query?event=&x1=&y1=&x2=&y2=&from=&to=&limit=&cursor=&tier=&strict=.
-// The versioned path reads all storage tiers by default; the legacy
-// unversioned alias predates the cold tier and pins tier=hot unless the
-// request says otherwise.
+// GET /v1/query?event=&x1=&y1=&x2=&y2=&from=&to=&limit=&cursor=&tier=&strict=,
+// reading all storage tiers unless tier= narrows it.
 func (a *api) query(w http.ResponseWriter, r *http.Request) {
 	v := r.URL.Query()
 	p, err := parseSTPredicates(v)
@@ -216,9 +203,6 @@ func (a *api) query(w http.ResponseWriter, r *http.Request) {
 	}
 	if p.hasTime {
 		spec.Window = &stcps.TimeWindow{From: p.from, To: p.to}
-	}
-	if !strings.HasPrefix(r.URL.Path, "/v1/") {
-		spec.Tier = stcps.TierHot
 	}
 	if s := v.Get("tier"); s != "" {
 		t, err := db.ParseTier(s)

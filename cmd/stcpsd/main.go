@@ -18,10 +18,12 @@
 //
 // With -http the daemon additionally keeps an in-process database
 // server (the paper's Section-3 logging service) and serves the
-// spatio-temporal query API from it, concurrently with ingest:
-// GET /query (event, region, time window, pagination),
-// GET /lineage/{entity}, GET /stats and GET /healthz. The
-// -db-max-instances / -db-max-age flags bound the store's memory.
+// spatio-temporal query API from it, concurrently with ingest, under
+// the versioned /v1/ prefix (docs/http.md): GET /v1/query (event,
+// region, time window, tier, pagination), GET /v1/lineage/{entity},
+// GET /v1/subscribe and /v1/subscriptions (server-sent events),
+// GET /v1/stats and GET /v1/healthz. The -db-max-instances /
+// -db-max-age flags bound the store's memory.
 //
 // With -tcp the daemon additionally listens for the binary wire
 // protocol (docs/wire.md): length-prefixed CRC-checked frames carrying
@@ -383,6 +385,21 @@ func run(args []string, in io.Reader, out, errw io.Writer) error {
 		}
 		return true, fn()
 	}
+	// apply is the one ingest step behind every feed — stdin lines, wire
+	// batches and cluster hops: advance the flush tick, ingest, count.
+	// It runs only inside the offer guard, so an entity the SIGTERM
+	// teardown rejected never moves the flush tick.
+	apply := func(source string, ent event.Entity, conf float64, now stcps.Tick) ([]stcps.Instance, error) {
+		if int64(now) > maxTick.Load() {
+			maxTick.Store(int64(now))
+		}
+		outs, err := eng.Ingest(source, ent, conf, now)
+		if err != nil {
+			return nil, err
+		}
+		ingested.Add(1)
+		return outs, nil
+	}
 	// teardown is the single shutdown path, shared by EOF, feed errors
 	// and SIGTERM: stop the feed, flush open intervals at the newest
 	// tick, land the final snapshot, close the WAL, flush stdout and
@@ -431,10 +448,8 @@ func run(args []string, in io.Reader, out, errw io.Writer) error {
 		ws = &wireStats{}
 	}
 
-	// Cluster mode: hang the coordinator off the same offer guard as
-	// every other ingest path, so peer hops, wire batches and stdin
-	// lines serialize through one engine. Apply mirrors the single-node
-	// wire path: advance the flush tick, ingest, count.
+	// Cluster mode: the coordinator stamps, routes, forwards and
+	// replicates in front of the same guard and apply step.
 	var cl *clusterRuntime
 	if *clusterSpec != "" {
 		nodes, err := cluster.ParseNodes(*clusterSpec)
@@ -447,17 +462,7 @@ func run(args []string, in io.Reader, out, errw io.Writer) error {
 			Replicas: *replicas,
 		}, nil, cluster.Hooks{
 			Guard: offer,
-			Apply: func(source string, ent event.Entity, conf float64, now stcps.Tick) ([]stcps.Instance, error) {
-				if int64(now) > maxTick.Load() {
-					maxTick.Store(int64(now))
-				}
-				outs, err := eng.Ingest(source, ent, conf, now)
-				if err != nil {
-					return nil, err
-				}
-				ingested.Add(1)
-				return outs, nil
-			},
+			Apply: apply,
 			SeqOf: eng.Store().SeqOf,
 			Query: eng.QueryST,
 		})
@@ -518,14 +523,9 @@ func run(args []string, in io.Reader, out, errw io.Writer) error {
 		wireOffer := func(b *frame.Batch) error {
 			open, err := offer(func() error {
 				for i := 0; i < b.Len(); i++ {
-					now := b.Now(i)
-					if int64(now) > maxTick.Load() {
-						maxTick.Store(int64(now))
-					}
-					if _, err := eng.Ingest(b.Source(i), b.Entity(i), b.Conf(i), now); err != nil {
+					if _, err := apply(b.Source(i), b.Entity(i), b.Conf(i), b.Now(i)); err != nil {
 						return err
 					}
-					ingested.Add(1)
 				}
 				return nil
 			})
@@ -563,6 +563,25 @@ func run(args []string, in io.Reader, out, errw io.Writer) error {
 		}
 	}
 
+	// offerEntity hands one decoded stdin entity to the engine, and is the
+	// only place that knows whether a cluster coordinator sits in front:
+	// the coordinator runs the guarded apply itself (locally or on the
+	// owning node), a single node runs it here. open=false means the
+	// SIGTERM teardown owns the engine now.
+	offerEntity := func(source string, ent event.Entity, conf float64, now stcps.Tick) (open bool, err error) {
+		if cl == nil {
+			return offer(func() error {
+				_, err := apply(source, ent, conf, now)
+				return err
+			})
+		}
+		err = cl.node.Coord.OfferEntity(source, ent, conf, now)
+		if errors.Is(err, cluster.ErrShutdown) {
+			return false, nil
+		}
+		return true, err
+	}
+
 	var feedErr error
 	lr := newLineReader(in, *maxLine)
 scan:
@@ -584,6 +603,15 @@ scan:
 		}
 		// One parse per line: DecodeEntityJSON dispatches on the
 		// discriminating field instead of probing and re-decoding.
+		// Instances ingest under their event id carrying their
+		// confidence at their generation time, observations under their
+		// sensor id with confidence 1 at their sampling time.
+		var (
+			source string
+			ent    event.Entity
+			conf   float64
+			now    stcps.Tick
+		)
 		inst, obs, kind, derr := event.DecodeEntityJSON(line)
 		switch {
 		case derr != nil && kind == event.KindInstance:
@@ -595,68 +623,22 @@ scan:
 			fmt.Fprintf(errw, "stcpsd: skipping malformed line: %v\n", derr)
 			continue
 		case kind == event.KindInstance:
-			// In cluster mode the stdin line enters the same
-			// stamp/route/forward/replicate path as wire batches; the
-			// coordinator runs the guarded offer itself.
-			if cl != nil {
-				err := cl.node.Coord.OfferEntity(inst.Event, inst, inst.Confidence, inst.Gen)
-				if errors.Is(err, cluster.ErrShutdown) {
-					break scan
-				}
-				if err != nil {
-					feedErr = err
-					break scan
-				}
-				continue // applied-record counting happens in the Apply hook
-			}
-			// maxTick advances inside the guarded offer: an entity the
-			// SIGTERM teardown rejected must not move the flush tick.
-			open, err := offer(func() error {
-				if int64(inst.Gen) > maxTick.Load() {
-					maxTick.Store(int64(inst.Gen))
-				}
-				_, e := eng.Feed(inst)
-				return e
-			})
-			if !open {
-				break scan // SIGTERM teardown owns the engine now
-			}
-			if err != nil {
-				feedErr = err
-				break scan
-			}
+			source, ent, conf, now = inst.Event, inst, inst.Confidence, inst.Gen
 		case kind == event.KindObservation:
-			if cl != nil {
-				err := cl.node.Coord.OfferEntity(obs.Sensor, obs, 1, obs.Time.End())
-				if errors.Is(err, cluster.ErrShutdown) {
-					break scan
-				}
-				if err != nil {
-					feedErr = err
-					break scan
-				}
-				continue // applied-record counting happens in the Apply hook
-			}
-			open, err := offer(func() error {
-				if int64(obs.Time.End()) > maxTick.Load() {
-					maxTick.Store(int64(obs.Time.End()))
-				}
-				_, e := eng.Observe(obs)
-				return e
-			})
-			if !open {
-				break scan
-			}
-			if err != nil {
-				feedErr = err
-				break scan
-			}
+			source, ent, conf, now = obs.Sensor, obs, 1, obs.Time.End()
 		default:
 			skipped.Add(1)
 			fmt.Fprintln(errw, "stcpsd: skipping line with neither event nor sensor")
 			continue
 		}
-		ingested.Add(1)
+		open, err := offerEntity(source, ent, conf, now)
+		if !open {
+			break scan
+		}
+		if err != nil {
+			feedErr = err
+			break scan
+		}
 	}
 
 	// Always tear down — even on a mid-stream error, partial results

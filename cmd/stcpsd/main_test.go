@@ -238,15 +238,16 @@ func TestDaemonHTTPQueryAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The feed is async to the HTTP server: poll /stats until the three
-	// E.hot and one E.obsHigh emissions are logged.
+	// The feed is async to the HTTP server: poll /v1/stats until the
+	// three E.hot and one E.obsHigh emissions are logged and the last
+	// feed lines are counted (the snapshot reads the counters first).
 	var st statsResponse
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if code := httpGetJSON(t, base+"/stats", &st); code != http.StatusOK {
-			t.Fatalf("/stats = %d", code)
+		if code := httpGetJSON(t, base+"/v1/stats", &st); code != http.StatusOK {
+			t.Fatalf("/v1/stats = %d", code)
 		}
-		if st.Store.Instances >= 4 {
+		if st.Store.Instances >= 4 && st.Ingested >= 7 && st.Skipped >= 2 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -264,21 +265,21 @@ func TestDaemonHTTPQueryAPI(t *testing.T) {
 		t.Errorf("stats carry no probed-bindings counter: %+v", st.Detect)
 	}
 
-	if code := httpGetJSON(t, base+"/healthz", nil); code != http.StatusOK {
-		t.Errorf("/healthz = %d", code)
+	if code := httpGetJSON(t, base+"/v1/healthz", nil); code != http.StatusOK {
+		t.Errorf("/v1/healthz = %d", code)
 	}
 
 	// Combined event×time query: hot crossings at ticks 30, 40, 50.
 	var qr queryResponse
-	if code := httpGetJSON(t, base+"/query?event=E.hot&from=0&to=45", &qr); code != http.StatusOK {
-		t.Fatalf("/query = %d", code)
+	if code := httpGetJSON(t, base+"/v1/query?event=E.hot&from=0&to=45", &qr); code != http.StatusOK {
+		t.Fatalf("/v1/query = %d", code)
 	}
 	if qr.Count != 2 || qr.Index != "time" {
 		t.Errorf("time query = %+v, want 2 hits via time index", qr)
 	}
 
 	// Region query: only E.obsHigh sits at (1,1).
-	if code := httpGetJSON(t, base+"/query?x1=0.5&y1=0.5&x2=2&y2=2", &qr); code != http.StatusOK {
+	if code := httpGetJSON(t, base+"/v1/query?x1=0.5&y1=0.5&x2=2&y2=2", &qr); code != http.StatusOK {
 		t.Fatalf("region /query = %d", code)
 	}
 	if qr.Count != 1 || qr.Instances[0].Event != "E.obsHigh" {
@@ -287,11 +288,11 @@ func TestDaemonHTTPQueryAPI(t *testing.T) {
 
 	// Pagination.
 	qr = queryResponse{}
-	if httpGetJSON(t, base+"/query?event=E.hot&limit=2", &qr); qr.Count != 2 || qr.NextCursor == "" {
+	if httpGetJSON(t, base+"/v1/query?event=E.hot&limit=2", &qr); qr.Count != 2 || qr.NextCursor == "" {
 		t.Fatalf("page 1 = %+v", qr)
 	}
 	page2 := queryResponse{}
-	if httpGetJSON(t, base+"/query?event=E.hot&limit=2&cursor="+qr.NextCursor, &page2); page2.Count != 1 || page2.NextCursor != "" {
+	if httpGetJSON(t, base+"/v1/query?event=E.hot&limit=2&cursor="+qr.NextCursor, &page2); page2.Count != 1 || page2.NextCursor != "" {
 		t.Errorf("page 2 = %+v", page2)
 	}
 	qr = page2
@@ -299,8 +300,8 @@ func TestDaemonHTTPQueryAPI(t *testing.T) {
 	// Lineage of an emitted instance reaches its (unlogged) input leaf.
 	var lr lineageResponse
 	id := url.PathEscape(qr.Instances[0].EntityID())
-	if code := httpGetJSON(t, base+"/lineage/"+id, &lr); code != http.StatusOK {
-		t.Fatalf("/lineage = %d", code)
+	if code := httpGetJSON(t, base+"/v1/lineage/"+id, &lr); code != http.StatusOK {
+		t.Fatalf("/v1/lineage = %d", code)
 	}
 	if len(lr.Chain) != 2 {
 		t.Errorf("lineage chain = %v", lr.Chain)
@@ -308,17 +309,21 @@ func TestDaemonHTTPQueryAPI(t *testing.T) {
 
 	// Error paths.
 	var errBody map[string]string
-	if code := httpGetJSON(t, base+"/query?x1=3", &errBody); code != http.StatusBadRequest {
+	if code := httpGetJSON(t, base+"/v1/query?x1=3", &errBody); code != http.StatusBadRequest {
 		t.Errorf("partial region = %d (%v)", code, errBody)
 	}
-	if code := httpGetJSON(t, base+"/query?cursor=bogus", &errBody); code != http.StatusBadRequest {
+	if code := httpGetJSON(t, base+"/v1/query?cursor=bogus", &errBody); code != http.StatusBadRequest {
 		t.Errorf("bad cursor = %d", code)
 	}
-	if code := httpGetJSON(t, base+"/query?limit=nope", &errBody); code != http.StatusBadRequest {
+	if code := httpGetJSON(t, base+"/v1/query?limit=nope", &errBody); code != http.StatusBadRequest {
 		t.Errorf("bad limit = %d", code)
 	}
-	if code := httpGetJSON(t, base+"/lineage/"+url.PathEscape("E(none,none,0)"), &errBody); code != http.StatusNotFound {
+	if code := httpGetJSON(t, base+"/v1/lineage/"+url.PathEscape("E(none,none,0)"), &errBody); code != http.StatusNotFound {
 		t.Errorf("missing lineage = %d", code)
+	}
+	// The unversioned pre-/v1 paths are gone.
+	if code := httpGetJSON(t, base+"/query", nil); code != http.StatusNotFound {
+		t.Errorf("unversioned /query = %d, want 404", code)
 	}
 
 	pw.Close()
@@ -330,8 +335,9 @@ func TestDaemonHTTPQueryAPI(t *testing.T) {
 	}
 }
 
-// TestDaemonHTTPRetention bounds the store from the command line and
-// reads the eviction counters back through /stats.
+// TestDaemonHTTPRetention bounds the store from the command line, reads
+// the eviction counters back through /v1/stats, and — with a cold tier
+// attached — checks that evicted history stays queryable per tier.
 func TestDaemonHTTPRetention(t *testing.T) {
 	events := writeEvents(t)
 	pr, pw := io.Pipe()
@@ -342,7 +348,8 @@ func TestDaemonHTTPRetention(t *testing.T) {
 	var out, errw strings.Builder
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-events", events, "-http", "127.0.0.1:0", "-db-max-instances", "2"}, pr, &out, &errw)
+		done <- run([]string{"-events", events, "-http", "127.0.0.1:0", "-db-max-instances", "2",
+			"-spill-dir", filepath.Join(t.TempDir(), "cold")}, pr, &out, &errw)
 	}()
 	addr := <-addrCh
 	base := "http://" + addr
@@ -358,7 +365,7 @@ func TestDaemonHTTPRetention(t *testing.T) {
 	var st statsResponse
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		httpGetJSON(t, base+"/stats", &st)
+		httpGetJSON(t, base+"/v1/stats", &st)
 		if st.Store.Evicted >= 8 {
 			break
 		}
@@ -371,9 +378,19 @@ func TestDaemonHTTPRetention(t *testing.T) {
 		t.Errorf("store holds %d instances, want 2", st.Store.Instances)
 	}
 	var qr queryResponse
-	httpGetJSON(t, base+"/query?event=E.hot", &qr)
+	httpGetJSON(t, base+"/v1/query?event=E.hot&tier=hot", &qr)
 	if qr.Count != 2 {
 		t.Errorf("query over bounded store = %d hits, want 2", qr.Count)
+	}
+	// A region over every instance is no more selective than the live
+	// window: the page is the sequential walk of each tier's range, and
+	// all tiers together return the whole history.
+	for tier, want := range map[string]int{"all": 10, "hot": 2, "cold": 8} {
+		qr = queryResponse{}
+		httpGetJSON(t, base+"/v1/query?x1=-100&y1=-100&x2=100&y2=100&tier="+tier, &qr)
+		if qr.Count != want || qr.Index != "log" {
+			t.Errorf("all-covering region, tier=%s: %d hits via %q, want %d via log", tier, qr.Count, qr.Index, want)
+		}
 	}
 	pw.Close()
 	if err := <-done; err != nil {

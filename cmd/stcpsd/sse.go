@@ -1,4 +1,4 @@
-// Server-sent-events fan-out: GET /subscribe streams matching event
+// Server-sent-events fan-out: GET /v1/subscribe streams matching event
 // instances to the client the moment they are detected, with gapless
 // catch-up replay on reconnect.
 //
@@ -48,7 +48,7 @@ var ssePingEvery = 15 * time.Second
 // drain faster or reconnect from their cursor after a gap.
 const maxSSEBuffer = 1 << 16
 
-// subscribe answers GET /subscribe?event=&x1=&y1=&x2=&y2=&from=&to=
+// subscribe answers GET /v1/subscribe?event=&x1=&y1=&x2=&y2=&from=&to=
 // &where=&cursor=&replay=&buffer= with a server-sent-event stream.
 func (a *api) subscribe(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
@@ -166,13 +166,13 @@ func writeSSEInstance(w http.ResponseWriter, d *stcps.SubDelivery) error {
 	return err
 }
 
-// subscriptionsResponse is the GET /subscriptions document.
+// subscriptionsResponse is the GET /v1/subscriptions document.
 type subscriptionsResponse struct {
 	Stats       stcps.SubscriptionStats `json:"stats"`
 	Subscribers []stcps.SubscriberStats `json:"subscribers"`
 }
 
-// subscriptions answers GET /subscriptions with the subsystem's
+// subscriptions answers GET /v1/subscriptions with the subsystem's
 // aggregate counters and each live subscription's state.
 func (a *api) subscriptions(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, subscriptionsResponse{

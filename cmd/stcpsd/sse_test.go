@@ -98,7 +98,7 @@ func TestDaemonSSESubscribe(t *testing.T) {
 	defer cancel()
 
 	// Live subscriber for E.hot, connected before anything is fed.
-	r1, close1 := sseClient(t, ctx, base+"/subscribe?event=E.hot")
+	r1, close1 := sseClient(t, ctx, base+"/v1/subscribe?event=E.hot")
 	defer close1()
 
 	// Two hot readings -> two E.hot emissions pushed live.
@@ -126,18 +126,18 @@ func TestDaemonSSESubscribe(t *testing.T) {
 
 	// The subsystem's stats are visible on /subscriptions and /stats.
 	var subs subscriptionsResponse
-	if code := httpGetJSON(t, base+"/subscriptions", &subs); code != http.StatusOK {
-		t.Fatalf("/subscriptions = %d", code)
+	if code := httpGetJSON(t, base+"/v1/subscriptions", &subs); code != http.StatusOK {
+		t.Fatalf("/v1/subscriptions = %d", code)
 	}
 	if subs.Stats.Subscriptions != 1 || len(subs.Subscribers) != 1 {
-		t.Fatalf("/subscriptions = %+v, want one live subscriber", subs)
+		t.Fatalf("/v1/subscriptions = %+v, want one live subscriber", subs)
 	}
 	if subs.Subscribers[0].Event != "E.hot" || subs.Subscribers[0].Delivered != 2 {
 		t.Fatalf("subscriber stats = %+v, want E.hot delivered=2", subs.Subscribers[0])
 	}
 	var st statsResponse
-	if code := httpGetJSON(t, base+"/stats", &st); code != http.StatusOK || st.Subscriptions.Subscriptions != 1 {
-		t.Fatalf("/stats subscriptions = %+v (code %d)", st.Subscriptions, code)
+	if code := httpGetJSON(t, base+"/v1/stats", &st); code != http.StatusOK || st.Subscriptions.Subscriptions != 1 {
+		t.Fatalf("/v1/stats subscriptions = %+v (code %d)", st.Subscriptions, code)
 	}
 
 	// Disconnect, miss an emission, reconnect with the last cursor: the
@@ -147,7 +147,7 @@ func TestDaemonSSESubscribe(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitStoreInstances(t, base, 3)
-	r2, close2 := sseClient(t, ctx, base+"/subscribe?event=E.hot&cursor="+ids[len(ids)-1])
+	r2, close2 := sseClient(t, ctx, base+"/v1/subscribe?event=E.hot&cursor="+ids[len(ids)-1])
 	defer close2()
 	ev, err := readSSE(r2)
 	if err != nil {
@@ -166,10 +166,10 @@ func TestDaemonSSESubscribe(t *testing.T) {
 	}
 
 	// Bad requests fail cleanly rather than hanging a stream.
-	if code := httpGetJSON(t, base+"/subscribe?event=E.hot&cursor=bogus", nil); code != http.StatusBadRequest {
+	if code := httpGetJSON(t, base+"/v1/subscribe?event=E.hot&cursor=bogus", nil); code != http.StatusBadRequest {
 		t.Errorf("bogus cursor = %d, want 400", code)
 	}
-	if code := httpGetJSON(t, base+"/subscribe?where=nope.temp>1", nil); code != http.StatusBadRequest {
+	if code := httpGetJSON(t, base+"/v1/subscribe?where=nope.temp>1", nil); code != http.StatusBadRequest {
 		t.Errorf("bad condition = %d, want 400", code)
 	}
 
@@ -192,8 +192,8 @@ func waitStoreInstances(t *testing.T, base string, n int) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		var st statsResponse
-		if code := httpGetJSON(t, base+"/stats", &st); code != http.StatusOK {
-			t.Fatalf("/stats = %d", code)
+		if code := httpGetJSON(t, base+"/v1/stats", &st); code != http.StatusOK {
+			t.Fatalf("/v1/stats = %d", code)
 		}
 		if st.Store.Instances >= n {
 			return
@@ -263,7 +263,7 @@ func TestDaemonSlowClientTimeouts(t *testing.T) {
 	// keep-alive pings keep flowing because there is no WriteTimeout.
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	r, closeStream := sseClient(t, ctx, "http://"+addr+"/subscribe?event=E.hot")
+	r, closeStream := sseClient(t, ctx, "http://"+addr+"/v1/subscribe?event=E.hot")
 	defer closeStream()
 	pingDeadline := time.Now().Add(5 * readHeaderTimeout)
 	pings := 0

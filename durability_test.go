@@ -153,7 +153,7 @@ func canonicalInstances(t *testing.T, insts []Instance) string {
 
 func queryAll(t *testing.T, eng *Engine) string {
 	t.Helper()
-	res, err := eng.QueryST(Query{}.Spec())
+	res, err := eng.QueryST(QuerySpec{Tier: TierHot})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestCleanRestartRecovers(t *testing.T) {
 	}
 	// Entity ids must never be reused across the restart: every id in
 	// the final store is unique (db dedups silently, so count instead).
-	res, err := second.QueryST(Query{Event: "E.warm"}.Spec())
+	res, err := second.QueryST(QuerySpec{Event: "E.warm", Tier: TierHot})
 	if err != nil {
 		t.Fatal(err)
 	}

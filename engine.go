@@ -49,12 +49,6 @@ const (
 	TierCold = db.TierCold
 )
 
-// Query is the legacy retrieval request form.
-//
-// Deprecated: use QuerySpec with QueryST; Query pins Tier to TierHot
-// for compatibility with pre-tiered behavior.
-type Query = db.Query
-
 // QueryResult is one page of QueryST output.
 type QueryResult = db.Result
 
@@ -469,14 +463,6 @@ func (e *Engine) QueryST(spec QuerySpec) (QueryResult, error) {
 		return QueryResult{}, ErrNoStore
 	}
 	return e.store.QueryST(spec)
-}
-
-// QuerySTLegacy runs a legacy Query.
-//
-// Deprecated: use QueryST with a QuerySpec. QuerySTLegacy pins the hot
-// tier, reproducing pre-tiered pagination byte for byte.
-func (e *Engine) QuerySTLegacy(q Query) (QueryResult, error) {
-	return e.QueryST(q.Spec())
 }
 
 // Lineage resolves the provenance chain of a logged entity back to its

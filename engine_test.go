@@ -114,7 +114,7 @@ func TestEngineQueryST(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bare.QueryST(Query{}.Spec()); !errors.Is(err, ErrNoStore) {
+	if _, err := bare.QueryST(QuerySpec{Tier: TierHot}); !errors.Is(err, ErrNoStore) {
 		t.Fatalf("storeless QueryST err = %v", err)
 	}
 	if _, err := bare.Lineage("x"); !errors.Is(err, ErrNoStore) {
@@ -170,9 +170,9 @@ func TestEngineQueryST(t *testing.T) {
 		t.Fatalf("page = %d instances, cursor %q", len(res.Instances), res.NextCursor)
 	}
 	total := 0
-	q := Query{Event: "E.hot", Region: &loc, HasTime: true, From: 150, To: 1000, Limit: 10}
+	q := QuerySpec{Event: "E.hot", Region: &loc, Window: &TimeWindow{From: 150, To: 1000}, Limit: 10, Tier: TierHot}
 	for {
-		page, err := eng.QueryST(q.Spec())
+		page, err := eng.QueryST(q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -97,8 +97,8 @@ func TestQuerySTLockedMatchesQueryST(t *testing.T) {
 					q.Limit = 1 + rng.Intn(20)
 				}
 				for page := 0; page < 50; page++ {
-					free, errFree := s.QueryST(q.Spec())
-					locked, errLocked := s.QuerySTLocked(q.Spec())
+					free, errFree := s.QueryST(q)
+					locked, errLocked := s.QuerySTLocked(q)
 					if (errFree == nil) != (errLocked == nil) {
 						t.Fatalf("trial %d: error mismatch: %v vs %v", trial, errFree, errLocked)
 					}
@@ -184,7 +184,7 @@ func TestQuerySTRegionFallthroughReleasesLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	region := spatial.InField(f)
-	res, err := s.QueryST(Query{Region: &region}.Spec())
+	res, err := s.QueryST(QuerySpec{Region: &region, Tier: TierHot})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestQuerySTConsistentUnderIngest(t *testing.T) {
 		in.Gen = timemodel.Tick(i)
 		ins = append(ins, in)
 	}
-	queries := make([]Query, 16)
+	queries := make([]QuerySpec, 16)
 	qrng := rand.New(rand.NewSource(31))
 	for i := range queries {
 		queries[i] = randomQuery(t, qrng)
@@ -225,7 +225,7 @@ func TestQuerySTConsistentUnderIngest(t *testing.T) {
 
 	done := make(chan struct{})
 	type observed struct {
-		q   Query
+		q   QuerySpec
 		res Result
 	}
 	var results []observed
@@ -235,7 +235,7 @@ func TestQuerySTConsistentUnderIngest(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < len(queries)*40; i++ {
 			q := queries[i%len(queries)]
-			res, err := s.QueryST(q.Spec())
+			res, err := s.QueryST(q)
 			if err != nil {
 				t.Errorf("mid-ingest QueryST: %v", err)
 				return
@@ -266,7 +266,7 @@ func TestQuerySTConsistentUnderIngest(t *testing.T) {
 	wg.Wait()
 
 	for i, ob := range results {
-		want, err := s.QueryST(ob.q.Spec())
+		want, err := s.QueryST(ob.q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,8 +325,8 @@ func TestStoreRaceStress(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			qrng := rand.New(rand.NewSource(int64(41 + r)))
-			q := Query{Event: "E1", Region: &region, HasTime: true, From: 0, To: 800, Limit: 64}
-			replay := Query{Limit: 128, Strict: true}
+			q := QuerySpec{Event: "E1", Region: &region, Window: &TimeWindow{From: 0, To: 800}, Limit: 64, Tier: TierHot}
+			replay := QuerySpec{Limit: 128, Strict: true, Tier: TierHot}
 			for {
 				select {
 				case <-done:
@@ -335,7 +335,7 @@ func TestStoreRaceStress(t *testing.T) {
 				}
 				switch qrng.Intn(6) {
 				case 0:
-					res, err := s.QueryST(q.Spec())
+					res, err := s.QueryST(q)
 					if err != nil {
 						t.Errorf("QueryST: %v", err)
 						return
@@ -345,11 +345,17 @@ func TestStoreRaceStress(t *testing.T) {
 							t.Errorf("predicate violated at seq %d", res.Seqs[i])
 							return
 						}
+						// The chunk walk and the index candidates abut at
+						// the probed eviction base: no overlap, no reorder.
+						if seq := res.Seqs[i]; seq >= res.Frontier || (i > 0 && seq <= res.Seqs[i-1]) {
+							t.Errorf("seq %d at position %d breaks page order (frontier %d)", seq, i, res.Frontier)
+							return
+						}
 					}
 				case 1:
 					// SSE-style strict catch-up: a stale cursor means the
 					// retention window passed us — resync from scratch.
-					res, err := s.QueryST(replay.Spec())
+					res, err := s.QueryST(replay)
 					if errors.Is(err, ErrStaleCursor) {
 						replay.Cursor = ""
 						continue
@@ -364,7 +370,7 @@ func TestStoreRaceStress(t *testing.T) {
 						replay.Cursor = ""
 					}
 				case 2:
-					if _, err := s.QuerySTLocked(q.Spec()); err != nil {
+					if _, err := s.QuerySTLocked(q); err != nil {
 						t.Errorf("QuerySTLocked: %v", err)
 						return
 					}

@@ -69,14 +69,14 @@ func TestStrictCursorEvicted(t *testing.T) {
 	}
 	// Live seqs are 15..19; everything below was evicted.
 	for _, cur := range []uint64{0, 7, 13} {
-		_, err := s.QueryST(Query{Event: "E", Cursor: strconv.FormatUint(cur, 10), Strict: true}.Spec())
+		_, err := s.QueryST(QuerySpec{Event: "E", Cursor: strconv.FormatUint(cur, 10), Strict: true, Tier: TierHot})
 		if !errors.Is(err, ErrStaleCursor) {
 			t.Fatalf("strict cursor %d = %v, want ErrStaleCursor", cur, err)
 		}
 	}
 	// The eviction frontier (cursor = oldest live seq - 1) is a clean
 	// resume: nothing between the cursor and the live head was lost.
-	res, err := s.QueryST(Query{Event: "E", Cursor: "14", Strict: true}.Spec())
+	res, err := s.QueryST(QuerySpec{Event: "E", Cursor: "14", Strict: true, Tier: TierHot})
 	if err != nil {
 		t.Fatalf("frontier cursor: %v", err)
 	}
@@ -84,22 +84,22 @@ func TestStrictCursorEvicted(t *testing.T) {
 		t.Fatalf("frontier resume got %d instances from seq %v", len(res.Instances), res.Seqs)
 	}
 	// A cursor inside (or past) the live range is clean too.
-	res, err = s.QueryST(Query{Event: "E", Cursor: "17", Strict: true}.Spec())
+	res, err = s.QueryST(QuerySpec{Event: "E", Cursor: "17", Strict: true, Tier: TierHot})
 	if err != nil || len(res.Instances) != 2 {
 		t.Fatalf("live cursor = (%d instances, %v), want 2", len(res.Instances), err)
 	}
-	res, err = s.QueryST(Query{Event: "E", Cursor: "19", Strict: true}.Spec())
+	res, err = s.QueryST(QuerySpec{Event: "E", Cursor: "19", Strict: true, Tier: TierHot})
 	if err != nil || len(res.Instances) != 0 {
 		t.Fatalf("head cursor = (%d instances, %v), want 0", len(res.Instances), err)
 	}
 	// Without Strict the historical behavior holds: evicted instances
 	// simply stop appearing.
-	res, err = s.QueryST(Query{Event: "E", Cursor: "0"}.Spec())
+	res, err = s.QueryST(QuerySpec{Event: "E", Cursor: "0", Tier: TierHot})
 	if err != nil || len(res.Instances) != 5 {
 		t.Fatalf("lenient cursor = (%d instances, %v), want 5", len(res.Instances), err)
 	}
 	// Strict without a cursor is a no-op, even over evicted history.
-	if _, err := s.QueryST(Query{Event: "E", Strict: true}.Spec()); err != nil {
+	if _, err := s.QueryST(QuerySpec{Event: "E", Strict: true, Tier: TierHot}); err != nil {
 		t.Fatalf("strict without cursor: %v", err)
 	}
 }
@@ -117,10 +117,10 @@ func TestStrictCursorFullyEvictedStore(t *testing.T) {
 		}
 	}
 	s.SetRetention(Retention{MaxInstances: 1}) // evicts 0..6 immediately
-	if _, err := s.QueryST(Query{Event: "E", Cursor: "3", Strict: true}.Spec()); !errors.Is(err, ErrStaleCursor) {
+	if _, err := s.QueryST(QuerySpec{Event: "E", Cursor: "3", Strict: true, Tier: TierHot}); !errors.Is(err, ErrStaleCursor) {
 		t.Fatalf("cursor into evicted prefix = %v, want ErrStaleCursor", err)
 	}
-	if _, err := s.QueryST(Query{Event: "E", Cursor: "6", Strict: true}.Spec()); err != nil {
+	if _, err := s.QueryST(QuerySpec{Event: "E", Cursor: "6", Strict: true, Tier: TierHot}); err != nil {
 		t.Fatalf("frontier after mass eviction: %v", err)
 	}
 }
@@ -135,7 +135,7 @@ func TestQuerySTSeqsParallelInstances(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := s.QueryST(Query{Event: "E", Limit: 4}.Spec())
+	res, err := s.QueryST(QuerySpec{Event: "E", Limit: 4, Tier: TierHot})
 	if err != nil {
 		t.Fatal(err)
 	}

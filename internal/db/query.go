@@ -40,8 +40,8 @@ const (
 	// TierAll merges the cold segment history with the hot in-memory
 	// window under one cursor space — the default.
 	TierAll Tier = iota
-	// TierHot reads only the in-memory window (the pre-cold-tier
-	// behavior): history below the hot base does not appear.
+	// TierHot reads only the in-memory window: history below the hot
+	// base does not appear.
 	TierHot
 	// TierCold reads only history already evicted from the hot window.
 	TierCold
@@ -101,47 +101,6 @@ type QuerySpec struct {
 	Tier Tier
 }
 
-// Query is the pre-tier query form, kept so existing callers build the
-// same retrievals they always did (including hot-only semantics).
-//
-// Deprecated: build a QuerySpec (or call Spec) and use QueryST.
-type Query struct {
-	// Event filters to one event id; empty matches every event.
-	Event string
-	// Region, when non-nil, keeps instances whose estimated occurrence
-	// location is Joint with it.
-	Region *spatial.Location
-	// HasTime gates the temporal predicate: the estimated occurrence
-	// must intersect [From, To].
-	HasTime bool
-	// From and To bound the occurrence window (inclusive) when HasTime.
-	From, To timemodel.Tick
-	// Limit caps the page size (0 = unlimited).
-	Limit int
-	// Cursor resumes after a previous Result's NextCursor.
-	Cursor string
-	// Strict makes eviction gaps visible as ErrStaleCursor.
-	Strict bool
-}
-
-// Spec converts to the consolidated query form. The legacy form
-// predates the cold tier, so the conversion pins TierHot — a migrated
-// caller sees exactly the pages it always saw.
-func (q Query) Spec() QuerySpec {
-	spec := QuerySpec{
-		Event:  q.Event,
-		Region: q.Region,
-		Limit:  q.Limit,
-		Cursor: q.Cursor,
-		Strict: q.Strict,
-		Tier:   TierHot,
-	}
-	if q.HasTime {
-		spec.Window = &TimeWindow{From: q.From, To: q.To}
-	}
-	return spec
-}
-
 // ColdScan reports the cold-tier work behind one Result.
 type ColdScan struct {
 	// Segments is the number of segments pinned by the scan.
@@ -167,8 +126,8 @@ type Result struct {
 	NextCursor string
 	// Index names the access path the planner chose for the hot
 	// portion: "time" (per-event time index), "region" (spatial grid),
-	// or "log" (sequential scan, only when no indexed predicate
-	// applies).
+	// or "log" (sequential scan, when no indexed predicate applies or
+	// the region is no more selective than the hot window itself).
 	Index string
 	// Scanned counts the candidate instances examined before predicate
 	// verification — the planner's actual work, for observability.
@@ -214,13 +173,6 @@ func (s *Store) QuerySTLocked(spec QuerySpec) (Result, error) {
 	return s.queryST(spec, true)
 }
 
-// QuerySTLegacy runs a pre-tier Query.
-//
-// Deprecated: build a QuerySpec and call QueryST.
-func (s *Store) QuerySTLegacy(q Query) (Result, error) {
-	return s.QueryST(q.Spec())
-}
-
 // page accumulates one result page across tiers in ascending sequence
 // order. need is Limit+1 (one extra match proves more remain), or 0
 // for unlimited.
@@ -248,10 +200,10 @@ func (s *Store) queryST(q QuerySpec, monolithic bool) (Result, error) {
 		after, hasAfter = v, true
 	}
 
-	// The monolithic reference holds the reader lock across the whole
-	// run, so its view load, index probes and materialization are one
-	// atomic read. The lock-free path instead works from an immutable
-	// published view and bounds the page by that view's frontier.
+	// The reference path holds the reader lock across the whole run, so
+	// its view load, index probes and materialization are one atomic
+	// read. The lock-free path instead works from an immutable published
+	// view and bounds the page by that view's frontier.
 	if monolithic {
 		s.mu.RLock()
 		defer s.mu.RUnlock()
@@ -260,80 +212,77 @@ func (s *Store) queryST(q QuerySpec, monolithic bool) (Result, error) {
 		s.reads.Add(1)
 	}
 	v := s.loadView()
-	cold := v.cold
-	merged := cold != nil && q.Tier != TierHot
-
-	empty := Result{Instances: []event.Instance{}, Index: s.timeIndexName(q), Frontier: v.frontier}
-	if q.Window != nil && q.Window.To < q.Window.From {
-		return empty, nil
-	}
-
-	// minSeq excludes everything at or before the cursor, so later
-	// pages never accumulate (or sort) instances already returned.
-	var minSeq uint64
-	if hasAfter {
-		if after == ^uint64(0) {
-			return empty, nil
-		}
-		minSeq = after + 1
-	}
-
 	res := Result{Frontier: v.frontier}
 	p := &page{}
 	if q.Limit > 0 {
 		p.need = q.Limit + 1
 	}
 
-	// Cold portion: segment history below the view's spill boundary.
-	// The scan pins its segments up front, so its coverage base is a
-	// race-free witness for the strict-cursor check — concurrent GC
-	// cannot open a gap under a scan already running.
-	if merged && minSeq < v.spilled {
-		f := segment.Filter{MinSeq: minSeq, MaxSeq: v.spilled, Event: q.Event, Region: q.Region}
-		if q.Window != nil {
-			f.HasTime, f.From, f.To = true, q.Window.From, q.Window.To
-		}
-		info, err := cold.Scan(f, event.NewInterner(), func(seq uint64, in *event.Instance) bool {
-			p.add(seq, in)
-			return !p.full()
-		})
-		if err != nil {
-			return Result{}, fmt.Errorf("db: cold query: %w", err)
-		}
-		res.Cold = ColdScan{
-			Segments:     info.Segments,
-			BlocksRead:   info.BlocksRead,
-			BlocksPruned: info.BlocksPruned,
-			Records:      info.Records,
-		}
-		if !monolithic {
-			s.coldReads.Add(1)
-		}
-		if q.Strict && hasAfter {
-			threshold := v.spilled
+	// minSeq excludes everything at or before the cursor, so later
+	// pages never accumulate (or sort) instances already returned.
+	var minSeq uint64
+	if hasAfter {
+		minSeq = after + 1
+	}
+
+	// The resident chunks serve [floor, upper): from the spill boundary
+	// when the page merges the cold tier (the segments end where the
+	// chunks begin), from the eviction base otherwise; up to the
+	// frontier, or only the evicted part for TierCold.
+	merged := v.cold != nil && q.Tier != TierHot
+	floor, upper := v.base, v.frontier
+	if merged {
+		floor = v.spilled
+	}
+	if q.Tier == TierCold {
+		upper = v.base
+	}
+
+	switch {
+	case q.Window != nil && q.Window.To < q.Window.From,
+		hasAfter && minSeq == 0,
+		q.Tier == TierCold && !merged:
+		// An inverted window, a cursor at the end of the sequence space
+		// and the cold tier of a RAM-only store match nothing: no tier
+		// is consulted and the resident range is empty.
+		upper = floor
+	default:
+		// oldest is the oldest seq any consulted tier retains. The cold
+		// scan pins its segments up front, so its coverage base is a
+		// race-free witness — concurrent GC cannot open a gap under a
+		// scan already running.
+		oldest := floor
+		if merged && minSeq < v.spilled {
+			f := segment.Filter{MinSeq: minSeq, MaxSeq: v.spilled, Event: q.Event, Region: q.Region}
+			if q.Window != nil {
+				f.HasTime, f.From, f.To = true, q.Window.From, q.Window.To
+			}
+			info, err := v.cold.Scan(f, event.NewInterner(), func(seq uint64, in *event.Instance) bool {
+				p.add(seq, in)
+				return !p.full()
+			})
+			if err != nil {
+				return Result{}, fmt.Errorf("db: cold query: %w", err)
+			}
+			res.Cold = ColdScan{
+				Segments:     info.Segments,
+				BlocksRead:   info.BlocksRead,
+				BlocksPruned: info.BlocksPruned,
+				Records:      info.Records,
+			}
+			if !monolithic {
+				s.coldReads.Add(1)
+			}
 			if info.End > info.Base {
-				threshold = info.Base
+				oldest = info.Base
 			}
-			if minSeq < threshold {
-				return Result{}, fmt.Errorf("cursor %d, oldest retained seq %d: %w", after, threshold, ErrStaleCursor)
-			}
+		}
+		if q.Strict && hasAfter && minSeq < oldest {
+			return Result{}, fmt.Errorf("cursor %d, oldest retained seq %d: %w", after, oldest, ErrStaleCursor)
 		}
 	}
 
-	if merged {
-		if err := s.queryWarmHot(q, v, minSeq, p, &res, monolithic); err != nil {
-			return Result{}, err
-		}
-	} else {
-		// Hot-only: TierHot, a RAM-only store, or TierCold with nothing
-		// cold-capable attached (which retains nothing below base).
-		if q.Tier == TierCold {
-			return empty, nil
-		}
-		if err := s.queryHot(q, v, minSeq, hasAfter, after, p, &res, monolithic); err != nil {
-			return Result{}, err
-		}
-	}
+	s.queryResident(q, v, max(minSeq, floor), upper, p, &res, monolithic)
 
 	if p.need > 0 && len(p.seqs) > q.Limit {
 		p.seqs = p.seqs[:q.Limit]
@@ -351,112 +300,69 @@ func (s *Store) queryST(q QuerySpec, monolithic bool) (Result, error) {
 	return res, nil
 }
 
-// queryWarmHot serves the chunk-resident portion of a merged query: the
-// evicted-but-unspilled range [spilled, b) scanned directly off the
-// view, then (unless TierCold) the live hot window via the planner.
-// b is the hot eviction base observed at probe time, clamped to the
-// view's frontier, so the three tier ranges concatenate with no gap
-// and no overlap:
+// queryResident is the resident-range planner: it appends to p, in
+// sequence order, every match in [lo, upper) — the part of the page the
+// view's chunks hold — and names the access path in res.Index. b is the
+// eviction base observed at probe time, clamped to upper, so the tier
+// ranges of one page concatenate with no gap and no overlap:
 //
-//	segments [.., v.spilled) | chunks [v.spilled, b) | live [b, v.frontier)
-func (s *Store) queryWarmHot(q QuerySpec, v *view, minSeq uint64, p *page, res *Result, monolithic bool) error {
-	res.Index = s.timeIndexName(q)
-	if p.full() {
-		return nil
+//	segments [.., lo) | chunks [lo, b) | live [b, upper)
+//
+// Instances below b have left the indexes (or sit in them as stale
+// entries) but stay resident in the view's immutable chunks, so that
+// range is walked directly; [b, upper) is served by whichever of the
+// spatial grid, the per-event time index and the same sequential walk
+// the cardinality estimates make cheapest. Only an index probe needs
+// the store lock — a short critical section that copies the candidate
+// sequence numbers out (QuerySTLocked's caller already holds it for the
+// whole run); verification and materialization need only the view.
+func (s *Store) queryResident(q QuerySpec, v *view, lo, upper uint64, p *page, res *Result, monolithic bool) {
+	res.Index = "log"
+	if q.Event != "" {
+		res.Index = "time"
 	}
-
-	indexed := q.Event != "" || q.Region != nil
-	coldOnly := q.Tier == TierCold
-
-	// For the sequential path no index is consulted, so no lock is
-	// needed and the evicted and live ranges are one walk bounded by
-	// the view itself.
-	if !indexed {
-		upper := v.frontier
-		if coldOnly {
-			upper = v.base
-		}
-		lo := minSeq
-		if lo < v.spilled {
-			lo = v.spilled
-		}
-		for seq := lo; seq < upper && !p.full(); seq++ {
-			res.Scanned++
-			in := v.at(seq)
-			if q.matches(in) {
-				p.add(seq, in)
-			}
-		}
-		return nil
-	}
-
-	// Indexed path: probe under a short reader lock (the monolithic
-	// caller already holds it for the whole run). The probe also reads
-	// the current eviction base — entries below it left the indexes, so
-	// the direct chunk walk covers up to it and the candidates take
-	// over from there.
-	if !monolithic {
-		s.mu.RLock()
-		s.readLocks.Add(1)
-	}
-	b := s.base
+	// Without an indexed predicate, or with no live range left to
+	// serve, the walk below covers everything and no lock is taken.
+	b := upper
 	var cands []uint64
-	useRegion := false
-	if !coldOnly {
-		useRegion = q.Region != nil && s.regionEstimateLocked(q) < s.timeEstimateLocked(q)
-		if useRegion {
+	verify := q // the predicates the chosen index leaves unchecked
+	if (q.Event != "" || q.Region != nil) && upper > v.base && lo < upper && !p.full() {
+		if !monolithic {
+			s.mu.RLock()
+			s.readLocks.Add(1)
+		}
+		switch {
+		case q.Region != nil && s.regionEstimateLocked(q) < s.timeEstimateLocked(q):
 			res.Index = "region"
-			cands = s.collectRegionLocked(q, minSeq, &res.Scanned)
-		} else {
-			res.Index = "time"
-			cands = s.collectTimeLocked(q, minSeq, s.base, &res.Scanned)
+			b = min(s.base, upper)
+			cands = s.collectRegionLocked(q, lo, &res.Scanned)
+			verify.Region = nil // the grid checked the Joint relation
+		case q.Event != "":
+			b = min(s.base, upper)
+			cands = s.collectTimeLocked(q, lo, b, &res.Scanned)
+		}
+		// Otherwise: a region no more selective than the live window
+		// itself, which the sequential walk serves without sorting.
+		if !monolithic {
+			s.mu.RUnlock()
 		}
 	}
-	if !monolithic {
-		s.mu.RUnlock()
-	}
-	if b > v.frontier {
-		b = v.frontier
-	}
 
-	// Evicted chunk range [max(minSeq, v.spilled), b): still resident
-	// in the view's immutable chunks, verified inline.
-	lo := minSeq
-	if lo < v.spilled {
-		lo = v.spilled
-	}
 	for seq := lo; seq < b && !p.full(); seq++ {
 		res.Scanned++
-		in := v.at(seq)
-		if q.matches(in) {
+		if in := v.at(seq); q.matches(in) {
 			p.add(seq, in)
 		}
 	}
-	if coldOnly || p.full() {
-		return nil
-	}
 
-	// Live candidates: verify the predicates the index did not, bound
-	// by the view's frontier (probing ran later and may have seen newer
-	// instances), and keep ascending order.
+	// Live candidates: bound by upper (the probe ran after the view
+	// load and may have seen newer instances), verified off-lock, and
+	// put back in arrival order.
 	seqs := cands[:0]
 	for _, seq := range cands {
-		if seq < b || seq >= v.frontier {
-			continue
+		if seq >= b && seq < upper && verify.matches(v.at(seq)) {
+			seqs = append(seqs, seq)
 		}
-		in := v.at(seq)
-		if useRegion {
-			// The grid verified the Joint relation already.
-			if q.Event != "" && in.Event != q.Event {
-				continue
-			}
-			if w := q.Window; w != nil && (in.Occ.Start() > w.To || in.Occ.End() < w.From) {
-				continue
-			}
-		} else if !q.matches(in) {
-			continue
-		}
-		seqs = append(seqs, seq)
 	}
 	sortSeqs(seqs)
 	for _, seq := range seqs {
@@ -465,100 +371,6 @@ func (s *Store) queryWarmHot(q QuerySpec, v *view, minSeq uint64, p *page, res *
 		}
 		p.add(seq, v.at(seq))
 	}
-	return nil
-}
-
-// queryHot is the hot-window path (the pre-tier read plane): exactly
-// the legacy semantics, including ErrStaleCursor for any cursor below
-// the eviction base.
-func (s *Store) queryHot(q QuerySpec, v *view, minSeq uint64, hasAfter bool, after uint64, p *page, res *Result, monolithic bool) error {
-	locked := monolithic || q.Event != "" || q.Region != nil
-	if locked && !monolithic {
-		s.mu.RLock()
-		s.readLocks.Add(1)
-	}
-	if locked {
-		// Under the lock the published view is exact, so the view load
-		// and the index probes below form one atomic read — reload so
-		// eviction between the caller's load and the lock cannot open a
-		// seam between the indexes and the view.
-		v = s.loadView()
-		res.Frontier = v.frontier
-	}
-	unlockProbe := func() {
-		if locked && !monolithic {
-			s.mu.RUnlock()
-			locked = false
-		}
-	}
-
-	if hasAfter && q.Strict && minSeq < v.base {
-		unlockProbe()
-		return fmt.Errorf("cursor %d, oldest live seq %d: %w", after, v.base, ErrStaleCursor)
-	}
-
-	var seqs []uint64
-	switch {
-	case q.Region != nil && s.regionEstimateLocked(q) < s.timeEstimateLocked(q):
-		res.Index = "region"
-		cands := s.collectRegionLocked(q, minSeq, &res.Scanned)
-		unlockProbe()
-		// The grid verified the Joint relation; check the rest off-lock.
-		seqs = cands[:0]
-		for _, seq := range cands {
-			if seq >= v.frontier {
-				continue
-			}
-			in := v.at(seq)
-			if q.Event != "" && in.Event != q.Event {
-				continue
-			}
-			if w := q.Window; w != nil && (in.Occ.Start() > w.To || in.Occ.End() < w.From) {
-				continue
-			}
-			seqs = append(seqs, seq)
-		}
-		sortSeqs(seqs)
-	case q.Event != "":
-		res.Index = "time"
-		cands := s.collectTimeLocked(q, minSeq, v.base, &res.Scanned)
-		unlockProbe()
-		// The index window bounded Occ.Start; check the remaining
-		// predicates off-lock.
-		seqs = cands[:0]
-		for _, seq := range cands {
-			if seq >= v.frontier {
-				continue
-			}
-			in := v.at(seq)
-			if w := q.Window; w != nil && (in.Occ.Start() > w.To || in.Occ.End() < w.From) {
-				continue
-			}
-			if q.Region != nil && !spatial.OpJoint.Apply(in.Loc, *q.Region) {
-				continue
-			}
-			seqs = append(seqs, seq)
-		}
-		sortSeqs(seqs)
-	default:
-		// Reached with no predicate at all, or with a region whose grid
-		// estimate is no cheaper than the sequential scan. The scan needs
-		// no index, so drop the probe lock (taken whenever a region is
-		// present) before walking the view.
-		res.Index = "log"
-		unlockProbe()
-		// The sequential scan verifies inline and yields in sequence
-		// order already — no sort needed.
-		seqs = collectLogView(v, q, minSeq, &res.Scanned)
-	}
-
-	for _, seq := range seqs {
-		if p.full() {
-			break
-		}
-		p.add(seq, v.at(seq))
-	}
-	return nil
 }
 
 // matches verifies every non-sequence predicate of the spec.
@@ -578,14 +390,6 @@ func (q *QuerySpec) matches(in *event.Instance) bool {
 // sortSeqs orders a candidate list ascending — arrival order, since
 // sequence numbers are assigned monotonically.
 func sortSeqs(seqs []uint64) { slices.Sort(seqs) }
-
-// timeIndexName labels the non-region access path for Result.Index.
-func (s *Store) timeIndexName(q QuerySpec) string {
-	if q.Event != "" {
-		return "time"
-	}
-	return "log"
-}
 
 // timeEstimateLocked is the candidate count of the time-index path: how
 // many instances the per-event index would touch for q.
@@ -653,43 +457,4 @@ func (s *Store) collectRegionLocked(q QuerySpec, minSeq uint64, scanned *int) []
 		out = append(out, seq)
 	}
 	return out
-}
-
-// collectLogView drives the sequential access path entirely against the
-// published view: it seeks to minSeq, verifies every predicate inline
-// and stops at Limit+1 matches, since it alone yields in sequence
-// order.
-func collectLogView(v *view, q QuerySpec, minSeq uint64, scanned *int) []uint64 {
-	start := v.base
-	if minSeq > start {
-		// A cursor past the live range (e.g. a forged value above
-		// MaxInt64) means nothing remains.
-		if minSeq > v.frontier {
-			return nil
-		}
-		start = minSeq
-	}
-	var seqs []uint64
-	if q.Limit > 0 {
-		n := q.Limit + 1
-		if live := int(v.frontier - start); live < n {
-			n = live
-		}
-		seqs = make([]uint64, 0, n)
-	}
-	for seq := start; seq < v.frontier; seq++ {
-		*scanned++
-		in := v.at(seq)
-		if w := q.Window; w != nil && (in.Occ.Start() > w.To || in.Occ.End() < w.From) {
-			continue
-		}
-		if q.Region != nil && !spatial.OpJoint.Apply(in.Loc, *q.Region) {
-			continue
-		}
-		seqs = append(seqs, seq)
-		if q.Limit > 0 && len(seqs) > q.Limit {
-			break
-		}
-	}
-	return seqs
 }

@@ -58,10 +58,10 @@ func entityIDs(list []event.Instance) []string {
 
 // oracleST is the unindexed reference: ScanTime ∩ ScanRegion, the
 // composition the issue names as the ground truth for QueryST.
-func oracleST(s *Store, q Query) []string {
+func oracleST(s *Store, q QuerySpec) []string {
 	var timeSide []event.Instance
-	if q.HasTime {
-		timeSide = s.ScanTime(q.Event, q.From, q.To)
+	if q.Window != nil {
+		timeSide = s.ScanTime(q.Event, q.Window.From, q.Window.To)
 	} else {
 		timeSide = s.ScanTime(q.Event, 0, timemodel.Tick(1<<62))
 	}
@@ -83,9 +83,9 @@ func oracleST(s *Store, q Query) []string {
 }
 
 // randomQuery builds a random subset of {event, region, window}.
-func randomQuery(t *testing.T, rng *rand.Rand) Query {
+func randomQuery(t *testing.T, rng *rand.Rand) QuerySpec {
 	t.Helper()
-	var q Query
+	q := QuerySpec{Tier: TierHot}
 	if rng.Intn(3) > 0 {
 		q.Event = fmt.Sprintf("E%d", rng.Intn(4))
 	}
@@ -100,9 +100,8 @@ func randomQuery(t *testing.T, rng *rand.Rand) Query {
 		q.Region = &loc
 	}
 	if rng.Intn(3) > 0 {
-		q.HasTime = true
-		q.From = timemodel.Tick(rng.Intn(1000))
-		q.To = q.From + timemodel.Tick(rng.Intn(300))
+		from := timemodel.Tick(rng.Intn(1000))
+		q.Window = &TimeWindow{From: from, To: from + timemodel.Tick(rng.Intn(300))}
 	}
 	return q
 }
@@ -127,7 +126,7 @@ func TestQuerySTMatchesOracle(t *testing.T) {
 			}
 			for trial := 0; trial < 60; trial++ {
 				q := randomQuery(t, rng)
-				res, err := s.QueryST(q.Spec())
+				res, err := s.QueryST(q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -149,9 +148,9 @@ func TestQuerySTPagination(t *testing.T) {
 	s := randomStore(t, rng, 300, Retention{})
 	region := spatial.InField(spatial.MustField(
 		spatial.Pt(10, 10), spatial.Pt(80, 10), spatial.Pt(80, 80), spatial.Pt(10, 80)))
-	base := Query{Event: "E1", Region: &region, HasTime: true, From: 100, To: 900}
+	base := QuerySpec{Event: "E1", Region: &region, Window: &TimeWindow{From: 100, To: 900}, Tier: TierHot}
 
-	full, err := s.QueryST(base.Spec())
+	full, err := s.QueryST(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +165,7 @@ func TestQuerySTPagination(t *testing.T) {
 	q := base
 	q.Limit = 7
 	for {
-		res, err := s.QueryST(q.Spec())
+		res, err := s.QueryST(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,10 +187,10 @@ func TestQuerySTPagination(t *testing.T) {
 		}
 	}
 
-	if _, err := s.QueryST(Query{Cursor: "not-a-seq"}.Spec()); !errors.Is(err, ErrBadCursor) {
+	if _, err := s.QueryST(QuerySpec{Cursor: "not-a-seq", Tier: TierHot}); !errors.Is(err, ErrBadCursor) {
 		t.Errorf("bad cursor err = %v", err)
 	}
-	if res, err := s.QueryST(Query{HasTime: true, From: 10, To: 5}.Spec()); err != nil || len(res.Instances) != 0 {
+	if res, err := s.QueryST(QuerySpec{Window: &TimeWindow{From: 10, To: 5}, Tier: TierHot}); err != nil || len(res.Instances) != 0 {
 		t.Errorf("inverted window = %v, %v", res.Instances, err)
 	}
 
@@ -203,7 +202,7 @@ func TestQuerySTPagination(t *testing.T) {
 		"18446744073709551615", // MaxUint64
 		"400",                  // just past the data
 	} {
-		res, err := s.QueryST(Query{Cursor: cursor, Limit: 5}.Spec())
+		res, err := s.QueryST(QuerySpec{Cursor: cursor, Limit: 5, Tier: TierHot})
 		if err != nil {
 			t.Fatalf("cursor %s: %v", cursor, err)
 		}
@@ -214,7 +213,7 @@ func TestQuerySTPagination(t *testing.T) {
 			t.Errorf("cursor %s: Instances nil, want empty slice for stable JSON", cursor)
 		}
 	}
-	if res, _ := s.QueryST(Query{HasTime: true, From: 10, To: 5}.Spec()); res.Instances == nil {
+	if res, _ := s.QueryST(QuerySpec{Window: &TimeWindow{From: 10, To: 5}, Tier: TierHot}); res.Instances == nil {
 		t.Error("inverted window: Instances nil, want empty slice")
 	}
 }
@@ -228,7 +227,7 @@ func TestQuerySTOpenEndedWindow(t *testing.T) {
 	if err := s.Log(inst("M", "E1", 1, timemodel.MustBetween(10, 20), spatial.AtPoint(0, 0))); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.QueryST(Query{Event: "E1", HasTime: true, From: math.MinInt64, To: 100}.Spec())
+	res, err := s.QueryST(QuerySpec{Event: "E1", Window: &TimeWindow{From: math.MinInt64, To: 100}, Tier: TierHot})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +235,7 @@ func TestQuerySTOpenEndedWindow(t *testing.T) {
 		t.Fatalf("open-ended window found %d instances (index=%s), want 1", len(res.Instances), res.Index)
 	}
 	// Open-ended To as well.
-	res, err = s.QueryST(Query{Event: "E1", HasTime: true, From: 0, To: math.MaxInt64}.Spec())
+	res, err = s.QueryST(QuerySpec{Event: "E1", Window: &TimeWindow{From: 0, To: math.MaxInt64}, Tier: TierHot})
 	if err != nil || len(res.Instances) != 1 {
 		t.Fatalf("open-ended To = %d instances, %v", len(res.Instances), err)
 	}
@@ -262,14 +261,14 @@ func TestQuerySTCursorSurvivesEviction(t *testing.T) {
 		}
 	}
 	log(0, 100)
-	q := Query{Event: "E", Limit: 10}
-	page1, err := s.QueryST(q.Spec())
+	q := QuerySpec{Event: "E", Limit: 10, Tier: TierHot}
+	page1, err := s.QueryST(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	log(100, 50) // evicts the 50 oldest, including part of page 1
 	q.Cursor = page1.NextCursor
-	page2, err := s.QueryST(q.Spec())
+	page2, err := s.QueryST(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +305,7 @@ func TestQuerySTIndexSelection(t *testing.T) {
 	}
 	corner, _ := spatial.Rect(495, 495, 505, 505)
 	cornerLoc := spatial.InField(corner)
-	res, err := s.QueryST(Query{Event: "E.busy", Region: &cornerLoc, HasTime: true, From: 0, To: 1000}.Spec())
+	res, err := s.QueryST(QuerySpec{Event: "E.busy", Region: &cornerLoc, Window: &TimeWindow{From: 0, To: 1000}, Tier: TierHot})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +318,7 @@ func TestQuerySTIndexSelection(t *testing.T) {
 
 	wide, _ := spatial.Rect(-10, -10, 110, 10)
 	wideLoc := spatial.InField(wide)
-	res, err = s.QueryST(Query{Event: "E.rare", Region: &wideLoc, HasTime: true, From: 0, To: 10}.Spec())
+	res, err = s.QueryST(QuerySpec{Event: "E.rare", Region: &wideLoc, Window: &TimeWindow{From: 0, To: 10}, Tier: TierHot})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +330,7 @@ func TestQuerySTIndexSelection(t *testing.T) {
 	}
 
 	// No predicates at all: sequential log path, everything returned.
-	res, err = s.QueryST(Query{}.Spec())
+	res, err = s.QueryST(QuerySpec{Tier: TierHot})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,7 +116,15 @@ func TestTieredQueryMatchesOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	loc := spatial.InField(region)
+	// A rectangle over every populated cell: the grid estimate cannot
+	// beat the live count, so the live window is walked sequentially.
+	everywhere, err := spatial.Rect(-10, -10, 210, 210)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := spatial.InField(everywhere)
 	specs := []QuerySpec{
+		{Region: &wide},
 		{},
 		{Limit: 0},
 		{Event: "E2"},
@@ -145,6 +153,9 @@ func TestTieredQueryMatchesOracle(t *testing.T) {
 					t.Fatalf("page %d of %+v diverges: tiered %d instances (cursor %q), oracle %d (cursor %q)",
 						pages, q, len(got.Instances), got.NextCursor, len(want.Instances), want.NextCursor)
 				}
+				if base.Region == &wide && got.Index != "log" {
+					t.Fatalf("page %d of the all-covering region: index %q, want log", pages, got.Index)
+				}
 				pages++
 				if got.NextCursor == "" {
 					break
@@ -153,6 +164,44 @@ func TestTieredQueryMatchesOracle(t *testing.T) {
 			}
 			if limit > 0 && pages < 2 && base.Event == "" && base.Region == nil && base.Window == nil {
 				t.Fatalf("full walk with limit %d took %d pages — pagination is vacuous", limit, pages)
+			}
+		}
+	}
+
+	// The same all-covering region pinned to each tier: the pages of a
+	// cursor walk concatenate to the oracle's answer restricted to the
+	// tier's sequence range, whatever the page size.
+	full, err := oracle.QueryST(QuerySpec{Region: &wide})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hotBase := s.loadView().base
+	for _, tier := range []Tier{TierAll, TierHot, TierCold} {
+		var want []uint64
+		for _, seq := range full.Seqs {
+			if (tier != TierHot || seq >= hotBase) && (tier != TierCold || seq < hotBase) {
+				want = append(want, seq)
+			}
+		}
+		for _, limit := range []int{0, 97, 1000} {
+			q := QuerySpec{Region: &wide, Tier: tier, Limit: limit}
+			var got []uint64
+			for {
+				res, err := s.QueryST(q)
+				if err != nil {
+					t.Fatalf("%+v: %v", q, err)
+				}
+				if res.Index != "log" {
+					t.Fatalf("%+v: index %q, want log", q, res.Index)
+				}
+				got = append(got, res.Seqs...)
+				if res.NextCursor == "" {
+					break
+				}
+				q.Cursor = res.NextCursor
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("tier %v limit %d: walk returned %d seqs, oracle %d", tier, limit, len(got), len(want))
 			}
 		}
 	}
@@ -203,14 +252,6 @@ func TestTieredTierSelection(t *testing.T) {
 		t.Fatalf("cold ends at %d, hot starts at %d — tiers must abut", cold.Seqs[len(cold.Seqs)-1], hot.Seqs[0])
 	}
 
-	// A legacy Query sees exactly the hot tier (pre-tiered behavior).
-	legacy, err := s.QueryST(Query{}.Spec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy.Seqs, hot.Seqs) {
-		t.Fatalf("legacy Query diverges from TierHot")
-	}
 }
 
 // TestTieredStrictCursorThroughCold: strict cursors stay valid across

@@ -104,7 +104,7 @@ func (c *Config) normalize() {
 	}
 }
 
-// Spec declares what a subscription matches. Semantics mirror db.Query
+// Spec declares what a subscription matches. Semantics mirror db.QuerySpec
 // exactly — event id equality (empty matches every event), occurrence
 // location Joint with Region (nil matches everywhere), occurrence time
 // intersecting [From, To] — so a subscriber's stream agrees with a

@@ -281,7 +281,7 @@ func TestIndexedMatchesLinearOracle(t *testing.T) {
 	}
 }
 
-// oracleMatch is the linear-scan matching oracle: db.Query semantics
+// oracleMatch is the linear-scan matching oracle: db.QuerySpec semantics
 // plus the condition.
 func oracleMatch(spec Spec, in *event.Instance) bool {
 	if spec.Event != "" && spec.Event != in.Event {

@@ -385,7 +385,7 @@ func (s *Subscription) Done() <-chan struct{} { return s.done }
 func (s *Subscription) Notify() <-chan struct{} { return s.notify }
 
 // CursorString renders a delivery cursor in the store's query-cursor
-// format (what SubscribeFrom and db.Query.Cursor accept).
+// format (what SubscribeFrom and db.QuerySpec.Cursor accept).
 func CursorString(c uint64) string { return strconv.FormatUint(c, 10) }
 
 // Stats reads this subscription's state and counters — the SSE handler

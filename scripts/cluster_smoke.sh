@@ -53,7 +53,7 @@ go run scripts/genclusterfeed.go -start "$LINES" -n "$LINES" > "$work/feed2.json
 wait_healthz() {
   local port=$1 i
   for i in $(seq 1 200); do
-    if curl -sf "http://127.0.0.1:$port/healthz" > /dev/null 2>&1; then return 0; fi
+    if curl -sf "http://127.0.0.1:$port/v1/healthz" > /dev/null 2>&1; then return 0; fi
     sleep 0.05
   done
   echo "smoke: daemon on :$port never served" >&2

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Crash-recovery soak: start stcpsd with a WAL directory, ingest a
 # stream, SIGKILL it mid-stream, restart it over the same WAL, feed the
-# rest, and diff /query output against an uninterrupted run. The same
+# rest, and diff /v1/query output against an uninterrupted run. The same
 # scenario runs in-process as `go test -run TestCrashRecovery ./...`;
 # this script exercises it against the real built binary over real
 # pipes, signals and HTTP.
@@ -40,13 +40,13 @@ go run scripts/genfeed.go -n "$LINES" > "$work/feed.jsonl"
 head -n "$HALF" "$work/feed.jsonl" > "$work/feed.first"
 tail -n +"$((HALF + 1))" "$work/feed.jsonl" > "$work/feed.rest"
 
-# ingested_count PORT -> the daemon's /stats ingested counter (no jq:
+# ingested_count PORT -> the daemon's /v1/stats ingested counter (no jq:
 # runners and laptops both have grep).
 ingested_count() {
-  curl -sf "http://127.0.0.1:$1/stats" 2>/dev/null | grep -o '"ingested":[0-9]*' | head -1 | cut -d: -f2 || true
+  curl -sf "http://127.0.0.1:$1/v1/stats" 2>/dev/null | grep -o '"ingested":[0-9]*' | head -1 | cut -d: -f2 || true
 }
 
-# wait_ingested PORT N: poll /stats until the daemon has ingested N.
+# wait_ingested PORT N: poll /v1/stats until the daemon has ingested N.
 wait_ingested() {
   local port=$1 want=$2 i
   for i in $(seq 1 600); do
@@ -70,7 +70,7 @@ start_daemon() {
   pids+=("$daemon_pid")
 }
 
-query() { curl -sf "http://127.0.0.1:$1/query"; }
+query() { curl -sf "http://127.0.0.1:$1/v1/query"; }
 
 echo "soak: uninterrupted reference run"
 mkfifo "$work/pipe_clean"
@@ -112,11 +112,11 @@ grep -q 'stcpsd: wal' "$work/restart.log" || {
   exit 1
 }
 
-echo "soak: diffing /query output"
+echo "soak: diffing /v1/query output"
 if ! diff -u "$work/clean.query.json" "$work/crash.query.json"; then
-  echo "soak: FAIL — post-recovery /query differs from uninterrupted run" >&2
+  echo "soak: FAIL — post-recovery /v1/query differs from uninterrupted run" >&2
   exit 1
 fi
 
 recovered=$(grep -o 'recovered=[0-9]*' "$work/restart.log" | head -1)
-echo "soak: OK — /query byte-identical after SIGKILL + recovery ($recovered)"
+echo "soak: OK — /v1/query byte-identical after SIGKILL + recovery ($recovered)"

@@ -40,10 +40,11 @@ type SubscriptionsConfig struct {
 }
 
 // SubscriptionSpec declares a standing subscription. The Event, Region
-// and HasTime/From/To predicates carry exactly the semantics of Query,
-// so a subscriber's stream agrees with a QueryST over the same
-// predicates; Where adds a compiled condition over each matched
-// instance, bound under the role "e" (e.g. "e.temp > 30").
+// and HasTime/From/To predicates carry exactly the semantics of
+// QuerySpec's Event, Region and Window, so a subscriber's stream agrees
+// with a QueryST over the same predicates; Where adds a compiled
+// condition over each matched instance, bound under the role "e" (e.g.
+// "e.temp > 30").
 type SubscriptionSpec struct {
 	// Event filters to one event id; empty matches every event.
 	Event string

@@ -83,7 +83,7 @@ func TestSubscriberDifferentialVsQueryST(t *testing.T) {
 			loc := InField(f)
 			return &loc
 		}()
-		q := Query{Event: "E.obs", Region: region, HasTime: true, From: 100, To: 350}
+		q := QuerySpec{Event: "E.obs", Region: region, Window: &TimeWindow{From: 100, To: 350}, Tier: TierHot}
 
 		// Uninterrupted oracle run.
 		oracleEng, err := NewEngine(EngineConfig{Observer: "X", WithStore: true})
@@ -97,7 +97,7 @@ func TestSubscriberDifferentialVsQueryST(t *testing.T) {
 			}
 		}
 		oracleEng.Flush(Tick(n + 1))
-		oracleRes, err := oracleEng.QueryST(q.Spec())
+		oracleRes, err := oracleEng.QueryST(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,7 +296,7 @@ func TestConcurrentIngestFlushQuerySubscribe(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := eng.QueryST(Query{Event: "E.obs", Limit: 10}.Spec()); err != nil {
+				if _, err := eng.QueryST(QuerySpec{Event: "E.obs", Limit: 10, Tier: TierHot}); err != nil {
 					t.Error(err)
 					return
 				}
