@@ -270,6 +270,7 @@ func run(args []string, in io.Reader, out, errw io.Writer) error {
 	var mu sync.Mutex
 	var ingested, skipped, emitted atomic.Uint64
 	var writeErr error
+	var line []byte // the instance being written, reused under mu
 	eng, err := stcps.NewEngine(stcps.EngineConfig{
 		Observer:  *observer,
 		Loc:       stcps.AtPoint(*x, *y),
@@ -292,17 +293,14 @@ func run(args []string, in io.Reader, out, errw io.Writer) error {
 		},
 		Subscriptions: stcps.SubscriptionsConfig{Buffer: *subBuffer},
 		OnInstance: func(inst stcps.Instance) {
-			data, err := event.EncodeInstance(inst)
 			mu.Lock()
 			defer mu.Unlock()
-			if err != nil {
-				if writeErr == nil {
-					writeErr = err
-				}
-				return
+			var err error
+			if line, err = event.AppendInstance(line[:0], &inst); err == nil {
+				line = append(line, '\n')
+				_, err = w.Write(line)
 			}
-			data = append(data, '\n')
-			if _, err := w.Write(data); err != nil {
+			if err != nil {
 				if writeErr == nil {
 					writeErr = err
 				}

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/stcps/stcps/internal/event"
 	"github.com/stcps/stcps/internal/spatial"
@@ -150,6 +151,54 @@ func TestHotEventChurnAmortized(t *testing.T) {
 	if got := s.QueryTime("E.hot", 0, 100); len(got) != 1000 {
 		t.Fatalf("QueryTime after churn = %d, want 1000", len(got))
 	}
+	checkStoreInvariants(t, s)
+}
+
+// TestHotCellRetentionStaysFlat logs a stream whose every instance falls
+// in one grid cell under a -db-max-instances style cap and compares the
+// cost of LogBatch while the cell fills with its cost once every batch
+// also evicts. Eviction retires the cell's oldest entry; when the grid
+// removed by swap-with-last the cell's order scrambled and each eviction
+// scanned half the cell — LogBatch ran tens of times slower full than
+// filling (the ingest cliff on hot cells). With ordered cells eviction
+// pops the front, and a full cell logs at about the cost of a filling
+// one, whatever the cap.
+func TestHotCellRetentionStaysFlat(t *testing.T) {
+	const (
+		maxInstances = 30_000
+		batch        = 8
+	)
+	s, err := New(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetRetention(Retention{MaxInstances: maxInstances})
+	next := uint64(0)
+	logPhase := func(n int) time.Duration {
+		ins := make([]event.Instance, batch)
+		start := time.Now()
+		for done := 0; done < n; done += batch {
+			for i := range ins {
+				next++
+				ins[i] = inst("M", "E.hot", next, timemodel.At(timemodel.Tick(next)), spatial.AtPoint(3, 3))
+			}
+			if _, _, err := s.LogBatch(ins); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return time.Since(start)
+	}
+	filling := logPhase(maxInstances)
+	logPhase(maxInstances) // settle into the steady state
+	full := logPhase(maxInstances)
+	if s.Len() != maxInstances || s.Stats().Evicted != 2*maxInstances {
+		t.Fatalf("Len = %d, Evicted = %d, want %d and %d", s.Len(), s.Stats().Evicted, maxInstances, 2*maxInstances)
+	}
+	if full > 6*filling {
+		t.Fatalf("LogBatch on a full hot cell: %v per %d instances, %v while filling (%.1f×): eviction is scanning the cell",
+			full, maxInstances, filling, float64(full)/float64(filling))
+	}
+	t.Logf("filling %v, full %v (%.1f×)", filling, full, float64(full)/float64(filling))
 	checkStoreInvariants(t, s)
 }
 

@@ -440,21 +440,16 @@ func (s *Store) collectTimeLocked(q QuerySpec, minSeq, base uint64, scanned *int
 	return out
 }
 
-// collectRegionLocked probes the spatial grid and copies the candidate
-// sequence numbers out. The grid verified the Joint relation; the
-// entity index holds live instances only, so no base filter is needed.
+// collectRegionLocked probes the spatial grid, which is keyed by
+// sequence number and returns a fresh ascending list. The grid verified
+// the Joint relation and holds live instances only, so no base filter
+// is needed; sequence numbers below minSeq (already returned on earlier
+// pages) are cut off the front.
 //
 //stcps:holds mu
 func (s *Store) collectRegionLocked(q QuerySpec, minSeq uint64, scanned *int) []uint64 {
-	ids := s.grid.QueryRegion(*q.Region)
-	out := make([]uint64, 0, len(ids))
-	for _, id := range ids {
-		*scanned++
-		seq, ok := s.byEntity[id]
-		if !ok || seq < minSeq {
-			continue
-		}
-		out = append(out, seq)
-	}
-	return out
+	seqs := s.grid.QueryRegion(nil, *q.Region)
+	*scanned += len(seqs)
+	first, _ := slices.BinarySearch(seqs, minSeq)
+	return seqs[first:]
 }

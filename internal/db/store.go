@@ -8,8 +8,9 @@
 // time-ordered index (binary searched for range queries), and a uniform
 // spatial grid over the estimated occurrence locations (for region
 // queries). Instances are addressed by a monotonic global sequence
-// number, so a retention policy (Retention) can evict from the front of
-// the log while every index stays consistent. QueryST serves combined
+// number (the grid is keyed by it), so a retention policy (Retention)
+// can evict from the front of the log while every index stays
+// consistent. QueryST serves combined
 // region×time retrieval, choosing the cheaper index from cardinality
 // estimates. A linear-scan query path is kept alongside the indexes for
 // the E9 experiment and as a cross-check oracle in tests.
@@ -191,7 +192,8 @@ type Store struct {
 	byEvent  map[string][]uint64          //stcps:guardedby mu -- event id -> seqs, Occ.Start-ordered, may contain stale (< base) entries
 	liveEv   map[string]int               //stcps:guardedby mu -- event id -> live instance count
 	byEntity map[string]uint64            //stcps:guardedby mu -- entity id -> seq (live only)
-	grid     *spatial.Grid                //stcps:guardedby mu
+	idBuf    []byte                       //stcps:guardedby mu -- scratch for rendering an entity id as a transient byEntity key
+	grid     *spatial.Grid                //stcps:guardedby mu -- keyed by seq
 	obs      map[string]event.Observation //stcps:guardedby mu -- logged observations by id
 	ret      Retention
 	evicted  uint64 //stcps:guardedby mu
@@ -373,8 +375,11 @@ func (s *Store) LogBatch(ins []event.Instance) (seqs []uint64, fresh []bool, err
 //
 //stcps:holds mu
 func (s *Store) logOneLocked(in *event.Instance) (seq uint64, fresh bool) {
-	id := in.EntityID()
-	if prev, dup := s.byEntity[id]; dup {
+	// The id is rendered once, into scratch: a duplicate is answered
+	// without allocating, a fresh instance pays for one string — its
+	// byEntity key.
+	s.idBuf = in.AppendEntityID(s.idBuf[:0])
+	if prev, dup := s.byEntity[string(s.idBuf)]; dup {
 		return prev, false
 	}
 	seq = s.frontier
@@ -384,21 +389,24 @@ func (s *Store) logOneLocked(in *event.Instance) (seq uint64, fresh bool) {
 	}
 	s.chunks[ci].data[seq&chunkMask] = *in
 	s.frontier = seq + 1
-	s.byEntity[id] = seq
+	s.byEntity[string(s.idBuf)] = seq
 	s.liveEv[in.Event]++
 
 	lst := s.byEvent[in.Event]
-	// Insert keeping Occ.Start order (instances usually arrive almost in
-	// order, so the insertion point is near the end).
-	pos := sort.Search(len(lst), func(i int) bool {
-		return s.at(lst[i]).Occ.Start() > in.Occ.Start()
-	})
+	// Insert keeping Occ.Start order. Instances usually arrive in order:
+	// try the end before searching.
+	pos := len(lst)
+	if pos > 0 && s.at(lst[pos-1]).Occ.Start() > in.Occ.Start() {
+		pos = sort.Search(pos, func(i int) bool {
+			return s.at(lst[i]).Occ.Start() > in.Occ.Start()
+		})
+	}
 	lst = append(lst, 0)
 	copy(lst[pos+1:], lst[pos:])
 	lst[pos] = seq
 	s.byEvent[in.Event] = lst
 
-	s.grid.Insert(id, in.Loc)
+	s.grid.Insert(seq, in.Loc)
 	if dur := in.Occ.End() - in.Occ.Start(); dur > s.maxDur[in.Event] {
 		s.maxDur[in.Event] = dur
 	}
@@ -448,9 +456,9 @@ func (s *Store) enforceRetentionLocked() {
 //stcps:holds mu
 func (s *Store) evictFrontLocked() {
 	in := s.at(s.base)
-	id := in.EntityID()
-	delete(s.byEntity, id)
-	s.grid.Remove(id)
+	s.idBuf = in.AppendEntityID(s.idBuf[:0])
+	delete(s.byEntity, string(s.idBuf))
+	s.grid.Remove(s.base)
 	if n := s.liveEv[in.Event] - 1; n == 0 {
 		s.stale -= len(s.byEvent[in.Event]) - 1
 		delete(s.byEvent, in.Event)
@@ -714,15 +722,8 @@ func scanTimeView(v *view, eventID string, from, to timemodel.Tick) []event.Inst
 func (s *Store) QueryRegion(region spatial.Location) []event.Instance {
 	s.mu.RLock()
 	v := s.loadView()
-	ids := s.grid.QueryRegion(region)
-	seqs := make([]uint64, 0, len(ids))
-	for _, id := range ids {
-		if seq, ok := s.byEntity[id]; ok {
-			seqs = append(seqs, seq)
-		}
-	}
+	seqs := s.grid.QueryRegion(nil, region) // ascending: arrival order
 	s.mu.RUnlock()
-	sortSeqs(seqs)
 	out := make([]event.Instance, len(seqs))
 	for i, seq := range seqs {
 		out[i] = *v.at(seq)

@@ -3,8 +3,6 @@ package detect
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"sync/atomic"
 
 	"github.com/stcps/stcps/internal/condition"
@@ -21,6 +19,17 @@ type entry struct {
 	conf float64
 	seq  uint64
 	pass bool
+	id   string // ent.EntityID(), rendered by entityID on first use
+}
+
+// entityID returns the entity's id, rendering it at most once per window
+// entry: a binding's dedup key and an instance's Inputs both need it,
+// once per satisfied binding the entry takes part in.
+func (e *entry) entityID() string {
+	if e.id == "" {
+		e.id = e.ent.EntityID()
+	}
+	return e.id
 }
 
 // timeKey is one time-index slot: a buffered entry keyed by its
@@ -58,24 +67,26 @@ func (rb *roleBuf) prune(now, maxAge timemodel.Tick) {
 	keep := rb.entries[:0]
 	first := true
 	var min timemodel.Tick
-	for _, e := range rb.entries {
+	for i := range rb.entries {
+		e := &rb.entries[i]
 		end := e.ent.OccTime().End()
 		if now-end <= maxAge {
 			if first || end < min {
 				min = end
 				first = false
 			}
-			keep = append(keep, e)
+			keep = append(keep, *e)
 		} else {
 			rb.unindex(e)
 		}
 	}
+	clear(rb.entries[len(keep):]) // release the evicted entities
 	rb.entries = keep
 	rb.minEnd = min
 }
 
 // index registers a passing entry in the planner indexes.
-func (rb *roleBuf) index(e entry) {
+func (rb *roleBuf) index(e *entry) {
 	if !e.pass {
 		return
 	}
@@ -84,12 +95,12 @@ func (rb *roleBuf) index(e entry) {
 		rb.timeIdxInsert(e.ent.OccTime().Start(), e.seq)
 	}
 	if rb.grid != nil {
-		rb.grid.Insert(gridID(e.seq), e.ent.OccLoc())
+		rb.grid.Insert(e.seq, e.ent.OccLoc())
 	}
 }
 
 // unindex removes an evicted entry from the planner indexes.
-func (rb *roleBuf) unindex(e entry) {
+func (rb *roleBuf) unindex(e *entry) {
 	if !e.pass {
 		return
 	}
@@ -98,7 +109,7 @@ func (rb *roleBuf) unindex(e entry) {
 		rb.timeIdxRemove(e.ent.OccTime().Start(), e.seq)
 	}
 	if rb.grid != nil {
-		rb.grid.Remove(gridID(e.seq))
+		rb.grid.Remove(e.seq)
 	}
 }
 
@@ -157,15 +168,6 @@ func (rb *roleBuf) entryIndex(seq uint64) int {
 	return -1
 }
 
-// gridID renders an entry seq as a grid key.
-func gridID(seq uint64) string { return strconv.FormatUint(seq, 36) }
-
-// parseGridID decodes a grid key back to an entry seq.
-func parseGridID(id string) (uint64, bool) {
-	v, err := strconv.ParseUint(id, 36, 64)
-	return v, err == nil
-}
-
 // Stats counts a detector's evaluation work. All counters are safe to
 // read while the detector runs (e.g. from a stats endpoint).
 type Stats struct {
@@ -189,8 +191,7 @@ type Stats struct {
 type Detector struct {
 	spec     Spec
 	observer string
-	buffers  map[string]*roleBuf // role -> window, oldest first
-	bySource map[string][]int    // source -> indexes into spec.Roles
+	bySource map[string][]int // source -> indexes into spec.Roles
 	seq      uint64
 	emitted  map[string]struct{}
 
@@ -207,7 +208,11 @@ type Detector struct {
 	planNote    string         // why the planner is off
 	evalEnts    []event.Entity // scratch slot binding
 	confScratch []float64
-	roleScratch []string // scratch fed-role names for Offer
+	roleScratch []string           // scratch fed-role names for Offer
+	keyScratch  []byte             // scratch binding dedup key
+	timeScratch []timemodel.Time   // emit's input occurrence times
+	locScratch  []spatial.Location // emit's input occurrence locations
+	out         []event.Instance   // the instances of the current Offer/Flush
 
 	probed      atomic.Uint64
 	pruned      atomic.Uint64
@@ -234,7 +239,6 @@ func New(observerID string, spec Spec) (*Detector, error) {
 	d := &Detector{
 		spec:     spec,
 		observer: observerID,
-		buffers:  make(map[string]*roleBuf, len(spec.Roles)),
 		bySource: make(map[string][]int),
 		emitted:  make(map[string]struct{}),
 	}
@@ -249,10 +253,8 @@ func New(observerID string, spec Spec) (*Detector, error) {
 		d.bySource[r.Source] = append(d.bySource[r.Source], i)
 		slot, _ := d.slots.Slot(r.Name)
 		d.roleSlot[i] = slot
-		if d.buffers[r.Name] == nil {
-			rb := &roleBuf{slot: slot}
-			d.buffers[r.Name] = rb
-			d.bufs[slot] = rb
+		if d.bufs[slot] == nil {
+			d.bufs[slot] = &roleBuf{slot: slot}
 		}
 	}
 	sorted := append([]string(nil), d.slots.Names()...)
@@ -339,7 +341,9 @@ func (d *Detector) evalCond(ents []event.Entity) (bool, error) {
 // Offer feeds one entity from an input stream into the detector and
 // returns any instances generated at virtual time now. genLoc is the
 // observer's own location l^g. conf is the entity's carried confidence
-// (1 for raw observations, the instance's ρ otherwise).
+// (1 for raw observations, the instance's ρ otherwise). The returned
+// slice is the detector's own buffer, valid until its next Offer or
+// Flush; the instances in it are self-contained and may be copied out.
 //
 //stcps:hotpath
 func (d *Detector) Offer(source string, ent event.Entity, conf float64, now timemodel.Tick, genLoc spatial.Location) []event.Instance {
@@ -350,9 +354,8 @@ func (d *Detector) Offer(source string, ent event.Entity, conf float64, now time
 	d.pruneAll(now)
 	fedRoles := d.roleScratch[:0]
 	for _, i := range roleIdxs {
-		r := d.spec.Roles[i]
-		d.insert(r, ent, conf, now)
-		fedRoles = append(fedRoles, r.Name)
+		d.insert(i, ent, conf, now)
+		fedRoles = append(fedRoles, d.spec.Roles[i].Name)
 	}
 	d.roleScratch = fedRoles
 	if d.spec.Mode == ModeInterval {
@@ -366,11 +369,12 @@ func (d *Detector) Offer(source string, ent event.Entity, conf float64, now time
 // whose earliest-expiry bound proves nothing expired are skipped in O(1),
 // keeping the Offer hot path O(roles) instead of O(roles×window).
 func (d *Detector) pruneAll(now timemodel.Tick) {
-	for _, r := range d.spec.Roles {
+	for i := range d.spec.Roles {
+		r := &d.spec.Roles[i]
 		if r.MaxAge <= 0 {
 			continue
 		}
-		rb := d.buffers[r.Name]
+		rb := d.bufs[d.roleSlot[i]]
 		if len(rb.entries) == 0 || now-rb.minEnd <= r.MaxAge {
 			continue
 		}
@@ -379,13 +383,13 @@ func (d *Detector) pruneAll(now timemodel.Tick) {
 }
 
 // Flush closes an open interval at virtual time now, emitting its
-// instance. Punctual detectors never need flushing.
+// instance. Punctual detectors never need flushing. The returned slice
+// is the detector's own buffer, like Offer's.
 func (d *Detector) Flush(now timemodel.Tick, genLoc spatial.Location) []event.Instance {
 	if d.spec.Mode != ModeInterval || !d.open {
 		return nil
 	}
-	inst := d.closeInterval(now, genLoc)
-	return []event.Instance{inst}
+	return d.closeInterval(now, genLoc)
 }
 
 // insert adds the entity to the role buffer, evicting by window size and
@@ -393,8 +397,8 @@ func (d *Detector) Flush(now timemodel.Tick, genLoc spatial.Location) []event.In
 // entity instead of once per binding — and failing entries are excluded
 // from the window indexes (they still occupy window slots, preserving
 // the naive path's eviction behavior).
-func (d *Detector) insert(r RoleSpec, ent event.Entity, conf float64, now timemodel.Tick) {
-	rb := d.buffers[r.Name]
+func (d *Detector) insert(role int, ent event.Entity, conf float64, now timemodel.Tick) {
+	r, rb := &d.spec.Roles[role], d.bufs[d.roleSlot[role]]
 	e := entry{ent: ent, conf: conf, seq: rb.nextSeq, pass: true}
 	rb.nextSeq++
 	if d.plan != nil {
@@ -405,15 +409,16 @@ func (d *Detector) insert(r RoleSpec, ent event.Entity, conf float64, now timemo
 		rb.minEnd = end
 	}
 	rb.entries = append(rb.entries, e)
-	rb.index(e)
+	rb.index(&e)
 	if r.MaxAge > 0 && now-rb.minEnd > r.MaxAge {
 		rb.prune(now, r.MaxAge)
 	}
-	if len(rb.entries) > r.Window {
-		for _, old := range rb.entries[:len(rb.entries)-r.Window] {
-			rb.unindex(old)
+	if over := len(rb.entries) - r.Window; over > 0 {
+		for i := range rb.entries[:over] {
+			rb.unindex(&rb.entries[i])
 		}
-		rb.entries = rb.entries[len(rb.entries)-r.Window:]
+		clear(rb.entries[:over]) // release the evicted entities
+		rb.entries = rb.entries[over:]
 	}
 }
 
@@ -421,7 +426,7 @@ func (d *Detector) insert(r RoleSpec, ent event.Entity, conf float64, now timemo
 // planned indexed join when available, the naive enumeration otherwise —
 // and emits an instance for each satisfied, not-yet-emitted binding.
 func (d *Detector) stepPunctual(fedRoles []string, ent event.Entity, conf float64, now timemodel.Tick, genLoc spatial.Location) []event.Instance {
-	var out []event.Instance
+	d.out = d.out[:0]
 	for _, fixedRole := range fedRoles {
 		var bindings []boundSet
 		if d.plan != nil {
@@ -430,9 +435,10 @@ func (d *Detector) stepPunctual(fedRoles []string, ent event.Entity, conf float6
 			bindings = d.enumerate(fixedRole, ent, conf)
 			d.probed.Add(uint64(len(bindings)))
 		}
-		for _, b := range bindings {
-			key := d.bindingKey(b.ents)
-			if _, dup := d.emitted[key]; dup {
+		for i := range bindings {
+			b := &bindings[i]
+			key := d.bindingKey(b)
+			if _, dup := d.emitted[string(key)]; dup { //stcps:ignore hotpath map-lookup conversion does not allocate (compiler-recognized)
 				continue
 			}
 			if !b.verified {
@@ -445,26 +451,25 @@ func (d *Detector) stepPunctual(fedRoles []string, ent event.Entity, conf float6
 					continue
 				}
 			}
-			d.emitted[key] = struct{}{}
-			if len(d.emitted) > 4*d.spec.MaxBindings {
+			if len(d.emitted) >= 4*d.spec.MaxBindings {
 				// Bound memory: drop dedup history (old bindings have
 				// rolled out of the windows anyway).
-				//stcps:ignore hotpath rare dedup-history reset, runs on emission
-				d.emitted = make(map[string]struct{})
-				d.emitted[key] = struct{}{}
+				clear(d.emitted)
 			}
-			out = append(out, d.emit(b, now, genLoc, d.spec.Mode))
+			d.emitted[string(key)] = struct{}{} //stcps:ignore hotpath one dedup key per emitted instance
+			d.emit(b, now, genLoc)
 		}
 	}
-	return out
+	return d.out
 }
 
-// boundSet is a candidate binding (slot-indexed entities) plus its
-// carried confidences in spec-role order. verified marks bindings whose
-// clauses the planner already checked; seqs carries per-slot arrival
-// sequences for output ordering.
+// boundSet is a candidate binding: slot-indexed entities and their
+// entity ids, plus the carried confidences in spec-role order. verified
+// marks bindings whose clauses the planner already checked; seqs carries
+// per-slot arrival sequences for output ordering.
 type boundSet struct {
 	ents     []event.Entity
+	ids      []string
 	confs    []float64
 	seqs     []uint64
 	verified bool
@@ -485,12 +490,10 @@ func (d *Detector) enumerate(fixedRole string, fixed event.Entity, fixedConf flo
 	for i, r := range d.spec.Roles {
 		slot := d.roleSlot[i]
 		var choices []entry
-		var fixedChoice [1]entry
 		if r.Name == fixedRole {
-			fixedChoice[0] = entry{ent: fixed, conf: fixedConf}
-			choices = fixedChoice[:]
+			choices = []entry{{ent: fixed, conf: fixedConf}}
 		} else {
-			choices = d.buffers[r.Name].entries
+			choices = d.bufs[slot].entries
 		}
 		if len(choices) == 0 {
 			return nil // a role with no entities: no complete binding
@@ -498,7 +501,8 @@ func (d *Detector) enumerate(fixedRole string, fixed event.Entity, fixedConf flo
 		next := make([]boundSet, 0, min(len(out)*len(choices), d.spec.MaxBindings))
 	fill:
 		for _, base := range out {
-			for _, c := range choices {
+			for j := range choices {
+				c := &choices[j]
 				if len(next) >= d.spec.MaxBindings {
 					truncated = true
 					break fill
@@ -506,8 +510,11 @@ func (d *Detector) enumerate(fixedRole string, fixed event.Entity, fixedConf flo
 				nb := make([]event.Entity, nslots)
 				copy(nb, base.ents)
 				nb[slot] = c.ent
+				ids := make([]string, nslots)
+				copy(ids, base.ids)
+				ids[slot] = c.entityID()
 				confs := append(append(make([]float64, 0, len(base.confs)+1), base.confs...), c.conf)
-				next = append(next, boundSet{ents: nb, confs: confs})
+				next = append(next, boundSet{ents: nb, ids: ids, confs: confs})
 			}
 		}
 		out = next
@@ -526,13 +533,13 @@ func (d *Detector) stepInterval(now timemodel.Tick, genLoc spatial.Location) []e
 		ents[i] = nil
 	}
 	confs := d.confScratch[:0]
-	for i, r := range d.spec.Roles {
-		buf := d.buffers[r.Name].entries
+	for _, slot := range d.roleSlot {
+		buf := d.bufs[slot].entries
 		if len(buf) == 0 {
 			return d.fallIfOpen(now, genLoc)
 		}
-		latest := buf[len(buf)-1]
-		ents[d.roleSlot[i]] = latest.ent
+		latest := &buf[len(buf)-1]
+		ents[slot] = latest.ent
 		confs = append(confs, latest.conf)
 	}
 	d.confScratch = confs
@@ -556,8 +563,7 @@ func (d *Detector) stepInterval(now timemodel.Tick, genLoc spatial.Location) []e
 		d.openConfs = append(d.openConfs[:0], confs...)
 		return nil
 	case !ok && d.open:
-		inst := d.closeInterval(now, genLoc)
-		return []event.Instance{inst} //stcps:ignore hotpath interval close emits an instance
+		return d.closeInterval(now, genLoc)
 	default:
 		return nil
 	}
@@ -567,31 +573,37 @@ func (d *Detector) fallIfOpen(now timemodel.Tick, genLoc spatial.Location) []eve
 	if !d.open {
 		return nil
 	}
-	inst := d.closeInterval(now, genLoc)
-	return []event.Instance{inst} //stcps:ignore hotpath interval close emits an instance
+	return d.closeInterval(now, genLoc)
 }
 
 // closeInterval emits the interval instance for the open state.
 //
 //stcps:coldpath
-func (d *Detector) closeInterval(now timemodel.Tick, genLoc spatial.Location) event.Instance {
+func (d *Detector) closeInterval(now timemodel.Tick, genLoc spatial.Location) []event.Instance {
 	d.open = false
 	occ, err := timemodel.Between(d.openStart, d.lastTrue)
 	if err != nil {
 		occ = timemodel.At(d.lastTrue)
 	}
-	b := boundSet{ents: d.openEnts, confs: d.openConfs}
-	inst := d.emit(b, now, genLoc, ModeInterval)
-	inst.Occ = occ
-	return inst
+	ids := make([]string, len(d.openEnts))
+	for s, ent := range d.openEnts {
+		if ent != nil {
+			ids[s] = ent.EntityID()
+		}
+	}
+	d.out = d.out[:0]
+	d.emit(&boundSet{ents: d.openEnts, ids: ids, confs: d.openConfs}, now, genLoc).Occ = occ
+	return d.out
 }
 
-// emit assembles an instance from a satisfied binding. Emission
-// allocates by design: the zero-alloc contract covers probing, not
-// instance construction.
+// emit assembles an instance from a satisfied binding, appends it to
+// d.out and returns it there. Emission allocates by design — the
+// instance's Inputs and Attrs are its own — but only those: the input
+// ids come rendered with the binding and the estimate inputs go through
+// reused scratch.
 //
 //stcps:coldpath
-func (d *Detector) emit(b boundSet, now timemodel.Tick, genLoc spatial.Location, mode Mode) event.Instance {
+func (d *Detector) emit(b *boundSet, now timemodel.Tick, genLoc spatial.Location) *event.Instance {
 	d.seq++
 	n := 0
 	for _, s := range d.sortedSlots {
@@ -600,38 +612,37 @@ func (d *Detector) emit(b boundSet, now timemodel.Tick, genLoc spatial.Location,
 		}
 	}
 	ids := make([]string, 0, n)
-	times := make([]timemodel.Time, 0, n)
-	locs := make([]spatial.Location, 0, n)
+	times := d.timeScratch[:0]
+	locs := d.locScratch[:0]
 	for _, s := range d.sortedSlots {
 		ent := b.ents[s]
 		if ent == nil {
 			continue
 		}
-		ids = append(ids, ent.EntityID())
+		ids = append(ids, b.ids[s])
 		times = append(times, ent.OccTime())
 		locs = append(locs, ent.OccLoc())
 	}
+	d.timeScratch, d.locScratch = times, locs
 
-	occ := d.estimateTime(times)
-	loc := d.estimateLoc(locs)
-	attrs := mergeAttrs(b.ents, d.sortedSlots)
 	conf := d.spec.Confidence.Combine(b.confs) * d.spec.BaseConfidence
 	if conf > 1 {
 		conf = 1
 	}
-	return event.Instance{
+	d.out = append(d.out, event.Instance{
 		Layer:      d.spec.Layer,
 		Observer:   d.observer,
 		Event:      d.spec.EventID,
 		Seq:        d.seq,
 		Gen:        now,
 		GenLoc:     genLoc,
-		Occ:        occ,
-		Loc:        loc,
-		Attrs:      attrs,
+		Occ:        d.estimateTime(times),
+		Loc:        d.estimateLoc(locs),
+		Attrs:      mergeAttrs(b.ents, d.sortedSlots),
 		Confidence: conf,
 		Inputs:     ids,
-	}
+	})
+	return &d.out[len(d.out)-1]
 }
 
 func (d *Detector) estimateTime(times []timemodel.Time) timemodel.Time {
@@ -718,22 +729,23 @@ func mergeAttrs(ents []event.Entity, sortedSlots []int) event.Attrs {
 	return out
 }
 
-// bindingKey builds a stable dedup key for a binding.
-func (d *Detector) bindingKey(ents []event.Entity) string {
-	var sb strings.Builder
+// bindingKey builds a stable dedup key for a binding into the detector's
+// key scratch: role=entityID pairs in sorted-role order. The result is
+// valid until the next call.
+func (d *Detector) bindingKey(b *boundSet) []byte {
+	key := d.keyScratch[:0]
 	names := d.slots.Names()
-	first := true
 	for _, s := range d.sortedSlots {
-		if ents[s] == nil {
+		if b.ents[s] == nil {
 			continue
 		}
-		if !first {
-			sb.WriteByte('|')
+		if len(key) > 0 {
+			key = append(key, '|')
 		}
-		first = false
-		sb.WriteString(names[s])
-		sb.WriteByte('=')
-		sb.WriteString(ents[s].EntityID())
+		key = append(key, names[s]...)
+		key = append(key, '=')
+		key = append(key, b.ids[s]...)
 	}
-	return sb.String()
+	d.keyScratch = key
+	return key
 }

@@ -9,8 +9,9 @@
 package detect
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/stcps/stcps/internal/condition"
@@ -38,20 +39,28 @@ type sprobe struct {
 }
 
 // joinState is the per-offer working state of a join, reused across
-// offers to keep the hot loop allocation-free (bindings are only copied
-// out when satisfied).
+// offers to keep the hot loop allocation-free: satisfied bindings are
+// copied into slabs that the next join overwrites, so the bindings a
+// join returns are valid until the detector's next join.
 type joinState struct {
 	ents      []event.Entity // aliases Detector.evalEnts
-	confs     []float64
-	seqs      []uint64
+	bind      []*entry       // slot -> the window entry bound there
+	fixed     entry          // the offered entity, when its window entry is already gone
 	order     []int
 	rem       []int
+	probe     [][]uint64 // join depth -> grid probe candidates
 	bound     uint64
-	results   []boundSet
 	probedN   uint64
 	pruned    uint64
 	evalErrs  uint64
 	truncated bool
+
+	// One run per satisfied binding; results slices them.
+	entSlab  []event.Entity // slots per binding
+	idSlab   []string       // slots per binding
+	seqSlab  []uint64       // slots per binding
+	confSlab []float64      // spec roles per binding
+	results  []boundSet
 }
 
 // plan is a compiled evaluation plan for one punctual detector.
@@ -153,8 +162,8 @@ func planDesc(d *Detector, an condition.Analysis) string {
 		fmt.Fprintf(&sb, "; %s{%s}", cl.Kind, cl.Expr)
 	}
 	var idx []string
-	for _, name := range d.slots.Names() {
-		rb := d.buffers[name]
+	for s, name := range d.slots.Names() {
+		rb := d.bufs[s]
 		switch {
 		case rb.indexed && rb.grid != nil:
 			idx = append(idx, name+":time+grid")
@@ -239,20 +248,19 @@ func (p *plan) join(d *Detector, fixedRole string, ent event.Entity, conf float6
 	// unless age pruning evicted it again (the naive path still binds it
 	// in that case, so re-check its filters directly).
 	fixedSeq := rb.nextSeq - 1
-	fixedPass := false
+	st := p.state(d)
+	fixed := &st.fixed
 	if n := len(rb.entries); n > 0 && rb.entries[n-1].seq == fixedSeq {
-		fixedPass = rb.entries[n-1].pass
+		fixed = &rb.entries[n-1]
 	} else {
-		fixedPass = p.passesFilters(d, fixedSlot, ent)
+		st.fixed = entry{ent: ent, conf: conf, seq: fixedSeq, pass: p.passesFilters(d, fixedSlot, ent)}
 	}
-	if !fixedPass {
+	if !fixed.pass {
 		d.pruned.Add(1)
 		return nil
 	}
-	st := p.state(d)
 	st.ents[fixedSlot] = ent
-	st.confs[fixedSlot] = conf
-	st.seqs[fixedSlot] = fixedSeq
+	st.bind[fixedSlot] = fixed
 	st.bound = 1 << uint(fixedSlot)
 	p.orderRoles(d, st, fixedSlot)
 	p.step(d, st, 1)
@@ -264,37 +272,41 @@ func (p *plan) join(d *Detector, fixedRole string, ent event.Entity, conf float6
 	if st.truncated {
 		d.truncations.Add(1)
 	}
-	res := st.results
-	st.results = nil
-	if len(res) > 1 {
+	if len(st.results) > 1 {
 		roleSlots := d.roleSlot
-		//stcps:ignore hotpath sorts only multi-binding emission rounds
-		sort.Slice(res, func(i, j int) bool {
-			a, b := res[i], res[j]
+		//stcps:ignore hotpath non-escaping comparison closure; sorts only multi-binding emission rounds
+		slices.SortFunc(st.results, func(a, b boundSet) int {
 			for _, s := range roleSlots {
 				if a.seqs[s] != b.seqs[s] {
-					return a.seqs[s] < b.seqs[s]
+					return cmp.Compare(a.seqs[s], b.seqs[s])
 				}
 			}
-			return false
+			return 0
 		})
 	}
-	return res
+	return st.results
 }
 
-// state resets the reusable join state.
+// state resets the reusable join state. The slabs are cleared, not just
+// truncated, so the bindings of one join do not pin their entities (and
+// the wire buffers zero-copy views alias) until a later join happens to
+// overwrite them.
 func (p *plan) state(d *Detector) *joinState {
 	st := &p.st
 	if st.ents == nil {
 		st.ents = d.evalEnts
-		st.confs = make([]float64, d.slots.Len()) //stcps:ignore hotpath one-time lazy init
-		st.seqs = make([]uint64, d.slots.Len())   //stcps:ignore hotpath one-time lazy init
+		st.bind = make([]*entry, d.slots.Len())    //stcps:ignore hotpath one-time lazy init
+		st.probe = make([][]uint64, d.slots.Len()) //stcps:ignore hotpath one-time lazy init
 	}
-	for i := range st.ents {
-		st.ents[i] = nil
-	}
+	clear(st.ents)
+	clear(st.entSlab)
+	clear(st.idSlab)
+	clear(st.results)
+	st.entSlab, st.idSlab = st.entSlab[:0], st.idSlab[:0]
+	st.seqSlab, st.confSlab = st.seqSlab[:0], st.confSlab[:0]
+	st.results = st.results[:0]
+	st.fixed = entry{}
 	st.bound = 0
-	st.results = nil
 	st.probedN, st.pruned, st.evalErrs = 0, 0, 0
 	st.truncated = false
 	return st
@@ -356,13 +368,22 @@ func (p *plan) step(d *Detector, st *joinState, depth int) {
 		return
 	}
 	if depth == len(st.order) {
-		ents := append([]event.Entity(nil), st.ents...) //stcps:ignore hotpath per-emitted-binding copy
-		confs := make([]float64, len(d.spec.Roles))     //stcps:ignore hotpath per-emitted-binding copy
-		for i, s := range d.roleSlot {
-			confs[i] = st.confs[s]
+		// A satisfied binding: every slot is bound (the planner requires
+		// one slot per role). Only now are the entity ids needed. The
+		// binding's slices are the slabs' new tails; a slab that grows
+		// later leaves them on its old array, intact.
+		n, nc := len(st.entSlab), len(st.confSlab)
+		st.entSlab = append(st.entSlab, st.ents...)
+		for _, e := range st.bind {
+			st.idSlab = append(st.idSlab, e.entityID())
+			st.seqSlab = append(st.seqSlab, e.seq)
 		}
-		seqs := append([]uint64(nil), st.seqs...) //stcps:ignore hotpath per-emitted-binding copy
-		st.results = append(st.results, boundSet{ents: ents, confs: confs, seqs: seqs, verified: true})
+		for _, s := range d.roleSlot {
+			st.confSlab = append(st.confSlab, st.bind[s].conf)
+		}
+		st.results = append(st.results, boundSet{
+			ents: st.entSlab[n:], ids: st.idSlab[n:], seqs: st.seqSlab[n:], confs: st.confSlab[nc:], verified: true,
+		})
 		return
 	}
 	s := st.order[depth]
@@ -401,7 +422,6 @@ func (p *plan) step(d *Detector, st *joinState, depth int) {
 		timeLo, timeHi = rb.timeRange(bounds)
 		timeProbe = true
 	}
-	var gridIDs []string
 	gridProbe := false
 	if rb.grid != nil {
 		for i := range p.spatial {
@@ -422,7 +442,7 @@ func (p *plan) step(d *Detector, st *joinState, depth int) {
 			if timeProbe && timeHi-timeLo <= rb.grid.EstimateRegion(region) {
 				break // the time range is already at least as selective
 			}
-			gridIDs = rb.grid.QueryRegion(region)
+			st.probe[depth] = rb.grid.QueryRegion(st.probe[depth][:0], region)
 			gridProbe = true
 			timeProbe = false
 			break
@@ -432,17 +452,13 @@ func (p *plan) step(d *Detector, st *joinState, depth int) {
 	examined := 0
 	switch {
 	case gridProbe:
-		for _, id := range gridIDs {
-			seq, ok := parseGridID(id)
-			if !ok {
-				continue
-			}
+		for _, seq := range st.probe[depth] {
 			idx := rb.entryIndex(seq)
 			if idx < 0 {
 				continue
 			}
 			examined++
-			p.tryCandidate(d, st, depth, s, rb.entries[idx])
+			p.tryCandidate(d, st, depth, s, &rb.entries[idx])
 			if st.truncated {
 				break
 			}
@@ -454,7 +470,7 @@ func (p *plan) step(d *Detector, st *joinState, depth int) {
 				continue
 			}
 			examined++
-			p.tryCandidate(d, st, depth, s, rb.entries[idx])
+			p.tryCandidate(d, st, depth, s, &rb.entries[idx])
 			if st.truncated {
 				break
 			}
@@ -466,7 +482,7 @@ func (p *plan) step(d *Detector, st *joinState, depth int) {
 				continue
 			}
 			examined++
-			p.tryCandidate(d, st, depth, s, *e)
+			p.tryCandidate(d, st, depth, s, e)
 			if st.truncated {
 				break
 			}
@@ -479,7 +495,7 @@ func (p *plan) step(d *Detector, st *joinState, depth int) {
 
 // tryCandidate binds one candidate entity, verifies every clause that
 // just became fully bound, and recurses on success.
-func (p *plan) tryCandidate(d *Detector, st *joinState, depth, s int, e entry) {
+func (p *plan) tryCandidate(d *Detector, st *joinState, depth, s int, e *entry) {
 	st.probedN++
 	if st.probedN > uint64(d.spec.MaxBindings) {
 		st.truncated = true
@@ -487,8 +503,7 @@ func (p *plan) tryCandidate(d *Detector, st *joinState, depth, s int, e entry) {
 	}
 	bit := uint64(1) << uint(s)
 	st.ents[s] = e.ent
-	st.confs[s] = e.conf
-	st.seqs[s] = e.seq
+	st.bind[s] = e
 	st.bound |= bit
 	ok := true
 	for i := range p.clauses {

@@ -228,10 +228,7 @@ func (b *Bank) Ingest(source string, ent event.Entity, conf float64, now timemod
 	}
 	var out []event.Instance
 	for _, d := range b.bySource[source] {
-		for _, inst := range d.Offer(source, ent, conf, now, loc) {
-			b.deliver(inst)
-			out = append(out, inst)
-		}
+		out = b.deliver(out, d.Offer(source, ent, conf, now, loc))
 	}
 	if b.cfg.LogBatch != nil {
 		b.endRound()
@@ -250,10 +247,7 @@ func (b *Bank) Flush(now timemodel.Tick, loc spatial.Location) []event.Instance 
 	}
 	var out []event.Instance
 	for _, d := range b.detectors {
-		for _, inst := range d.Flush(now, loc) {
-			b.deliver(inst)
-			out = append(out, inst)
-		}
+		out = b.deliver(out, d.Flush(now, loc))
 	}
 	if b.cfg.LogBatch != nil {
 		b.endRound()
@@ -278,28 +272,48 @@ func (b *Bank) Replay(ops []TraceOp) []event.Instance {
 	return out
 }
 
-// deliver routes one emitted instance through the hooks: Log, Emit,
-// then the Config and Bank taps. With a LogBatch hook the instance is
-// buffered instead — the whole round's hooks run from flushRound, with
-// the batch logged (and WAL-appended, on durable engines) before any
-// per-instance callback.
-func (b *Bank) deliver(inst event.Instance) {
-	b.emitted.Add(1)
-	if b.cfg.LogBatch != nil {
-		b.round = append(b.round, inst)
-		return
+// deliver takes the instances one detector just emitted — the
+// detector's own buffer, read in place and copied out before its next
+// offer — appends them to out for the caller, and routes them through
+// the hooks: Log, Emit, then the Config and Bank taps. With a LogBatch
+// hook they are buffered instead — the whole round's hooks run from
+// flushRound, with the batch logged (and WAL-appended, on durable
+// engines) before any per-instance callback.
+func (b *Bank) deliver(out, insts []event.Instance) []event.Instance {
+	if len(insts) == 0 {
+		return out
 	}
-	if b.cfg.Log != nil {
-		b.cfg.Log(inst)
+	b.emitted.Add(uint64(len(insts)))
+	start := len(out)
+	out = append(out, insts...)
+	if b.cfg.LogBatch != nil {
+		b.round = append(b.round, insts...)
+		return out
+	}
+	// The hooks see the caller's copy: one that re-enters the bank cannot
+	// have the detector's buffer rewritten under it.
+	for i := start; i < len(out); i++ {
+		b.hooks(&out[i], b.cfg.Log)
+	}
+	return out
+}
+
+// hooks runs the per-instance callbacks in order: log (nil in a batched
+// round, where LogBatch already ran), Emit, the Config tap, the Bank
+// tap. The hook signatures take the instance by value; up to here it
+// moves by pointer.
+func (b *Bank) hooks(inst *event.Instance, log EmitFunc) {
+	if log != nil {
+		log(*inst)
 	}
 	if b.cfg.Emit != nil {
-		b.cfg.Emit(inst)
+		b.cfg.Emit(*inst)
 	}
 	if b.cfg.Tap != nil {
-		b.cfg.Tap(inst)
+		b.cfg.Tap(*inst)
 	}
 	if b.Tap != nil {
-		b.Tap(inst)
+		b.Tap(*inst)
 	}
 }
 
@@ -324,15 +338,7 @@ func (b *Bank) flushRound() {
 	insts := b.round
 	b.cfg.LogBatch(insts)
 	for i := range insts {
-		if b.cfg.Emit != nil {
-			b.cfg.Emit(insts[i])
-		}
-		if b.cfg.Tap != nil {
-			b.cfg.Tap(insts[i])
-		}
-		if b.Tap != nil {
-			b.Tap(insts[i])
-		}
+		b.hooks(&insts[i], nil)
 	}
 	b.round = insts[:0]
 }

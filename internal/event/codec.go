@@ -13,18 +13,30 @@ import (
 	"github.com/stcps/stcps/internal/timemodel"
 )
 
+// jsonSizeHint is the starting capacity of a one-shot JSON encoding: a
+// two-input instance renders to some 350 bytes, so the common entity is
+// encoded with a single allocation.
+const jsonSizeHint = 512
+
 // EncodeInstance serializes an instance to its JSON wire form. The wire
 // form is what motes, sinks, CCUs and the database exchange over the CPS
 // network.
 func EncodeInstance(in Instance) ([]byte, error) {
-	if err := in.Validate(); err != nil {
-		return nil, fmt.Errorf("event: encode: %w", err)
+	return AppendInstance(make([]byte, 0, jsonSizeHint), &in)
+}
+
+// AppendInstance is EncodeInstance into a caller-owned buffer: it
+// validates the instance and appends its JSON wire form to dst. On
+// error nothing is appended.
+func AppendInstance(dst []byte, in *Instance) ([]byte, error) {
+	err := in.Validate()
+	if err == nil {
+		var out []byte
+		if out, err = in.AppendJSON(dst); err == nil {
+			return out, nil
+		}
 	}
-	data, err := json.Marshal(in)
-	if err != nil {
-		return nil, fmt.Errorf("event: encode: %w", err)
-	}
-	return data, nil
+	return dst, fmt.Errorf("event: encode: %w", err)
 }
 
 // DecodeInstance parses an instance from its JSON wire form and validates
@@ -42,7 +54,7 @@ func DecodeInstance(data []byte) (Instance, error) {
 
 // EncodeObservation serializes an observation to its JSON wire form.
 func EncodeObservation(o Observation) ([]byte, error) {
-	data, err := json.Marshal(o)
+	data, err := o.AppendJSON(make([]byte, 0, jsonSizeHint))
 	if err != nil {
 		return nil, fmt.Errorf("event: encode observation: %w", err)
 	}
@@ -732,7 +744,7 @@ func (v *ObservationView) Seq() uint64 { return v.seq }
 // EntityID implements Entity with the same O(MT,SR,i) notation as
 // Observation, so downstream provenance is transport-agnostic.
 func (v *ObservationView) EntityID() string {
-	return fmt.Sprintf("O(%s,%s,%d)", v.mote, v.sensor, v.seq)
+	return entityID('O', v.mote, v.sensor, v.seq)
 }
 
 // OccTime implements Entity.

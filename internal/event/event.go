@@ -17,8 +17,11 @@ package event
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 
+	"github.com/stcps/stcps/internal/jsonenc"
 	"github.com/stcps/stcps/internal/spatial"
 	"github.com/stcps/stcps/internal/timemodel"
 )
@@ -157,6 +160,54 @@ func (a Attrs) Names() []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// appendJSON appends the attribute set as a JSON object, names in
+// ascending byte order — encoding/json's map order.
+//
+//stcps:hotpath
+func (a Attrs) appendJSON(dst []byte) ([]byte, error) {
+	var buf [8]string // attribute sets are small; larger ones spill to the heap
+	names := buf[:0]
+	for k := range a {
+		names = append(names, k)
+	}
+	slices.Sort(names)
+	dst = append(dst, '{')
+	for i, k := range names {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = jsonenc.AppendString(dst, k)
+		dst = append(dst, ':')
+		var err error
+		if dst, err = jsonenc.AppendFloat(dst, a[k]); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, '}'), nil
+}
+
+// appendEntityID appends the paper's entity notation K(a,b,i) — O for
+// observations, E for instances — without going through fmt: ids are
+// rendered on the ingest path.
+//
+//stcps:hotpath
+func appendEntityID(dst []byte, kind byte, a, b string, seq uint64) []byte {
+	dst = append(dst, kind, '(')
+	dst = append(dst, a...)
+	dst = append(dst, ',')
+	dst = append(dst, b...)
+	dst = append(dst, ',')
+	dst = strconv.AppendUint(dst, seq, 10)
+	return append(dst, ')')
+}
+
+// entityID renders appendEntityID's notation as a string, one
+// allocation for ids of up to 64 bytes.
+func entityID(kind byte, a, b string, seq uint64) string {
+	var buf [64]byte
+	return string(appendEntityID(buf[:0], kind, a, b, seq))
 }
 
 // Entity is anything an event condition can constrain: "an entity in CPS

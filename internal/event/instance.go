@@ -3,8 +3,10 @@ package event
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 
+	"github.com/stcps/stcps/internal/jsonenc"
 	"github.com/stcps/stcps/internal/spatial"
 	"github.com/stcps/stcps/internal/timemodel"
 )
@@ -85,7 +87,74 @@ func (in Instance) Validate() error {
 
 // EntityID implements Entity using the paper's E(OB,E,i) notation.
 func (in Instance) EntityID() string {
-	return fmt.Sprintf("E(%s,%s,%d)", in.Observer, in.Event, in.Seq)
+	return entityID('E', in.Observer, in.Event, in.Seq)
+}
+
+// AppendEntityID appends EntityID's rendering to dst — for callers that
+// only need the id as a transient map key.
+//
+//stcps:hotpath
+func (in *Instance) AppendEntityID(dst []byte) []byte {
+	return appendEntityID(dst, 'E', in.Observer, in.Event, in.Seq)
+}
+
+// AppendJSON appends the instance's JSON wire form, byte-identical to
+// encoding/json's rendering of the struct tags above. It is the one
+// instance encoder: EncodeInstance and MarshalJSON (hence stdout, SSE,
+// query pages, the WAL envelope and snapshots) all go through it. On
+// error (a NaN or infinite float) the returned slice holds a partial
+// encoding the caller must discard.
+//
+//stcps:hotpath
+func (in *Instance) AppendJSON(dst []byte) ([]byte, error) {
+	dst = append(dst, `{"layer":`...)
+	dst = strconv.AppendInt(dst, int64(in.Layer), 10)
+	dst = append(dst, `,"observer":`...)
+	dst = jsonenc.AppendString(dst, in.Observer)
+	dst = append(dst, `,"event":`...)
+	dst = jsonenc.AppendString(dst, in.Event)
+	dst = append(dst, `,"seq":`...)
+	dst = strconv.AppendUint(dst, in.Seq, 10)
+	dst = append(dst, `,"gen":`...)
+	dst = strconv.AppendInt(dst, int64(in.Gen), 10)
+	dst = append(dst, `,"genLoc":`...)
+	dst, err := in.GenLoc.AppendJSON(dst)
+	if err != nil {
+		return dst, err
+	}
+	dst = append(dst, `,"occ":`...)
+	dst = in.Occ.AppendJSON(dst)
+	dst = append(dst, `,"loc":`...)
+	if dst, err = in.Loc.AppendJSON(dst); err != nil {
+		return dst, err
+	}
+	if len(in.Attrs) > 0 {
+		dst = append(dst, `,"attrs":`...)
+		if dst, err = in.Attrs.appendJSON(dst); err != nil {
+			return dst, err
+		}
+	}
+	dst = append(dst, `,"confidence":`...)
+	if dst, err = jsonenc.AppendFloat(dst, in.Confidence); err != nil {
+		return dst, err
+	}
+	for i, inp := range in.Inputs {
+		if i == 0 {
+			dst = append(dst, `,"inputs":[`...)
+		} else {
+			dst = append(dst, ',')
+		}
+		dst = jsonenc.AppendString(dst, inp)
+	}
+	if len(in.Inputs) > 0 {
+		dst = append(dst, ']')
+	}
+	return append(dst, '}'), nil
+}
+
+// MarshalJSON encodes the instance through AppendJSON.
+func (in Instance) MarshalJSON() ([]byte, error) {
+	return in.AppendJSON(make([]byte, 0, jsonSizeHint))
 }
 
 // ContentKey identifies an instance by detection content rather than

@@ -6,9 +6,10 @@ import "time"
 // slow-down/resume signals. It watches how long each batch takes to
 // offer into the engine, per record: a slow batch halves the credit
 // window (multiplicative decrease, the slow-down signal), and a streak
-// of fast batches grows it back additively until the initial window is
-// restored (the resume signal). The client never sees engine
-// internals — only Window frames shrinking and growing.
+// of batches no slower than the connection's own recent pace grows it
+// back additively until the initial window is restored (the resume
+// signal). The client never sees engine internals — only Window frames
+// shrinking and growing.
 type congestion struct {
 	window  int // current credit window, records
 	initial int // window ceiling (the negotiated start value)
@@ -16,29 +17,35 @@ type congestion struct {
 	step    int // additive increase per good streak
 
 	slowPerRec time.Duration // offer latency per record that triggers decrease
-	fastPerRec time.Duration // latency per record that counts toward recovery
-	streak     int           // consecutive fast batches
+	// pace is the running estimate of this connection's offer latency per
+	// record: an exponentially weighted mean over the last few batches.
+	// Recovery is judged against it, not against an absolute figure: what
+	// is fast depends on the detectors behind the connection (a filter
+	// stream offers in under a microsecond per record, a join stream in
+	// tens), and a window halved by one stalled batch must reopen once
+	// the stream is back at whatever its normal pace is.
+	pace   time.Duration
+	streak int // consecutive batches no slower than pace
 }
 
-// Default congestion thresholds: a batch offering slower than
-// slowPerRecDefault per record means detection is the bottleneck and
-// the producer should back off; faster than fastPerRecDefault means
-// there is headroom to restore.
+// slowPerRecDefault is the default decrease trigger: a batch offering
+// slower than this per record means detection is the bottleneck and the
+// producer should back off. resumeStreak is how many consecutive
+// at-pace batches reopen the window by one step; paceWeight is the
+// divisor of the pace estimate's update (each batch moves it 1/8 of the
+// way).
 const (
 	slowPerRecDefault = 50 * time.Microsecond
-	fastPerRecDefault = 5 * time.Microsecond
 	resumeStreak      = 3
+	paceWeight        = 8
 )
 
-func newCongestion(window, min int, slow, fast time.Duration) *congestion {
+func newCongestion(window, min int, slow time.Duration) *congestion {
 	if min <= 0 || min > window {
 		min = window
 	}
 	if slow <= 0 {
 		slow = slowPerRecDefault
-	}
-	if fast <= 0 {
-		fast = fastPerRecDefault
 	}
 	step := window / 8
 	if step < 1 {
@@ -46,7 +53,7 @@ func newCongestion(window, min int, slow, fast time.Duration) *congestion {
 	}
 	return &congestion{
 		window: window, initial: window, min: min, step: step,
-		slowPerRec: slow, fastPerRec: fast,
+		slowPerRec: slow,
 	}
 }
 
@@ -58,6 +65,12 @@ func (c *congestion) observe(records int, d time.Duration) (int, bool) {
 		return c.window, false
 	}
 	perRec := d / time.Duration(records)
+	atPace := perRec <= c.pace
+	if c.pace == 0 {
+		c.pace = perRec
+	} else {
+		c.pace += (perRec - c.pace) / paceWeight
+	}
 	switch {
 	case perRec > c.slowPerRec:
 		c.streak = 0
@@ -69,7 +82,7 @@ func (c *congestion) observe(records int, d time.Duration) (int, bool) {
 			c.window = next
 			return c.window, true
 		}
-	case perRec < c.fastPerRec && c.window < c.initial:
+	case atPace && c.window < c.initial:
 		c.streak++
 		if c.streak >= resumeStreak {
 			c.streak = 0

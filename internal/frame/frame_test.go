@@ -232,7 +232,7 @@ func TestProtocolRoundTrips(t *testing.T) {
 }
 
 func TestCongestionAIMD(t *testing.T) {
-	c := newCongestion(1024, 64, 10*time.Microsecond, 1*time.Microsecond)
+	c := newCongestion(1024, 64, 10*time.Microsecond)
 
 	// A slow batch halves the window.
 	w, changed := c.observe(100, 100*100*time.Microsecond)
@@ -268,5 +268,82 @@ func TestCongestionAIMD(t *testing.T) {
 	// Middling latency neither shrinks nor grows, and resets the streak.
 	if _, changed := c.observe(100, 100*5*time.Microsecond); changed {
 		t.Fatal("middling latency changed the window")
+	}
+}
+
+// TestCongestionRecoversAtOwnPace pins the recovery rule on streams far
+// slower than any absolute notion of fast: a batch counts toward the
+// resume streak when it is no slower than the connection's own running
+// pace. The controller used to demand < 5 µs/record, which a join
+// stream (≈ 26 µs/record) never reaches, so one stalled batch halved
+// its window for the rest of the connection.
+func TestCongestionRecoversAtOwnPace(t *testing.T) {
+	const (
+		initial = 16384
+		batch   = 256
+		us      = time.Microsecond
+	)
+	// perRec yields batch i's offer latency per record.
+	for _, tc := range []struct {
+		name    string
+		batches int
+		perRec  func(i int) time.Duration
+		// want is checked against the window after every batch from
+		// settleBy on.
+		settleBy int
+		want     func(w int) bool
+		wantDesc string
+	}{
+		{
+			name: "steady join stream, one stalled batch", batches: 60,
+			perRec: func(i int) time.Duration {
+				if i == 20 {
+					return 80 * us // a GC pause lands on one batch
+				}
+				return 26 * us
+			},
+			settleBy: 20 + 4*resumeStreak + 1, // 4 steps of initial/8 undo one halving
+			want:     func(w int) bool { return w == initial },
+			wantDesc: "back at the initial window",
+		},
+		{
+			name: "jittering stream, one stalled batch", batches: 200,
+			perRec: func(i int) time.Duration {
+				if i == 20 {
+					return 80 * us
+				}
+				return time.Duration(22+(i*7)%9) * us // 22..30 µs, mean 26
+			},
+			settleBy: 120,
+			want:     func(w int) bool { return w == initial },
+			wantDesc: "back at the initial window",
+		},
+		{
+			name: "steady stream never shrinks", batches: 50,
+			perRec:   func(int) time.Duration { return 26 * us },
+			settleBy: 0,
+			want:     func(w int) bool { return w == initial },
+			wantDesc: "the initial window throughout",
+		},
+		{
+			name: "genuinely slowing stream still shrinks", batches: 80,
+			perRec:   func(i int) time.Duration { return time.Duration(26+i) * us }, // crosses 50 µs at batch 25
+			settleBy: 40,
+			want:     func(w int) bool { return w == batch },
+			wantDesc: "pinned at the floor",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCongestion(initial, batch, 0)
+			for i := 0; i < tc.batches; i++ {
+				w, _ := c.observe(batch, batch*tc.perRec(i))
+				if i == 20 && tc.perRec(i) > slowPerRecDefault && w != initial/2 {
+					t.Fatalf("the stalled batch left the window at %d, want %d", w, initial/2)
+				}
+				if i >= tc.settleBy && !tc.want(w) {
+					t.Fatalf("batch %d: window %d, want %s", i, w, tc.wantDesc)
+				}
+			}
+		})
 	}
 }

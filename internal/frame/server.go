@@ -44,10 +44,9 @@ type ServerConfig struct {
 	// required for engines with a WAL, whose durability layer accepts
 	// only concrete event.Observation values.
 	Materialize bool
-	// SlowPerRec / FastPerRec override the congestion thresholds
-	// (defaults slowPerRecDefault / fastPerRecDefault).
+	// SlowPerRec overrides the congestion controller's slow-down
+	// threshold (default slowPerRecDefault).
 	SlowPerRec time.Duration
-	FastPerRec time.Duration
 }
 
 // ServeStats summarizes one connection after ServeConn returns.
@@ -131,7 +130,7 @@ func ServeConn(conn io.ReadWriter, cfg ServerConfig) (ServeStats, error) {
 		return stats, err
 	}
 
-	ctrl := newCongestion(cfg.Window, cfg.MinWindow, cfg.SlowPerRec, cfg.FastPerRec)
+	ctrl := newCongestion(cfg.Window, cfg.MinWindow, cfg.SlowPerRec)
 	interner := event.NewInterner()
 	var (
 		batch      Batch

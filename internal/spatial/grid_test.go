@@ -3,8 +3,8 @@ package spatial
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
+	"time"
 )
 
 func TestNewGridValidation(t *testing.T) {
@@ -21,26 +21,30 @@ func TestGridInsertQueryRemove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Insert("a", AtPoint(5, 5))
-	g.Insert("b", AtPoint(25, 25))
-	g.Insert("c", InField(MustField(Pt(0, 0), Pt(12, 0), Pt(12, 12), Pt(0, 12))))
+	const a, b, c = 1, 2, 3
+	g.Insert(a, AtPoint(5, 5))
+	g.Insert(b, AtPoint(25, 25))
+	g.Insert(c, InField(MustField(Pt(0, 0), Pt(12, 0), Pt(12, 12), Pt(0, 12))))
 	if g.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", g.Len())
 	}
 
 	region, _ := Rect(0, 0, 10, 10)
-	got := g.QueryRegion(InField(region))
-	sort.Strings(got)
-	if fmt.Sprint(got) != "[a c]" {
-		t.Fatalf("QueryRegion = %v, want [a c]", got)
+	got := g.QueryRegion(nil, InField(region))
+	if fmt.Sprint(got) != "[1 3]" {
+		t.Fatalf("QueryRegion = %v, want [1 3]", got)
+	}
+	// Results append to the caller's slice.
+	if got := g.QueryRegion([]uint64{9}, InField(region)); fmt.Sprint(got) != "[9 1 3]" {
+		t.Fatalf("QueryRegion onto a prefix = %v, want [9 1 3]", got)
 	}
 
-	g.Remove("a")
-	got = g.QueryRegion(InField(region))
-	if len(got) != 1 || got[0] != "c" {
-		t.Fatalf("after Remove, QueryRegion = %v, want [c]", got)
+	g.Remove(a)
+	got = g.QueryRegion(nil, InField(region))
+	if len(got) != 1 || got[0] != c {
+		t.Fatalf("after Remove, QueryRegion = %v, want [3]", got)
 	}
-	g.Remove("nonexistent") // must not panic
+	g.Remove(99) // unknown id: must not panic
 	if g.Len() != 2 {
 		t.Fatalf("Len after removes = %d, want 2", g.Len())
 	}
@@ -48,95 +52,69 @@ func TestGridInsertQueryRemove(t *testing.T) {
 
 func TestGridReplaceSameID(t *testing.T) {
 	g, _ := NewGrid(10)
-	g.Insert("x", AtPoint(5, 5))
-	g.Insert("x", AtPoint(95, 95))
+	g.Insert(7, AtPoint(5, 5))
+	g.Insert(7, AtPoint(95, 95))
 	if g.Len() != 1 {
 		t.Fatalf("Len = %d, want 1 after replace", g.Len())
 	}
 	region, _ := Rect(0, 0, 10, 10)
-	if got := g.QueryRegion(InField(region)); len(got) != 0 {
+	if got := g.QueryRegion(nil, InField(region)); len(got) != 0 {
 		t.Fatalf("old location still indexed: %v", got)
 	}
 	region2, _ := Rect(90, 90, 100, 100)
-	if got := g.QueryRegion(InField(region2)); len(got) != 1 {
+	if got := g.QueryRegion(nil, InField(region2)); len(got) != 1 {
 		t.Fatalf("new location not found: %v", got)
 	}
 }
 
-func TestGridQueryRadius(t *testing.T) {
-	g, _ := NewGrid(5)
-	g.Insert("near", AtPoint(1, 0))
-	g.Insert("far", AtPoint(40, 0))
-	g.Insert("edge", AtPoint(3, 4)) // distance exactly 5 from origin
-	got := g.QueryRadius(Pt(0, 0), 5)
-	sort.Strings(got)
-	if fmt.Sprint(got) != "[edge near]" {
-		t.Fatalf("QueryRadius = %v, want [edge near]", got)
-	}
-	if got := g.QueryRadius(Pt(0, 0), -1); got != nil {
-		t.Fatalf("negative radius should return nil, got %v", got)
-	}
-}
-
 // TestGridHugeQueryRect guards against enumerating every cell of an
-// arbitrarily large query rect: a QueryRadius at dist=1e9 (≈1.5e16
-// cells at cell size 5) must clamp to the populated extent and return
-// promptly instead of allocating O(area/cell²) keys.
+// arbitrarily large query rect: a region 2e9 wide (≈1.6e17 cells at
+// cell size 5) must clamp to the populated extent and return promptly
+// instead of walking O(area/cell²) keys.
 func TestGridHugeQueryRect(t *testing.T) {
 	g, _ := NewGrid(5)
-	g.Insert("a", AtPoint(1, 0))
-	g.Insert("b", AtPoint(-300, 42))
-	g.Insert("c", AtPoint(7500, -9000))
-	got := g.QueryRadius(Pt(0, 0), 1e9)
-	sort.Strings(got)
-	if fmt.Sprint(got) != "[a b c]" {
-		t.Fatalf("QueryRadius(1e9) = %v, want [a b c]", got)
-	}
-	// A huge region query takes the same clamped path.
+	g.Insert(1, AtPoint(1, 0))
+	g.Insert(2, AtPoint(-300, 42))
+	g.Insert(3, AtPoint(7500, -9000))
 	region, err := Rect(-1e9, -1e9, 1e9, 1e9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = g.QueryRegion(InField(region))
-	sort.Strings(got)
-	if fmt.Sprint(got) != "[a b c]" {
-		t.Fatalf("huge QueryRegion = %v, want [a b c]", got)
+	if got := g.QueryRegion(nil, InField(region)); fmt.Sprint(got) != "[1 2 3]" {
+		t.Fatalf("huge QueryRegion = %v, want [1 2 3]", got)
 	}
 	// Empty grid: nothing to clamp to, nothing returned.
 	empty, _ := NewGrid(5)
-	if got := empty.QueryRadius(Pt(0, 0), 1e9); got != nil {
-		t.Fatalf("empty grid QueryRadius = %v", got)
+	if got := empty.QueryRegion(nil, InField(region)); got != nil {
+		t.Fatalf("empty grid QueryRegion = %v", got)
 	}
 	// A rect far outside the populated extent yields nothing.
 	far, _ := Rect(1e6, 1e6, 2e6, 2e6)
-	if got := g.QueryRegion(InField(far)); len(got) != 0 {
+	if got := g.QueryRegion(nil, InField(far)); len(got) != 0 {
 		t.Fatalf("far QueryRegion = %v", got)
 	}
-	// Coordinates beyond int64 range: int(f) would wrap to MinInt64 and
-	// panic in makeslice; the float-space rejection must catch it.
-	if got := g.QueryRegion(AtPoint(1e30, 1)); len(got) != 0 {
+	// Coordinates beyond int64 range: int(f) would wrap to MinInt64; the
+	// float-space rejection must catch it.
+	if got := g.QueryRegion(nil, AtPoint(1e30, 1)); len(got) != 0 {
 		t.Fatalf("1e30 point query = %v", got)
 	}
-	if got := g.QueryRegion(AtPoint(-1e30, -1e30)); len(got) != 0 {
+	if got := g.QueryRegion(nil, AtPoint(-1e30, -1e30)); len(got) != 0 {
 		t.Fatalf("-1e30 point query = %v", got)
 	}
 	huge, err := Rect(1e300, 1e300, 2e300, 2e300)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := g.QueryRegion(InField(huge)); len(got) != 0 {
+	if got := g.QueryRegion(nil, InField(huge)); len(got) != 0 {
 		t.Fatalf("1e300 rect query = %v", got)
-	}
-	if got := g.QueryRadius(Pt(1e30, 0), 5); len(got) != 0 {
-		t.Fatalf("far-center QueryRadius = %v", got)
 	}
 }
 
 func TestGridEstimateRegion(t *testing.T) {
 	g, _ := NewGrid(10)
-	g.Insert("a", AtPoint(5, 5))
-	g.Insert("b", AtPoint(6, 6))
-	g.Insert("c", AtPoint(95, 95))
+	g.Insert(1, AtPoint(5, 5))
+	g.Insert(2, AtPoint(6, 6))
+	g.Insert(3, AtPoint(95, 95))
 	near, _ := Rect(0, 0, 9, 9)
 	if n := g.EstimateRegion(InField(near)); n != 2 {
 		t.Errorf("EstimateRegion(near) = %d, want 2", n)
@@ -152,20 +130,32 @@ func TestGridEstimateRegion(t *testing.T) {
 }
 
 // TestGridMatchesLinearScan cross-checks the grid against a brute-force
-// scan over random points and regions — the index must be exact.
+// scan over random points, multi-cell fields and regions, with removals
+// from the front, the middle and the back of cells — the index must be
+// exact and its results ascending without duplicates.
 func TestGridMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g, _ := NewGrid(8)
-	type entry struct {
-		id  string
-		loc Location
+	live := make(map[uint64]Location)
+	for i := uint64(0); i < 300; i++ {
+		x, y := rng.Float64()*100, rng.Float64()*100
+		loc := AtPoint(x, y)
+		if i%5 == 0 {
+			f, err := Rect(x, y, x+rng.Float64()*30, y+rng.Float64()*30)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loc = InField(f)
+		}
+		g.Insert(i, loc)
+		live[i] = loc
 	}
-	var entries []entry
-	for i := 0; i < 200; i++ {
-		loc := AtPoint(rng.Float64()*100, rng.Float64()*100)
-		id := fmt.Sprintf("p%03d", i)
-		g.Insert(id, loc)
-		entries = append(entries, entry{id: id, loc: loc})
+	for _, id := range []uint64{0, 1, 2, 150, 151, 299, 298, 40, 45} {
+		g.Remove(id)
+		delete(live, id)
+	}
+	if g.Len() != len(live) {
+		t.Fatalf("Len = %d, want %d", g.Len(), len(live))
 	}
 	for trial := 0; trial < 25; trial++ {
 		x := rng.Float64() * 90
@@ -177,17 +167,41 @@ func TestGridMatchesLinearScan(t *testing.T) {
 		}
 		rloc := InField(region)
 
-		var want []string
-		for _, e := range entries {
-			if OpJoint.Apply(e.loc, rloc) {
-				want = append(want, e.id)
+		var want []uint64
+		for id := uint64(0); id < 300; id++ {
+			if loc, ok := live[id]; ok && OpJoint.Apply(loc, rloc) {
+				want = append(want, id)
 			}
 		}
-		got := g.QueryRegion(rloc)
-		sort.Strings(got)
-		sort.Strings(want)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
+		if got := g.QueryRegion(nil, rloc); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("trial %d: grid %v != scan %v", trial, got, want)
 		}
+	}
+}
+
+// TestGridFIFORemovalIsConstantTime pins the eviction cost of a hot
+// cell: removing the oldest entry pops the front of the cell. With
+// swap-with-last removal the cell's order scrambled and every removal
+// scanned the whole cell — 200 000 removals from one cell took seconds.
+func TestGridFIFORemovalIsConstantTime(t *testing.T) {
+	const n = 200_000
+	g, _ := NewGrid(16)
+	at := AtPoint(3, 3)
+	for i := uint64(0); i < n; i++ {
+		g.Insert(i, at)
+	}
+	start := time.Now()
+	for i := uint64(0); i < n; i++ {
+		g.Remove(i)
+		g.Insert(n+i, at) // steady state: the cell stays full
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("%d FIFO removals from one cell took %v: removal is scanning the cell", n, d)
+	}
+	if g.Len() != n {
+		t.Fatalf("Len = %d, want %d", g.Len(), n)
+	}
+	if got := g.QueryRegion(nil, at); len(got) != n || got[0] != n {
+		t.Fatalf("cell holds %d entries from %d, want %d from %d", len(got), got[0], n, n)
 	}
 }

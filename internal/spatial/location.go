@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+
+	"github.com/stcps/stcps/internal/jsonenc"
 )
 
 // Kind distinguishes the two spatial classifications of the paper
@@ -97,7 +99,7 @@ func (l Location) Centroid() Point { return l.Point() }
 // Bounds returns the axis-aligned bounding box of the location. For a
 // point location all four values collapse onto its coordinates.
 func (l Location) Bounds() (minX, minY, maxX, maxY float64) {
-	b := bboxOf(l)
+	b := bboxOf(&l)
 	return b.minX, b.minY, b.maxX, b.maxY
 }
 
@@ -109,7 +111,7 @@ func (l Location) String() string {
 	return fmt.Sprintf("point(%g %g)", l.point.X, l.point.Y)
 }
 
-// locationJSON is the wire form of a Location.
+// locationJSON is the wire form of a Location, as UnmarshalJSON reads it.
 type locationJSON struct {
 	Kind string       `json:"kind"`
 	X    float64      `json:"x,omitempty"`
@@ -117,16 +119,55 @@ type locationJSON struct {
 	Ring [][2]float64 `json:"ring,omitempty"`
 }
 
-// MarshalJSON encodes the location as a tagged JSON object.
-func (l Location) MarshalJSON() ([]byte, error) {
+// AppendJSON appends the location as a tagged JSON object:
+// {"kind":"point","x":x,"y":y} with zero coordinates omitted, or
+// {"kind":"field","ring":[[x,y],...]}. A NaN or infinite coordinate
+// fails with jsonenc.ErrUnsupportedFloat.
+//
+//stcps:hotpath
+func (l Location) AppendJSON(dst []byte) ([]byte, error) {
+	var err error
 	if l.IsField() {
-		ring := make([][2]float64, l.field.NumVertices())
+		dst = append(dst, `{"kind":"field"`...)
 		for i, p := range l.field.ring {
-			ring[i] = [2]float64{p.X, p.Y}
+			if i == 0 {
+				dst = append(dst, `,"ring":[[`...)
+			} else {
+				dst = append(dst, `,[`...)
+			}
+			if dst, err = jsonenc.AppendFloat(dst, p.X); err != nil {
+				return dst, err
+			}
+			dst = append(dst, ',')
+			if dst, err = jsonenc.AppendFloat(dst, p.Y); err != nil {
+				return dst, err
+			}
+			dst = append(dst, ']')
 		}
-		return json.Marshal(locationJSON{Kind: "field", Ring: ring})
+		if len(l.field.ring) > 0 {
+			dst = append(dst, ']')
+		}
+		return append(dst, '}'), nil
 	}
-	return json.Marshal(locationJSON{Kind: "point", X: l.point.X, Y: l.point.Y})
+	dst = append(dst, `{"kind":"point"`...)
+	if l.point.X != 0 {
+		dst = append(dst, `,"x":`...)
+		if dst, err = jsonenc.AppendFloat(dst, l.point.X); err != nil {
+			return dst, err
+		}
+	}
+	if l.point.Y != 0 {
+		dst = append(dst, `,"y":`...)
+		if dst, err = jsonenc.AppendFloat(dst, l.point.Y); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, '}'), nil
+}
+
+// MarshalJSON encodes the location through AppendJSON.
+func (l Location) MarshalJSON() ([]byte, error) {
+	return l.AppendJSON(make([]byte, 0, 64))
 }
 
 // UnmarshalJSON decodes a location from its tagged JSON object.

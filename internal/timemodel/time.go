@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 )
 
 // Tick is a discrete time point. The unit is simulation-defined (the
@@ -127,15 +128,26 @@ func (t Time) String() string {
 	return fmt.Sprintf("[%d,%d]", t.start, t.end)
 }
 
-// timeJSON is the wire form of a Time.
+// timeJSON is the wire form of a Time, as UnmarshalJSON reads it.
 type timeJSON struct {
 	Start Tick `json:"start"`
 	End   Tick `json:"end"`
 }
 
-// MarshalJSON encodes the occurrence as {"start":s,"end":e}.
+// AppendJSON appends the occurrence as {"start":s,"end":e}.
+//
+//stcps:hotpath
+func (t Time) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"start":`...)
+	dst = strconv.AppendInt(dst, int64(t.start), 10)
+	dst = append(dst, `,"end":`...)
+	dst = strconv.AppendInt(dst, int64(t.end), 10)
+	return append(dst, '}')
+}
+
+// MarshalJSON encodes the occurrence through AppendJSON.
 func (t Time) MarshalJSON() ([]byte, error) {
-	return json.Marshal(timeJSON{Start: t.start, End: t.end})
+	return t.AppendJSON(make([]byte, 0, 48)), nil
 }
 
 // UnmarshalJSON decodes the occurrence, rejecting inverted intervals.
