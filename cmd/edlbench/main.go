@@ -1,7 +1,10 @@
-// Command edlbench runs the event detection latency experiments E1–E3
-// from DESIGN.md — the quantitative analysis the paper defers to future
-// work — and prints one table per experiment comparing the analytic EDL
-// model against the simulated system.
+// Command edlbench reproduces the paper's quantitative side: the event
+// detection latency experiments E1–E3 (the analysis the paper defers to
+// future work), the related-work comparison E8 and the
+// condition-placement question E11. It prints one table per experiment;
+// E1–E3 compare the analytic EDL model against the simulated system.
+// System performance is measured by the pipeline ledger (go run ./bench),
+// not here.
 //
 // Usage:
 //
@@ -10,16 +13,9 @@
 //	edlbench -exp E2    # EDL vs. sampling period
 //	edlbench -exp E3    # recall and EDL vs. packet loss
 //	edlbench -exp E8    # baseline expressiveness/correctness matrix
-//	edlbench -exp E9    # combined region×time retrieval: QueryST vs. scan
-//	edlbench -exp E10   # planned indexed window join vs. naive enumeration
 //	edlbench -exp E11   # condition evaluation placement
-//	edlbench -exp E13   # subscription matching: indexed vs. linear scan
-//	edlbench -exp E14   # wire ingest: JSONL vs. binary TCP
-//	edlbench -exp E15   # store contention: monolithic lock vs. chunked read plane
-//	edlbench -exp E16   # tiered storage: cold segment spill + merged queries
-//	edlbench -exp E17   # 3-node cluster: forward/replication latency + failover
 //	edlbench -runs 32   # more runs per configuration
-//	edlbench -json BENCH_1.json   # also write the machine-readable artifact
+//	edlbench -json BENCH_1.json   # also write the E1–E3 rows as JSON
 package main
 
 import (
@@ -27,23 +23,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"runtime"
 	"strings"
-	"testing"
 	"time"
 
 	"github.com/stcps/stcps/internal/baseline"
-	"github.com/stcps/stcps/internal/condition"
-	"github.com/stcps/stcps/internal/db"
-	"github.com/stcps/stcps/internal/detect"
-	"github.com/stcps/stcps/internal/engine"
-	"github.com/stcps/stcps/internal/event"
 	"github.com/stcps/stcps/internal/latency"
 	"github.com/stcps/stcps/internal/placement"
-	"github.com/stcps/stcps/internal/spatial"
-	"github.com/stcps/stcps/internal/sub"
 	"github.com/stcps/stcps/internal/timemodel"
 )
 
@@ -74,98 +61,24 @@ type lossRow struct {
 	MeasMax  float64 `json:"measMax"`
 }
 
-// engineRow is one engine-throughput measurement (the streaming
-// detection runtime driven directly, no network in between).
-type engineRow struct {
-	Shards      int     `json:"shards"`
-	Entities    int     `json:"entities"`
-	NsPerEntity float64 `json:"nsPerEntity"`
-	Emitted     uint64  `json:"emitted"`
-}
-
-// queryRow is one E9 measurement: combined region×time retrieval via
-// the indexed QueryST path or the linear-scan oracle.
-type queryRow struct {
-	Instances  int     `json:"instances"`
-	Queries    int     `json:"queries"`
-	Mode       string  `json:"mode"`
-	NsPerQuery float64 `json:"nsPerQuery"`
-	Hits       int     `json:"hits"`
-	Speedup    float64 `json:"speedup,omitempty"`
-}
-
-// joinRow is one E10 measurement: the multi-role wide-window detection
-// workload through the planned indexed join or the naive enumeration.
-type joinRow struct {
-	Mode        string  `json:"mode"`
-	Roles       int     `json:"roles"`
-	Window      int     `json:"window"`
-	Entities    int     `json:"entities"`
-	NsPerEntity float64 `json:"nsPerEntity"`
-	Emitted     uint64  `json:"emitted"`
-	Probed      uint64  `json:"bindingsProbed"`
-	Pruned      uint64  `json:"bindingsPruned"`
-	Speedup     float64 `json:"speedup,omitempty"`
-	EvalAllocs  float64 `json:"evalAllocsPerOp"`
-}
-
-// subRow is one E13 measurement: emitted instances matched against a
-// population of registered standing subscriptions through the indexed
-// matcher or a linear scan over every subscription.
-type subRow struct {
-	Subs          int     `json:"subs"`
-	Mode          string  `json:"mode"`
-	Instances     int     `json:"instances"`
-	NsPerInstance float64 `json:"nsPerInstance"`
-	Matched       uint64  `json:"matched"`
-	Speedup       float64 `json:"speedup,omitempty"`
-	ProbeAllocs   float64 `json:"probeAllocsPerOp,omitempty"`
-}
-
-// retentionRow reports the steady state of a retention-bounded store
-// after logging well past its cap.
-type retentionRow struct {
-	Logged       int     `json:"logged"`
-	MaxInstances int     `json:"maxInstances"`
-	Live         int     `json:"live"`
-	Evicted      uint64  `json:"evicted"`
-	HeapMB       float64 `json:"heapMB"`
-}
-
-// artifact is the machine-readable benchmark output: the perf
-// trajectory record accumulated across PRs.
+// artifact is the machine-readable E1–E3 output.
 type artifact struct {
-	Schema    string        `json:"schema"`
-	Generated string        `json:"generated"`
-	GoVersion string        `json:"goVersion"`
-	GOOS      string        `json:"goos"`
-	GOARCH    string        `json:"goarch"`
-	CPUs      int           `json:"cpus"`
-	Runs      int           `json:"runs"`
-	E1        []edlRow      `json:"e1,omitempty"`
-	E2        []edlRow      `json:"e2,omitempty"`
-	E3        []lossRow     `json:"e3,omitempty"`
-	E9        []queryRow    `json:"e9,omitempty"`
-	E10       []joinRow     `json:"e10,omitempty"`
-	E13       []subRow      `json:"e13,omitempty"`
-	E14       []wireRow     `json:"e14,omitempty"`
-	E15       *e15Summary   `json:"e15,omitempty"`
-	E16       *e16Summary   `json:"e16,omitempty"`
-	E17       *e17Summary   `json:"e17,omitempty"`
-	Retention *retentionRow `json:"retention,omitempty"`
-	Engine    []engineRow   `json:"engineIngest,omitempty"`
+	Schema    string    `json:"schema"`
+	Generated string    `json:"generated"`
+	GoVersion string    `json:"goVersion"`
+	GOOS      string    `json:"goos"`
+	GOARCH    string    `json:"goarch"`
+	CPUs      int       `json:"cpus"`
+	Runs      int       `json:"runs"`
+	E1        []edlRow  `json:"e1,omitempty"`
+	E2        []edlRow  `json:"e2,omitempty"`
+	E3        []lossRow `json:"e3,omitempty"`
 }
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("edlbench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment to run: E1, E2, E3, E8, E9, E10, E11, E13, E14, E15, E16, E17 or all")
+	exp := fs.String("exp", "all", "experiment to run: E1, E2, E3, E8, E11 or all")
 	runs := fs.Int("runs", 16, "runs per configuration")
-	queryInstances := fs.Int("queryInstances", 100_000, "logged instances for the E9 query experiment")
-	joinEntities := fs.Int("joinEntities", 900, "entities fed to the E10 join experiment")
-	joinWindow := fs.Int("joinWindow", 128, "per-role window for the E10 join experiment")
-	wireRecords := fs.Int("wireRecords", 200_000, "observations fed to the E14 wire ingest experiment")
-	contendReaders := fs.Int("contendReaders", 64, "concurrent readers for the E15 contention experiment")
-	contendMillis := fs.Int("contendMillis", 1000, "per-mode measurement duration (ms) for the E15 contention experiment")
 	jsonPath := fs.String("json", "", "write a machine-readable benchmark artifact to this path")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -211,78 +124,16 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	}
-	if which == "ALL" || which == "E9" {
-		any = true
-		rows, ret, err := e9(out, *queryInstances)
-		if err != nil {
-			return err
-		}
-		art.E9 = rows
-		art.Retention = ret
-	}
-	if which == "ALL" || which == "E10" {
-		any = true
-		rows, err := e10(out, *joinEntities, *joinWindow)
-		if err != nil {
-			return err
-		}
-		art.E10 = rows
-	}
 	if which == "ALL" || which == "E11" {
 		any = true
 		if err := e11(out); err != nil {
 			return err
 		}
 	}
-	if which == "ALL" || which == "E13" {
-		any = true
-		rows, err := e13(out)
-		if err != nil {
-			return err
-		}
-		art.E13 = rows
-	}
-	if which == "ALL" || which == "E14" {
-		any = true
-		rows, err := e14(out, *wireRecords)
-		if err != nil {
-			return err
-		}
-		art.E14 = rows
-	}
-	if which == "ALL" || which == "E15" {
-		any = true
-		sum, err := e15(out, *contendReaders, *contendMillis)
-		if err != nil {
-			return err
-		}
-		art.E15 = sum
-	}
-	if which == "ALL" || which == "E16" {
-		any = true
-		sum, err := e16(out)
-		if err != nil {
-			return err
-		}
-		art.E16 = sum
-	}
-	if which == "ALL" || which == "E17" {
-		any = true
-		sum, err := e17(out)
-		if err != nil {
-			return err
-		}
-		art.E17 = sum
-	}
 	if !any {
 		return fmt.Errorf("unknown experiment %q", *exp)
 	}
 	if *jsonPath != "" {
-		rows, err := engineThroughput(out)
-		if err != nil {
-			return err
-		}
-		art.Engine = rows
 		data, err := json.MarshalIndent(art, "", "  ")
 		if err != nil {
 			return err
@@ -398,331 +249,6 @@ func e3(out io.Writer, runs int) ([]lossRow, error) {
 	return rows, nil
 }
 
-// engineThroughput drives the streaming detection engine directly — a
-// 64-event two-role spatio-temporal join workload — and reports
-// sustained per-entity cost for the sequential bank and the sharded
-// runtime (mirrors BenchmarkEngineShardedIngest).
-func engineThroughput(out io.Writer) ([]engineRow, error) {
-	const (
-		nEvents  = 64
-		entities = 100_000
-	)
-	fmt.Fprintln(out, "=== engine: streaming ingest throughput (64 events, 2-role join) ===")
-	fmt.Fprintln(out, "shards\tentities\tns/entity\temitted")
-	specs := make([]detect.Spec, nEvents)
-	for i := range specs {
-		specs[i] = detect.Spec{
-			EventID: fmt.Sprintf("E%d", i),
-			Layer:   event.LayerSensor,
-			Roles: []detect.RoleSpec{
-				{Name: "x", Source: fmt.Sprintf("S%d", i), Window: 8},
-				{Name: "y", Source: fmt.Sprintf("T%d", i), Window: 8},
-			},
-			Cond: condition.MustParse("x.time before y.time and dist(x.loc, y.loc) < 2"),
-		}
-	}
-	loc := spatial.AtPoint(0, 0)
-	var rows []engineRow
-	for _, shards := range []int{1, 4} {
-		s, err := engine.NewSharded(engine.Config{Observer: "bench"}, shards)
-		if err != nil {
-			return nil, err
-		}
-		for _, spec := range specs {
-			if err := s.AddDetector(spec); err != nil {
-				return nil, err
-			}
-		}
-		if err := s.Start(); err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		for i := 0; i < entities; i++ {
-			ev := (i / 2) % nEvents
-			src := fmt.Sprintf("S%d", ev)
-			if i%2 == 1 {
-				src = fmt.Sprintf("T%d", ev)
-			}
-			now := timemodel.Tick(i)
-			o := event.Observation{
-				Mote: "M", Sensor: src, Seq: uint64(i),
-				Time: timemodel.At(now),
-				Loc:  spatial.AtPoint(float64(i%7), 0),
-			}
-			if err := s.Ingest(src, o, 1, now, loc); err != nil {
-				return nil, err
-			}
-		}
-		s.Drain()
-		elapsed := time.Since(start)
-		st := s.Stats()
-		s.Close(timemodel.Tick(entities), loc)
-		row := engineRow{
-			Shards:      shards,
-			Entities:    entities,
-			NsPerEntity: float64(elapsed.Nanoseconds()) / entities,
-			Emitted:     st.Emitted,
-		}
-		rows = append(rows, row)
-		fmt.Fprintf(out, "%d\t%d\t%.0f\t%d\n", row.Shards, row.Entities, row.NsPerEntity, row.Emitted)
-	}
-	fmt.Fprintln(out)
-	return rows, nil
-}
-
-// e9 measures the database server's combined region×time retrieval:
-// the indexed QueryST path (cheaper-index selection + verification)
-// against the ScanTime∩ScanRegion linear oracle at nInstances logged
-// instances, then demonstrates the retention policy holding a bounded
-// store at steady state while logging twice past its cap. Both modes
-// must return identical hit counts — the benchmark doubles as a
-// differential check at scale.
-func e9(out io.Writer, nInstances int) ([]queryRow, *retentionRow, error) {
-	const (
-		nEvents  = 64
-		nQueries = 64
-		space    = 4096.0
-		span     = 1_000_000
-	)
-	fmt.Fprintf(out, "=== E9: combined region×time retrieval, %d instances, %d queries ===\n", nInstances, nQueries)
-	fmt.Fprintln(out, "mode\tns/query\thits\tspeedup")
-	rng := rand.New(rand.NewSource(9))
-	s, err := db.New(16)
-	if err != nil {
-		return nil, nil, err
-	}
-	mkInst := func(i int) event.Instance {
-		start := timemodel.Tick(rng.Int63n(span))
-		return event.Instance{
-			Layer:      event.LayerSensor,
-			Observer:   fmt.Sprintf("M%d", i%257),
-			Event:      fmt.Sprintf("E%d", rng.Intn(nEvents)),
-			Seq:        uint64(i),
-			Gen:        start,
-			GenLoc:     spatial.AtPoint(0, 0),
-			Occ:        timemodel.MustBetween(start, start+timemodel.Tick(rng.Intn(100))),
-			Loc:        spatial.AtPoint(rng.Float64()*space, rng.Float64()*space),
-			Confidence: 1,
-		}
-	}
-	for i := 0; i < nInstances; i++ {
-		if err := s.Log(mkInst(i)); err != nil {
-			return nil, nil, err
-		}
-	}
-
-	type qspec struct {
-		ev       string
-		region   spatial.Location
-		from, to timemodel.Tick
-	}
-	queries := make([]qspec, nQueries)
-	for i := range queries {
-		x, y := rng.Float64()*(space-256), rng.Float64()*(space-256)
-		f, err := spatial.Rect(x, y, x+256, y+256)
-		if err != nil {
-			return nil, nil, err
-		}
-		from := timemodel.Tick(rng.Int63n(span))
-		queries[i] = qspec{
-			ev:     fmt.Sprintf("E%d", rng.Intn(nEvents)),
-			region: spatial.InField(f),
-			from:   from,
-			to:     from + span/50,
-		}
-	}
-
-	start := time.Now()
-	idxHits := 0
-	for i := range queries {
-		q := &queries[i]
-		res, err := s.QueryST(db.QuerySpec{
-			Event: q.ev, Region: &q.region,
-			Window: &db.TimeWindow{From: q.from, To: q.to},
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		idxHits += len(res.Instances)
-	}
-	idxNs := float64(time.Since(start).Nanoseconds()) / nQueries
-
-	start = time.Now()
-	scanHits := 0
-	for i := range queries {
-		q := &queries[i]
-		inRegion := make(map[string]bool)
-		for _, in := range s.ScanRegion(q.region) {
-			inRegion[in.EntityID()] = true
-		}
-		for _, in := range s.ScanTime(q.ev, q.from, q.to) {
-			if inRegion[in.EntityID()] {
-				scanHits++
-			}
-		}
-	}
-	scanNs := float64(time.Since(start).Nanoseconds()) / nQueries
-
-	if idxHits != scanHits {
-		return nil, nil, fmt.Errorf("E9: QueryST found %d hits, scan oracle %d", idxHits, scanHits)
-	}
-	speedup := scanNs / idxNs
-	rows := []queryRow{
-		{Instances: nInstances, Queries: nQueries, Mode: "queryST", NsPerQuery: idxNs, Hits: idxHits, Speedup: speedup},
-		{Instances: nInstances, Queries: nQueries, Mode: "scan", NsPerQuery: scanNs, Hits: scanHits},
-	}
-	fmt.Fprintf(out, "queryST\t%.0f\t%d\t%.1fx\n", idxNs, idxHits, speedup)
-	fmt.Fprintf(out, "scan\t%.0f\t%d\t\n", scanNs, scanHits)
-
-	// Retention steady state: log 2× the cap and report what survives.
-	capInstances := nInstances / 2
-	bounded, err := db.New(16)
-	if err != nil {
-		return nil, nil, err
-	}
-	bounded.SetRetention(db.Retention{MaxInstances: capInstances})
-	logged := 2 * nInstances
-	for i := 0; i < logged; i++ {
-		if err := bounded.Log(mkInst(nInstances + i)); err != nil {
-			return nil, nil, err
-		}
-	}
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	st := bounded.Stats()
-	ret := &retentionRow{
-		Logged:       logged,
-		MaxInstances: capInstances,
-		Live:         st.Instances,
-		Evicted:      st.Evicted,
-		HeapMB:       float64(ms.HeapAlloc) / 1e6,
-	}
-	fmt.Fprintf(out, "retention: logged=%d cap=%d live=%d evicted=%d heap=%.1fMB\n\n",
-		ret.Logged, ret.MaxInstances, ret.Live, ret.Evicted, ret.HeapMB)
-	runtime.KeepAlive(bounded)
-	return rows, ret, nil
-}
-
-// e10Cond is the E10 workload condition: a three-role chain of temporal
-// and spatial links plus a single-role filter — the shape the condition
-// compiler decomposes completely.
-const e10Cond = "x.time before y.time and y.time before z.time and " +
-	"dist(x.loc, y.loc) < 4 and dist(y.loc, z.loc) < 4 and x.v > 0.2"
-
-// e10Spec builds the E10 detector spec. MaxBindings is effectively
-// unbounded so both paths see every candidate and the emission counts
-// stay comparable.
-func e10Spec(window int, planner detect.PlannerMode) detect.Spec {
-	return detect.Spec{
-		EventID: "E.join",
-		Layer:   event.LayerSensor,
-		Roles: []detect.RoleSpec{
-			{Name: "x", Source: "JX", Window: window},
-			{Name: "y", Source: "JY", Window: window},
-			{Name: "z", Source: "JZ", Window: window},
-		},
-		Cond:        condition.MustParse(e10Cond),
-		MaxBindings: 1 << 30,
-		Planner:     planner,
-	}
-}
-
-// e10Run feeds the deterministic E10 stream through one detector.
-func e10Run(spec detect.Spec, entities int) (time.Duration, uint64, detect.Stats, error) {
-	d, err := detect.New("bench", spec)
-	if err != nil {
-		return 0, 0, detect.Stats{}, err
-	}
-	rng := rand.New(rand.NewSource(10))
-	sources := [...]string{"JX", "JY", "JZ"}
-	genLoc := spatial.AtPoint(0, 0)
-	var emitted uint64
-	start := time.Now()
-	for i := 0; i < entities; i++ {
-		now := timemodel.Tick(i)
-		o := event.Observation{
-			Mote: "M", Sensor: sources[i%3], Seq: uint64(i),
-			Time:  timemodel.At(now),
-			Loc:   spatial.AtPoint(rng.Float64()*256, rng.Float64()*256),
-			Attrs: event.Attrs{"v": rng.Float64()},
-		}
-		emitted += uint64(len(d.Offer(sources[i%3], o, 1, now, genLoc)))
-	}
-	return time.Since(start), emitted, d.Stats(), nil
-}
-
-// e10 measures the detection planner: the same wide-window three-role
-// workload through the planned indexed join and through the naive
-// cross-product enumeration. Both must emit the same number of
-// instances — the benchmark doubles as a differential check at scale —
-// and the compiled-binding eval loop must not allocate.
-func e10(out io.Writer, entities, window int) ([]joinRow, error) {
-	fmt.Fprintf(out, "=== E10: planned vs naive window join (3 roles, window=%d, %d entities) ===\n",
-		window, entities)
-	fmt.Fprintln(out, "mode\tns/entity\temitted\tprobed\tpruned\tspeedup")
-
-	plannedDur, plannedEmit, plannedStats, err := e10Run(e10Spec(window, detect.PlannerAuto), entities)
-	if err != nil {
-		return nil, err
-	}
-	naiveDur, naiveEmit, naiveStats, err := e10Run(e10Spec(window, detect.PlannerOff), entities)
-	if err != nil {
-		return nil, err
-	}
-	if plannedEmit != naiveEmit {
-		return nil, fmt.Errorf("E10: planned join emitted %d instances, naive oracle %d", plannedEmit, naiveEmit)
-	}
-	if plannedStats.Truncations != 0 || naiveStats.Truncations != 0 {
-		return nil, fmt.Errorf("E10: truncated (planned=%d naive=%d) — raise MaxBindings",
-			plannedStats.Truncations, naiveStats.Truncations)
-	}
-
-	// The compiled-binding eval loop must be allocation-free.
-	slots := condition.NewSlotMap([]string{"x", "y", "z"})
-	compiled, err := condition.Compile(condition.MustParse(e10Cond), slots)
-	if err != nil {
-		return nil, err
-	}
-	mkEnt := func(t timemodel.Tick, x float64) event.Observation {
-		return event.Observation{
-			Mote: "M", Sensor: "S", Seq: uint64(t),
-			Time: timemodel.At(t), Loc: spatial.AtPoint(x, 0),
-			Attrs: event.Attrs{"v": 0.5},
-		}
-	}
-	ents := []event.Entity{mkEnt(1, 0), mkEnt(2, 1), mkEnt(3, 2)}
-	if _, err := compiled.Eval(ents); err != nil {
-		return nil, err
-	}
-	evalAllocs := testing.AllocsPerRun(1000, func() {
-		_, _ = compiled.Eval(ents)
-	})
-
-	plannedNs := float64(plannedDur.Nanoseconds()) / float64(entities)
-	naiveNs := float64(naiveDur.Nanoseconds()) / float64(entities)
-	speedup := naiveNs / plannedNs
-	rows := []joinRow{
-		{
-			Mode: "planned", Roles: 3, Window: window, Entities: entities,
-			NsPerEntity: plannedNs, Emitted: plannedEmit,
-			Probed: plannedStats.Probed, Pruned: plannedStats.Pruned,
-			Speedup: speedup, EvalAllocs: evalAllocs,
-		},
-		{
-			Mode: "naive", Roles: 3, Window: window, Entities: entities,
-			NsPerEntity: naiveNs, Emitted: naiveEmit,
-			Probed: naiveStats.Probed, Pruned: naiveStats.Pruned,
-		},
-	}
-	fmt.Fprintf(out, "planned\t%.0f\t%d\t%d\t%d\t%.1fx\n",
-		plannedNs, plannedEmit, plannedStats.Probed, plannedStats.Pruned, speedup)
-	fmt.Fprintf(out, "naive\t%.0f\t%d\t%d\t%d\t\n",
-		naiveNs, naiveEmit, naiveStats.Probed, naiveStats.Pruned)
-	fmt.Fprintf(out, "compiled-binding eval: %.0f allocs/op\n\n", evalAllocs)
-	return rows, nil
-}
-
 // e8 prints the baseline comparison matrix: which engine from the
 // paper's related-work section covers which scenario class, and whether
 // it judged the scenario correctly.
@@ -750,163 +276,6 @@ func e8(out io.Writer) error {
 	}
 	fmt.Fprintln(out)
 	return nil
-}
-
-// linearSub is the E13 scan baseline: one registered subscription
-// verified directly, with its condition pre-compiled exactly like the
-// indexed matcher's.
-type linearSub struct {
-	spec    sub.Spec
-	cond    *condition.Compiled
-	binding []event.Entity
-}
-
-func newLinearSubs(specs []sub.Spec) ([]linearSub, error) {
-	out := make([]linearSub, len(specs))
-	slots := condition.NewSlotMap([]string{sub.CondRole})
-	for i, s := range specs {
-		out[i] = linearSub{spec: s, binding: make([]event.Entity, 1)}
-		if s.Where != "" {
-			c, err := condition.Compile(condition.MustParse(s.Where), slots)
-			if err != nil {
-				return nil, err
-			}
-			out[i].cond = c
-		}
-	}
-	return out, nil
-}
-
-// matchLinear verifies one instance against every registered
-// subscription — the O(registered) baseline the index replaces.
-func matchLinear(subs []linearSub, in *event.Instance) uint64 {
-	var matched uint64
-	for i := range subs {
-		s := &subs[i]
-		if s.spec.Event != "" && s.spec.Event != in.Event {
-			continue
-		}
-		if s.spec.HasTime && (in.Occ.Start() > s.spec.To || in.Occ.End() < s.spec.From) {
-			continue
-		}
-		if s.spec.Region != nil && !spatial.OpJoint.Apply(in.Loc, *s.spec.Region) {
-			continue
-		}
-		if s.cond != nil {
-			s.binding[0] = in
-			ok, err := s.cond.Eval(s.binding)
-			s.binding[0] = nil
-			if err != nil || !ok {
-				continue
-			}
-		}
-		matched++
-	}
-	return matched
-}
-
-// e13 measures standing-subscription matching: the same emitted-instance
-// stream offered to the indexed matcher (event buckets × coarse grid
-// cells, predicates only on index hits) and to a linear scan over every
-// registered subscription. Both must agree on the match count — the
-// benchmark doubles as a differential check at scale — and the indexed
-// probe must not allocate.
-func e13(out io.Writer) ([]subRow, error) {
-	const (
-		space   = 4096.0
-		tile    = 128.0
-		nEvents = 64
-	)
-	fmt.Fprintln(out, "=== E13: subscription matching, indexed vs linear scan ===")
-	fmt.Fprintln(out, "subs\tmode\tinstances\tns/instance\tmatched\tspeedup")
-	var rows []subRow
-	for _, nSubs := range []int{1_000, 10_000, 100_000} {
-		nInst := 20_000
-		if nSubs >= 100_000 {
-			nInst = 2_000 // bound the O(subs × instances) scan baseline
-		} else if nSubs >= 10_000 {
-			nInst = 10_000
-		}
-		rng := rand.New(rand.NewSource(12))
-		specs := make([]sub.Spec, nSubs)
-		for i := range specs {
-			tx := float64(i%32) * tile
-			ty := float64((i/32)%32) * tile
-			f, err := spatial.Rect(tx, ty, tx+tile-1, ty+tile-1)
-			if err != nil {
-				return nil, err
-			}
-			region := spatial.InField(f)
-			specs[i] = sub.Spec{
-				Event:  fmt.Sprintf("E%d", i%nEvents),
-				Region: &region,
-				Buffer: 16,
-			}
-			if i%2 == 0 {
-				specs[i].HasTime = true
-				specs[i].From, specs[i].To = 0, 1<<40
-			}
-			if i%4 == 0 {
-				specs[i].Where = "e.v > 0.5"
-			}
-		}
-		insts := make([]event.Instance, nInst)
-		for i := range insts {
-			now := timemodel.Tick(i)
-			insts[i] = event.Instance{
-				Layer: event.LayerSensor, Observer: "OB",
-				Event: fmt.Sprintf("E%d", rng.Intn(nEvents)), Seq: uint64(i),
-				Gen: now, GenLoc: spatial.AtPoint(0, 0), Occ: timemodel.At(now),
-				Loc:        spatial.AtPoint(rng.Float64()*space, rng.Float64()*space),
-				Attrs:      event.Attrs{"v": rng.Float64()},
-				Confidence: 1,
-			}
-		}
-
-		m := sub.NewMatcher(sub.Config{Cell: tile})
-		for _, s := range specs {
-			if _, err := m.Subscribe(s); err != nil {
-				return nil, err
-			}
-		}
-		start := time.Now()
-		for i := range insts {
-			m.Publish(&insts[i], uint64(i), true)
-		}
-		idxNs := float64(time.Since(start).Nanoseconds()) / float64(nInst)
-		idxMatched := m.Stats().Matched
-		probeAllocs := testing.AllocsPerRun(1000, func() { m.Publish(&insts[0], 0, true) })
-
-		lin, err := newLinearSubs(specs)
-		if err != nil {
-			return nil, err
-		}
-		var scanMatched uint64
-		start = time.Now()
-		for i := range insts {
-			scanMatched += matchLinear(lin, &insts[i])
-		}
-		scanNs := float64(time.Since(start).Nanoseconds()) / float64(nInst)
-
-		if idxMatched != scanMatched {
-			return nil, fmt.Errorf("E13: indexed matcher found %d matches, linear scan %d", idxMatched, scanMatched)
-		}
-		if probeAllocs != 0 {
-			return nil, fmt.Errorf("E13: index probe allocates %.1f/op, want 0", probeAllocs)
-		}
-		speedup := scanNs / idxNs
-		rows = append(rows,
-			subRow{Subs: nSubs, Mode: "indexed", Instances: nInst, NsPerInstance: idxNs,
-				Matched: idxMatched, Speedup: speedup, ProbeAllocs: probeAllocs},
-			subRow{Subs: nSubs, Mode: "scan", Instances: nInst, NsPerInstance: scanNs,
-				Matched: scanMatched},
-		)
-		fmt.Fprintf(out, "%d\tindexed\t%d\t%.0f\t%d\t%.1fx (probe %.0f allocs/op)\n",
-			nSubs, nInst, idxNs, idxMatched, speedup, probeAllocs)
-		fmt.Fprintf(out, "%d\tscan\t%d\t%.0f\t%d\t\n", nSubs, nInst, scanNs, scanMatched)
-	}
-	fmt.Fprintln(out)
-	return rows, nil
 }
 
 // e11 compares condition evaluation placements (mote / sink / CCU) — the

@@ -53,11 +53,6 @@ func TestRunJSONArtifact(t *testing.T) {
 			Loss   float64 `json:"loss"`
 			Recall float64 `json:"recall"`
 		} `json:"e3"`
-		Engine []struct {
-			Shards      int     `json:"shards"`
-			NsPerEntity float64 `json:"nsPerEntity"`
-			Emitted     uint64  `json:"emitted"`
-		} `json:"engineIngest"`
 	}
 	if err := json.Unmarshal(data, &art); err != nil {
 		t.Fatalf("artifact is not valid JSON: %v", err)
@@ -71,136 +66,35 @@ func TestRunJSONArtifact(t *testing.T) {
 	if art.E3[0].Recall < art.E3[len(art.E3)-1].Recall {
 		t.Errorf("recall should not improve with loss: %v", art.E3)
 	}
-	if len(art.Engine) == 0 {
-		t.Fatal("no engine throughput rows")
+	// The artifact carries the paper's E1–E3 rows and nothing else.
+	var sections map[string]json.RawMessage
+	if err := json.Unmarshal(data, &sections); err != nil {
+		t.Fatal(err)
 	}
-	for _, row := range art.Engine {
-		if row.NsPerEntity <= 0 || row.Emitted == 0 {
-			t.Errorf("degenerate engine row %+v", row)
+	for key := range sections {
+		switch key {
+		case "schema", "generated", "goVersion", "goos", "goarch", "cpus", "runs", "e3":
+		default:
+			t.Errorf("artifact carries unexpected section %q", key)
 		}
 	}
 }
 
-// TestE9QuerySpeedup runs the combined retrieval experiment at reduced
-// scale and checks the indexed path wins and both modes agree (hit
-// mismatch fails inside e9).
-func TestE9QuerySpeedup(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	var out strings.Builder
-	if err := run([]string{"-exp", "E9", "-queryInstances", "20000", "-json", path}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "E9: combined region×time retrieval") {
-		t.Fatalf("output missing E9 table:\n%s", out.String())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var art struct {
-		E9 []struct {
-			Mode       string  `json:"mode"`
-			NsPerQuery float64 `json:"nsPerQuery"`
-			Hits       int     `json:"hits"`
-			Speedup    float64 `json:"speedup"`
-		} `json:"e9"`
-		Retention *struct {
-			Logged  int    `json:"logged"`
-			Live    int    `json:"live"`
-			Evicted uint64 `json:"evicted"`
-		} `json:"retention"`
-	}
-	if err := json.Unmarshal(data, &art); err != nil {
-		t.Fatal(err)
-	}
-	if len(art.E9) != 2 || art.E9[0].Mode != "queryST" || art.E9[1].Mode != "scan" {
-		t.Fatalf("e9 rows = %+v", art.E9)
-	}
-	if art.E9[0].Hits != art.E9[1].Hits {
-		t.Errorf("hit mismatch: %+v", art.E9)
-	}
-	if art.E9[0].Speedup <= 1 {
-		t.Errorf("indexed path slower than scan: %+v", art.E9)
-	}
-	if art.Retention == nil || art.Retention.Live != 10000 || art.Retention.Evicted != 30000 {
-		t.Errorf("retention row = %+v", art.Retention)
-	}
-}
-
-// TestE15Contention runs the store-contention experiment at reduced
-// scale. The production gates (p99 speedup, ingest ratio) are
-// meaningless with this few readers for this short a window, so the
-// test checks structure plus the hard invariants e15 itself enforces
-// inline: bounded-staleness/order witnesses on every page, zero
-// index-lock acquisitions per replayed page, the differential check of
-// the lock-free pages against the monolithic reference, and the
-// hot-event churn bound — any violation fails run() with an error.
-func TestE15Contention(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	var out strings.Builder
-	if err := run([]string{"-exp", "E15", "-contendReaders", "8", "-contendMillis", "120", "-json", path}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "E15: store contention") {
-		t.Fatalf("output missing E15 table:\n%s", out.String())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var art struct {
-		E15 *struct {
-			Contend []struct {
-				Mode         string  `json:"mode"`
-				Readers      int     `json:"readers"`
-				PageQueries  int     `json:"pageQueries"`
-				ProbeQueries int     `json:"probeQueries"`
-				PageP99Us    float64 `json:"pageP99Us"`
-				IngestPerSec float64 `json:"ingestPerSec"`
-			} `json:"contend"`
-			IngestSoloPerSec  float64 `json:"ingestSoloPerSec"`
-			AuditPages        uint64  `json:"auditPages"`
-			AuditMaterialized uint64  `json:"auditMaterialized"`
-			AuditLocksPerPage float64 `json:"auditLocksPerPage"`
-			ChurnNsPerInst    float64 `json:"churnNsPerInst"`
-		} `json:"e15"`
-	}
-	if err := json.Unmarshal(data, &art); err != nil {
-		t.Fatal(err)
-	}
-	if art.E15 == nil {
-		t.Fatal("artifact missing e15 section")
-	}
-	s := art.E15
-	if len(s.Contend) != 2 || s.Contend[0].Mode != "locked" || s.Contend[1].Mode != "chunked" {
-		t.Fatalf("contend rows = %+v", s.Contend)
-	}
-	for _, r := range s.Contend {
-		if r.Readers != 8 || r.PageQueries == 0 || r.ProbeQueries == 0 || r.PageP99Us <= 0 || r.IngestPerSec <= 0 {
-			t.Errorf("degenerate contend row %+v", r)
-		}
-	}
-	if s.IngestSoloPerSec <= 0 {
-		t.Errorf("solo ingest = %.0f, want > 0", s.IngestSoloPerSec)
-	}
-	if s.AuditPages == 0 || s.AuditMaterialized == 0 {
-		t.Errorf("replay audit measured nothing: pages=%d materialized=%d", s.AuditPages, s.AuditMaterialized)
-	}
-	if s.AuditLocksPerPage != 0 {
-		t.Errorf("index-locks/page = %.2f, want 0", s.AuditLocksPerPage)
-	}
-	if s.ChurnNsPerInst <= 0 {
-		t.Errorf("churn ns/inst = %.0f, want > 0", s.ChurnNsPerInst)
-	}
-}
-
+// TestRunUnknownExperiment also pins the tool's scope: the systems
+// experiments and their tuning flags are gone (the pipeline ledger in
+// bench/ measures the system), so asking for them fails.
 func TestRunUnknownExperiment(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-exp", "E99"}, &out); err == nil {
-		t.Error("unknown experiment should error")
+	for _, exp := range []string{"E99", "E9", "E10", "E13", "E14", "E15", "E16", "E17"} {
+		if err := run([]string{"-exp", exp}, &out); err == nil {
+			t.Errorf("-exp %s should error as unknown", exp)
+		}
 	}
-	if err := run([]string{"-nope"}, &out); err == nil {
-		t.Error("unknown flag should error")
+	for _, flag := range []string{"-nope", "-queryInstances", "-joinEntities", "-joinWindow",
+		"-wireRecords", "-contendReaders", "-contendMillis"} {
+		if err := run([]string{flag, "1"}, &out); err == nil {
+			t.Errorf("%s should error as an unknown flag", flag)
+		}
 	}
 }
 
@@ -227,47 +121,5 @@ func TestE1MonotoneInDepth(t *testing.T) {
 	}
 	if prev < 0 {
 		t.Fatal("no data rows parsed")
-	}
-}
-
-// TestE10JoinSpeedup runs the planned-vs-naive join experiment at
-// reduced scale: the planner must emit identically, win clearly, and
-// keep the compiled-binding eval loop allocation-free.
-func TestE10JoinSpeedup(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	var out strings.Builder
-	if err := run([]string{"-exp", "E10", "-joinEntities", "450", "-joinWindow", "64", "-json", path}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "E10: planned vs naive window join") {
-		t.Fatalf("output missing E10 table:\n%s", out.String())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var art struct {
-		E10 []struct {
-			Mode        string  `json:"mode"`
-			NsPerEntity float64 `json:"nsPerEntity"`
-			Emitted     uint64  `json:"emitted"`
-			Speedup     float64 `json:"speedup"`
-			EvalAllocs  float64 `json:"evalAllocsPerOp"`
-		} `json:"e10"`
-	}
-	if err := json.Unmarshal(data, &art); err != nil {
-		t.Fatal(err)
-	}
-	if len(art.E10) != 2 || art.E10[0].Mode != "planned" || art.E10[1].Mode != "naive" {
-		t.Fatalf("e10 rows = %+v", art.E10)
-	}
-	if art.E10[0].Emitted != art.E10[1].Emitted {
-		t.Errorf("emission mismatch: %+v", art.E10)
-	}
-	if art.E10[0].Speedup < 10 {
-		t.Errorf("planned join speedup %.1fx, want >= 10x", art.E10[0].Speedup)
-	}
-	if art.E10[0].EvalAllocs != 0 {
-		t.Errorf("compiled eval allocates %.1f times per op, want 0", art.E10[0].EvalAllocs)
 	}
 }

@@ -93,32 +93,38 @@ func TestCompiledConstantFolding(t *testing.T) {
 
 // TestCompiledEvalAllocs pins the planner's hot-loop contract: compiled
 // evaluation of a multi-clause spatio-temporal condition over a slot
-// binding performs zero allocations.
+// binding performs zero allocations. The second condition is the
+// three-role chain of the retired E10 join benchmark.
 func TestCompiledEvalAllocs(t *testing.T) {
 	slots := NewSlotMap([]string{"x", "y", "z"})
-	c, err := Compile(MustParse(
-		"x.time before y.time and dist(x.loc, y.loc) < 5 and x.a > 0.5 and avg(x.a, y.a, z.a) < 10"), slots)
-	if err != nil {
-		t.Fatal(err)
-	}
 	mk := func(id string, tick timemodel.Tick, x float64) event.Observation {
 		return event.Observation{
 			Mote: id, Sensor: "S", Seq: 1,
 			Time:  timemodel.At(tick),
 			Loc:   spatial.AtPoint(x, 0),
-			Attrs: event.Attrs{"a": 1},
+			Attrs: event.Attrs{"a": 1, "v": 0.5},
 		}
 	}
 	ents := []event.Entity{mk("A", 1, 0), mk("B", 2, 1), mk("C", 3, 2)}
-	if _, err := c.Eval(ents); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := c.Eval(ents); err != nil {
+	for _, src := range []string{
+		"x.time before y.time and dist(x.loc, y.loc) < 5 and x.a > 0.5 and avg(x.a, y.a, z.a) < 10",
+		"x.time before y.time and y.time before z.time and " +
+			"dist(x.loc, y.loc) < 4 and dist(y.loc, z.loc) < 4 and x.v > 0.2",
+	} {
+		c, err := Compile(MustParse(src), slots)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("compiled eval allocates %v times per run, want 0", allocs)
+		if ok, err := c.Eval(ents); err != nil || !ok {
+			t.Fatalf("%s = %v, %v; want true", src, ok, err)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := c.Eval(ents); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: compiled eval allocates %v times per run, want 0", src, allocs)
+		}
 	}
 }

@@ -413,6 +413,14 @@ func TestStoreRaceStress(t *testing.T) {
 						t.Errorf("replay QueryST: %v", err)
 						return
 					}
+					// Bounded staleness on the log path too: a page never
+					// reaches past the frontier it observed, in seq order.
+					for i, seq := range res.Seqs {
+						if seq >= res.Frontier || (i > 0 && seq <= res.Seqs[i-1]) {
+							t.Errorf("replay seq %d at position %d breaks page order (frontier %d)", seq, i, res.Frontier)
+							return
+						}
+					}
 					if res.NextCursor != "" {
 						replay.Cursor = res.NextCursor
 					} else {

@@ -2,6 +2,7 @@ package db
 
 import (
 	"errors"
+	"math/rand"
 	"strconv"
 	"testing"
 
@@ -153,5 +154,54 @@ func TestQuerySTSeqsParallelInstances(t *testing.T) {
 	}
 	if res.NextCursor != strconv.FormatUint(res.Seqs[3], 10) {
 		t.Fatalf("NextCursor %q != last seq %d", res.NextCursor, res.Seqs[3])
+	}
+}
+
+// TestStrictCursorWalkTakesNoLocks audits the read plane's lock counters
+// on a quiesced store: a strict cursor walk down the sequential log path
+// (the subscription catch-up shape) takes no index-probe lock on any
+// page and materializes every instance it returns off-lock, while an
+// indexed page takes at most the one short probe lock.
+func TestStrictCursorWalkTakesNoLocks(t *testing.T) {
+	for _, ret := range []Retention{{}, {MaxInstances: 150}} {
+		s := randomStore(t, rand.New(rand.NewSource(19)), 400, ret)
+		q := QuerySpec{Limit: 16, Strict: true}
+		pages := 0
+		var materialized uint64
+		for {
+			before := s.Stats()
+			res, err := s.QueryST(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := s.Stats()
+			if locks := after.ReadLocks - before.ReadLocks; locks != 0 {
+				t.Fatalf("retention %+v page %d: %d index locks on the log path, want 0", ret, pages, locks)
+			}
+			if got := after.Materialized - before.Materialized; got != uint64(len(res.Instances)) {
+				t.Fatalf("retention %+v page %d: materialized %d, returned %d", ret, pages, got, len(res.Instances))
+			}
+			materialized += after.Materialized - before.Materialized
+			pages++
+			if res.NextCursor == "" {
+				break
+			}
+			q.Cursor = res.NextCursor
+		}
+		if pages < 2 || materialized != uint64(s.Len()) {
+			t.Fatalf("retention %+v: walk took %d pages and materialized %d of %d instances", ret, pages, materialized, s.Len())
+		}
+
+		region := spatial.InField(spatial.MustField(
+			spatial.Pt(10, 10), spatial.Pt(30, 10), spatial.Pt(30, 30), spatial.Pt(10, 30)))
+		for _, iq := range []QuerySpec{{Event: "E1", Limit: 16}, {Region: &region, Limit: 16}} {
+			before := s.Stats().ReadLocks
+			if _, err := s.QueryST(iq); err != nil {
+				t.Fatal(err)
+			}
+			if locks := s.Stats().ReadLocks - before; locks > 1 {
+				t.Fatalf("retention %+v: indexed page %+v took %d locks, want <= 1", ret, iq, locks)
+			}
+		}
 	}
 }

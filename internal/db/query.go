@@ -165,10 +165,8 @@ func (s *Store) QueryST(spec QuerySpec) (Result, error) {
 
 // QuerySTLocked is QueryST with the hot portion under the store's
 // reader lock for its entire run — the pre-chunked monolithic read
-// path, retained as the differential reference (its pages are
-// byte-identical to QueryST's on any quiesced store) and as the
-// contention baseline the E15 experiment measures the lock-free plane
-// against.
+// path, retained as the differential reference: its pages are
+// byte-identical to QueryST's on any quiesced store.
 func (s *Store) QuerySTLocked(spec QuerySpec) (Result, error) {
 	return s.queryST(spec, true)
 }

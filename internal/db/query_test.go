@@ -340,20 +340,90 @@ func TestQuerySTIndexSelection(t *testing.T) {
 }
 
 // TestRetentionConsistency hammers a bounded store and asserts every
-// index agrees with the live log afterwards.
+// index agrees with the live log afterwards: far past the cap, and at
+// the steady state of logging exactly twice the cap.
 func TestRetentionConsistency(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	s := randomStore(t, rng, 2000, Retention{MaxInstances: 100})
-	if s.Len() != 100 {
-		t.Fatalf("Len = %d", s.Len())
+	for _, tc := range []struct{ logged, cap int }{{2000, 100}, {2000, 1000}} {
+		rng := rand.New(rand.NewSource(17))
+		s := randomStore(t, rng, tc.logged, Retention{MaxInstances: tc.cap})
+		if s.Len() != tc.cap {
+			t.Fatalf("logged %d, cap %d: Len = %d", tc.logged, tc.cap, s.Len())
+		}
+		st := s.Stats()
+		if st.Instances != tc.cap || st.Evicted != uint64(tc.logged-tc.cap) {
+			t.Fatalf("logged %d, cap %d: stats = %+v", tc.logged, tc.cap, st)
+		}
+		// The time index may hold stale (evicted) entries between
+		// compaction sweeps; checkStoreInvariants asserts the full
+		// live/stale contract.
+		checkStoreInvariants(t, s)
 	}
-	st := s.Stats()
-	if st.Instances != 100 || st.Evicted != 1900 {
-		t.Fatalf("stats = %+v", st)
+}
+
+// TestQuerySTIndexedAtScale runs the combined region×time retrieval
+// shape of the retired E9 benchmark (BENCH_2.json) at 20k instances: 64
+// events over a 4096² space, occurrences of up to 100 ticks anywhere in
+// a million-tick span, queried by one event, a 256² region and a window
+// of 1/50 of the span. Every answer must equal the unindexed oracle, and
+// the planner's candidate count must stay a small fraction of the store
+// — the index win, asserted as work done instead of as a clock ratio.
+func TestQuerySTIndexedAtScale(t *testing.T) {
+	const (
+		n        = 20_000
+		nEvents  = 64
+		nQueries = 64
+		space    = 4096.0
+		span     = 1_000_000
+	)
+	rng := rand.New(rand.NewSource(9))
+	s, err := New(16)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The time index may hold stale (evicted) entries between compaction
-	// sweeps; checkStoreInvariants asserts the full live/stale contract.
-	checkStoreInvariants(t, s)
+	for i := 0; i < n; i++ {
+		start := timemodel.Tick(rng.Int63n(span))
+		in := inst(fmt.Sprintf("M%d", i%257), fmt.Sprintf("E%d", rng.Intn(nEvents)), uint64(i),
+			timemodel.MustBetween(start, start+timemodel.Tick(rng.Intn(100))),
+			spatial.AtPoint(rng.Float64()*space, rng.Float64()*space))
+		if err := s.Log(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hits, scanned := 0, 0
+	for i := 0; i < nQueries; i++ {
+		x, y := rng.Float64()*(space-256), rng.Float64()*(space-256)
+		f, err := spatial.Rect(x, y, x+256, y+256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		region := spatial.InField(f)
+		from := timemodel.Tick(rng.Int63n(span))
+		q := QuerySpec{
+			Event: fmt.Sprintf("E%d", rng.Intn(nEvents)), Region: &region,
+			Window: &TimeWindow{From: from, To: from + span/50},
+		}
+		// The combined shape rarely matches at this size, so its time
+		// half is checked too: alone it matches a handful per query.
+		for _, q := range []QuerySpec{q, {Event: q.Event, Window: q.Window}} {
+			res, err := s.QueryST(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := entityIDs(res.Instances), oracleST(s, q)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("query %d %+v (index=%s): QueryST %d ids != oracle %d ids", i, q, res.Index, len(got), len(want))
+			}
+			if res.Scanned > n/100 {
+				t.Fatalf("query %d %+v (index=%s): scanned %d candidates of %d instances", i, q, res.Index, res.Scanned, n)
+			}
+			hits += len(res.Instances)
+			scanned += res.Scanned
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no query matched anything; the differential proved nothing")
+	}
+	t.Logf("%d hits, %d candidates scanned over %d query draws", hits, scanned, nQueries)
 }
 
 // TestRetentionMaxAge evicts by generation-time age.

@@ -12,8 +12,9 @@
 // can evict from the front of the log while every index stays
 // consistent. QueryST serves combined
 // region×time retrieval, choosing the cheaper index from cardinality
-// estimates. A linear-scan query path is kept alongside the indexes for
-// the E9 experiment and as a cross-check oracle in tests.
+// estimates. A linear-scan query path (ScanTime, ScanRegion) is kept
+// alongside the indexes as the unindexed oracle the tests check them
+// against.
 //
 // # Read/write plane split
 //
@@ -689,9 +690,9 @@ func (s *Store) timeWindowLocked(eventID string, from, to timemodel.Tick) (lst [
 	return lst, lo, hi
 }
 
-// ScanTime is the unindexed equivalent of QueryTime, retained for the E9
-// index-versus-scan experiment and as a testing oracle. It scans the
-// published view without locking.
+// ScanTime is the unindexed equivalent of QueryTime: the oracle the
+// tests check the time index against. It scans the published view
+// without locking.
 func (s *Store) ScanTime(eventID string, from, to timemodel.Tick) []event.Instance {
 	if to < from {
 		return nil
@@ -731,8 +732,9 @@ func (s *Store) QueryRegion(region spatial.Location) []event.Instance {
 	return out
 }
 
-// ScanRegion is the unindexed equivalent of QueryRegion (E9 experiment /
-// testing oracle). It scans the published view without locking.
+// ScanRegion is the unindexed equivalent of QueryRegion: the oracle the
+// tests check the spatial grid against. It scans the published view
+// without locking.
 func (s *Store) ScanRegion(region spatial.Location) []event.Instance {
 	v := s.loadView()
 	var out []event.Instance

@@ -266,11 +266,11 @@ func New(observerID string, spec Spec) (*Detector, error) {
 	d.evalEnts = make([]event.Entity, d.slots.Len())
 	d.confScratch = make([]float64, 0, len(spec.Roles))
 	d.roleScratch = make([]string, 0, len(spec.Roles))
-	if c, err := condition.Compile(spec.Cond, d.slots); err == nil {
-		d.compiled = c
-	} else {
-		d.planNote = "condition does not compile"
+	c, err := condition.Compile(spec.Cond, d.slots)
+	if err != nil {
+		return nil, fmt.Errorf("condition does not compile: %w: %w", ErrBadSpec, err)
 	}
+	d.compiled = c
 	d.buildPlan()
 	return d, nil
 }
@@ -321,22 +321,6 @@ func (d *Detector) Stats() Stats {
 // Planned reports whether the detector runs the indexed-join planner
 // (false: naive enumeration or interval state machine).
 func (d *Detector) Planned() bool { return d.plan != nil }
-
-// evalCond evaluates the full condition over a slot binding, through the
-// compiled form when available.
-func (d *Detector) evalCond(ents []event.Entity) (bool, error) {
-	if d.compiled != nil {
-		return d.compiled.Eval(ents)
-	}
-	b := make(condition.Binding, len(ents)) //stcps:ignore hotpath uncompiled-condition fallback; the compiled path is alloc-free
-	names := d.slots.Names()
-	for i, e := range ents {
-		if e != nil {
-			b[names[i]] = e
-		}
-	}
-	return d.spec.Cond.Eval(b)
-}
 
 // Offer feeds one entity from an input stream into the detector and
 // returns any instances generated at virtual time now. genLoc is the
@@ -442,7 +426,7 @@ func (d *Detector) stepPunctual(fedRoles []string, ent event.Entity, conf float6
 				continue
 			}
 			if !b.verified {
-				ok, err := d.evalCond(b.ents)
+				ok, err := d.compiled.Eval(b.ents)
 				if err != nil {
 					d.evalErrors.Add(1)
 					continue
@@ -544,7 +528,7 @@ func (d *Detector) stepInterval(now timemodel.Tick, genLoc spatial.Location) []e
 	}
 	d.confScratch = confs
 	d.probed.Add(1)
-	ok, err := d.evalCond(ents)
+	ok, err := d.compiled.Eval(ents)
 	if err != nil {
 		d.evalErrors.Add(1)
 		ok = false

@@ -30,6 +30,15 @@ func mustDetector(t *testing.T, spec Spec) *Detector {
 
 func TestNewValidation(t *testing.T) {
 	cond := condition.MustParse("x.v > 0")
+	// A programmatic condition the slot compiler rejects (dist over
+	// numbers) behind an or the interpreter short-circuits before
+	// reaching: the detector has one evaluator, so this is a bad spec,
+	// not a condition that fires whenever x.v > 1.
+	uncompilable := condition.Or{L: condition.MustParse("x.v > 1"), R: condition.CmpNum{
+		L:  condition.Call{Fn: "dist", Args: []condition.Term{condition.NumLit{V: 1}, condition.NumLit{V: 2}}},
+		Op: condition.OpLt,
+		R:  condition.NumLit{V: 3},
+	}}
 	base := Spec{
 		EventID: "E1",
 		Layer:   event.LayerSensor,
@@ -50,6 +59,10 @@ func TestNewValidation(t *testing.T) {
 		{"unfed role", func(s *Spec) { s.Cond = condition.MustParse("y.v > 0") }, "OB1", ErrRoleUnfed},
 		{"role missing source", func(s *Spec) { s.Roles = []RoleSpec{{Name: "x"}} }, "OB1", ErrBadSpec},
 		{"bad base confidence", func(s *Spec) { s.BaseConfidence = 2 }, "OB1", ErrBadSpec},
+		{"uncompilable condition", func(s *Spec) { s.Cond = uncompilable }, "OB1", ErrBadSpec},
+		{"uncompilable interval condition wraps the compile error", func(s *Spec) {
+			s.Cond, s.Mode, s.Planner = uncompilable, ModeInterval, PlannerOff
+		}, "OB1", condition.ErrTypeMismatch},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

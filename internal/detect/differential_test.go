@@ -278,6 +278,75 @@ func TestPlannedMatchesEnumerateOracle(t *testing.T) {
 	t.Logf("planner active on %d/%d fuzzed specs", planned, seeds)
 }
 
+// e10Cond is the three-role chain of the retired E10 benchmark
+// (BENCH_3.json): two temporal and two spatial links plus a single-role
+// filter, a shape the planner decomposes completely.
+const e10Cond = "x.time before y.time and y.time before z.time and " +
+	"dist(x.loc, y.loc) < 4 and dist(y.loc, z.loc) < 4 and x.v > 0.2"
+
+// TestPlannedMatchesEnumerateChain is the fixed wide-window case beside
+// the fuzzed oracle: E10's chain over 64-entry windows and 450 entities
+// (seed 10). Both paths must emit the same bytes without truncating,
+// and the planner must probe at most 1/100 of the bindings the naive
+// cross product enumerates — the join's win as work, not as a clock.
+// E10's 256² space almost never closes the chain at this size, so the
+// same stream squeezed into a 16² space checks emissions that happen.
+func TestPlannedMatchesEnumerateChain(t *testing.T) {
+	run := func(planner PlannerMode, space float64) ([]byte, Stats) {
+		d, err := New("bench", Spec{
+			EventID: "E.join",
+			Layer:   event.LayerSensor,
+			Roles: []RoleSpec{
+				{Name: "x", Source: "JX", Window: 64},
+				{Name: "y", Source: "JY", Window: 64},
+				{Name: "z", Source: "JZ", Window: 64},
+			},
+			Cond:        condition.MustParse(e10Cond),
+			MaxBindings: 1 << 30,
+			Planner:     planner,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Planned() != (planner == PlannerAuto) {
+			t.Fatalf("planner %v: Planned() = %v (%s)", planner, d.Planned(), d.PlanDesc())
+		}
+		rng := rand.New(rand.NewSource(10))
+		sources := [...]string{"JX", "JY", "JZ"}
+		genLoc := spatial.AtPoint(0, 0)
+		var out bytes.Buffer
+		for i := 0; i < 450; i++ {
+			now := timemodel.Tick(i)
+			o := event.Observation{
+				Mote: "M", Sensor: sources[i%3], Seq: uint64(i),
+				Time:  timemodel.At(now),
+				Loc:   spatial.AtPoint(rng.Float64()*space, rng.Float64()*space),
+				Attrs: event.Attrs{"v": rng.Float64()},
+			}
+			out.Write(encodeAll(t, d.Offer(sources[i%3], o, 1, now, genLoc)))
+		}
+		return out.Bytes(), d.Stats()
+	}
+	for _, space := range []float64{256, 16} {
+		planned, ps := run(PlannerAuto, space)
+		naive, ns := run(PlannerOff, space)
+		if !bytes.Equal(planned, naive) {
+			t.Fatalf("space %g: planned and enumerated emissions diverge:\nplanned:\n%s\nnaive:\n%s", space, planned, naive)
+		}
+		if ps.Truncations != 0 || ns.Truncations != 0 {
+			t.Fatalf("space %g: truncated: planned %d, naive %d", space, ps.Truncations, ns.Truncations)
+		}
+		if space == 256 && ps.Probed*100 > ns.Probed {
+			t.Fatalf("planned join probed %d bindings, naive %d: want at most 1/100", ps.Probed, ns.Probed)
+		}
+		if space == 16 && len(planned) == 0 {
+			t.Fatal("the dense stream emitted nothing; the comparison proved nothing")
+		}
+		t.Logf("space %g: %d emission lines; probed planned=%d naive=%d",
+			space, bytes.Count(planned, []byte("\n")), ps.Probed, ns.Probed)
+	}
+}
+
 // TestEnumerateTruncationCounted pins satellite behavior: hitting
 // MaxBindings stops the enumeration round and counts a truncation
 // instead of silently dropping bindings.

@@ -84,8 +84,6 @@ func (d *Detector) buildPlan() {
 	case d.spec.Planner == PlannerOff:
 		d.planNote = "planner off"
 		return
-	case d.compiled == nil:
-		return // planNote already set
 	case d.slots.Len() != len(d.spec.Roles):
 		d.planNote = "duplicate role names"
 		return
@@ -102,8 +100,9 @@ func (d *Detector) buildPlan() {
 	for _, cl := range an.Clauses {
 		cc, err := condition.Compile(cl.Expr, d.slots)
 		if err != nil {
-			d.planNote = "clause does not compile"
-			return
+			// New compiled the whole condition, and a conjunct is a
+			// subtree of it: only a compiler bug gets here.
+			panic(fmt.Sprintf("detect: conjunct %s of a compiled condition does not compile: %v", cl.Expr, err))
 		}
 		if cl.Kind == condition.KindFilter {
 			if len(cl.Roles) == 0 {
@@ -186,10 +185,7 @@ func (d *Detector) PlanDesc() string {
 		return d.plan.desc
 	}
 	if d.spec.Mode == ModeInterval {
-		if d.compiled != nil {
-			return "interval state machine (compiled latest-binding eval)"
-		}
-		return "interval state machine (interpreted latest-binding eval)"
+		return "interval state machine (compiled latest-binding eval)"
 	}
 	note := d.planNote
 	if note == "" {

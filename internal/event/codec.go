@@ -61,15 +61,6 @@ func EncodeObservation(o Observation) ([]byte, error) {
 	return data, nil
 }
 
-// DecodeObservation parses an observation from its JSON wire form.
-func DecodeObservation(data []byte) (Observation, error) {
-	var o Observation
-	if err := json.Unmarshal(data, &o); err != nil {
-		return Observation{}, fmt.Errorf("event: decode observation: %w", err)
-	}
-	return o, nil
-}
-
 // EntityKind classifies one JSONL feed line by the discriminating field
 // it carries: instances have "event", observations have "sensor".
 type EntityKind uint8

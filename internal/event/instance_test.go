@@ -145,9 +145,9 @@ func TestObservationCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeObservation(data)
-	if err != nil {
-		t.Fatal(err)
+	_, got, kind, err := DecodeEntityJSON(data)
+	if err != nil || kind != KindObservation {
+		t.Fatalf("decode = kind %d, %v", kind, err)
 	}
 	if got.EntityID() != o.EntityID() {
 		t.Errorf("identity changed: %q -> %q", o.EntityID(), got.EntityID())
@@ -155,7 +155,7 @@ func TestObservationCodecRoundTrip(t *testing.T) {
 	if v, ok := got.Attr("temp"); !ok || v != 21 {
 		t.Error("attrs corrupted")
 	}
-	if _, err := DecodeObservation([]byte(`nope`)); err == nil {
+	if _, _, _, err := DecodeEntityJSON([]byte(`nope`)); err == nil {
 		t.Error("malformed observation should fail")
 	}
 }
