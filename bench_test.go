@@ -239,16 +239,19 @@ func BenchmarkE4_ConditionEval(b *testing.B) {
 	for i := 0; i < 64; i++ {
 		attrs[fmt.Sprintf("a%d", i)] = float64(i + 1)
 	}
-	bind := condition.Binding{"x": event.Observation{
+	ents := []event.Entity{event.Observation{
 		Mote: "M", Sensor: "S", Seq: 1,
 		Time: timemodel.At(0), Loc: spatial.AtPoint(0, 0), Attrs: attrs,
 	}}
 	for _, n := range []int{1, 4, 16, 64} {
 		for _, op := range []string{"and", "or"} {
-			cond := mkCond(n, op)
+			cond, err := condition.Compile(mkCond(n, op), condition.NewSlotMap([]string{"x"}))
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.Run(fmt.Sprintf("clauses=%d/%s", n, op), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := cond.Eval(bind); err != nil {
+					if _, err := cond.Eval(ents); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -393,7 +396,9 @@ func BenchmarkE9_DBQueries(b *testing.B) {
 
 	b.Run("time-indexed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			store.QueryTime("E3", 500000, 510000)
+			if _, err := store.QueryST(db.QuerySpec{Event: "E3", Window: &db.TimeWindow{From: 500000, To: 510000}, Tier: db.TierHot}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("time-scan", func(b *testing.B) {
@@ -403,7 +408,9 @@ func BenchmarkE9_DBQueries(b *testing.B) {
 	})
 	b.Run("region-indexed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			store.QueryRegion(rloc)
+			if _, err := store.QueryST(db.QuerySpec{Region: &rloc, Tier: db.TierHot}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("region-scan", func(b *testing.B) {

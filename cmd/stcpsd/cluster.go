@@ -12,7 +12,6 @@ import (
 	"github.com/stcps/stcps"
 	"github.com/stcps/stcps/internal/cluster"
 	"github.com/stcps/stcps/internal/db"
-	"github.com/stcps/stcps/internal/engine"
 )
 
 // clusterRuntime bundles the daemon's cluster-mode state for the HTTP
@@ -208,7 +207,7 @@ type clusterStatsView struct {
 	Self        int               `json:"self"`
 	Replicas    int               `json:"replicas"`
 	Nodes       []clusterNodeView `json:"nodes"`
-	Owners      []engine.Owner    `json:"owners"`
+	Owners      []cluster.Owner   `json:"owners"`
 	Coordinator cluster.Stats     `json:"coordinator"`
 	Frontier    string            `json:"frontier"`
 	Probes      uint64            `json:"probes"`

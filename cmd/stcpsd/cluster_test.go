@@ -228,6 +228,30 @@ func TestDaemonClusterEndToEnd(t *testing.T) {
 	if stats.Cluster.Coordinator.Replicated == 0 {
 		t.Errorf("ingress node replicated nothing: %+v", stats.Cluster.Coordinator)
 	}
+
+	// Every owners row names its partition and the node serving it, and
+	// nothing else: every node registers the full detector set, which the
+	// top-level events field already counts.
+	var raw struct {
+		Cluster struct {
+			Owners []map[string]any `json:"owners"`
+		} `json:"cluster"`
+	}
+	getJSON(t, "http://"+httpa[0]+"/v1/stats", &raw)
+	if len(raw.Cluster.Owners) != n {
+		t.Fatalf("owners has %d rows, want %d", len(raw.Cluster.Owners), n)
+	}
+	for i, row := range raw.Cluster.Owners {
+		if shard, ok := row["shard"].(float64); !ok || int(shard) != i {
+			t.Errorf("owners row %d: shard = %v, want %d", i, row["shard"], i)
+		}
+		if node, _ := row["node"].(string); node == "" {
+			t.Errorf("owners row %d has no node: %v", i, row)
+		}
+		if len(row) != 2 {
+			t.Errorf("owners row %d = %v, want only shard and node", i, row)
+		}
+	}
 }
 
 func getJSON(t *testing.T, u string, v any) {

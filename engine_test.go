@@ -248,18 +248,11 @@ func TestEngineSharded(t *testing.T) {
 	}
 }
 
-// traceRec captures one observer's bank inputs and outputs during a
-// simulation run.
-type traceRec struct {
-	ops  []engine.TraceOp
-	outs []event.Instance
-}
-
-func record(b *engine.Bank) *traceRec {
-	r := &traceRec{}
-	b.Trace = func(op engine.TraceOp) { r.ops = append(r.ops, op) }
-	b.Tap = func(in event.Instance) { r.outs = append(r.outs, in) }
-	return r
+// record captures one observer's bank inputs during a simulation run.
+func record(b *engine.Bank) *[]engine.TraceOp {
+	var ops []engine.TraceOp
+	b.Trace = func(op engine.TraceOp) { ops = append(ops, op) }
+	return &ops
 }
 
 // TestEngineSimDifferential proves the extracted engine is the same
@@ -267,7 +260,9 @@ func record(b *engine.Bank) *traceRec {
 // during a fixed-seed System.Run, replayed through a fresh
 // engine.Bank, reproduces that observer's emitted instances
 // byte-identically (IDs, occurrence intervals, confidences — the full
-// wire form).
+// wire form). The sim side is read from the run's database: every
+// observer's log hook transfers each emission there after the same TTL,
+// so one observer's logged instances are its emissions in order.
 func TestEngineSimDifferential(t *testing.T) {
 	moteNear := EventSpec{
 		ID:    "S.near",
@@ -332,15 +327,20 @@ func TestEngineSimDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs := map[string]*traceRec{
+	recs := map[string]*[]engine.TraceOp{
 		"MT1":   record(sys.motes["MT1"].Bank()),
 		"MT2":   record(sys.motes["MT2"].Bank()),
 		"sink1": record(sys.sinks["sink1"].Bank()),
 		"CCU1":  record(sys.ccus["CCU1"].Bank()),
 	}
 
-	if _, err := sys.Run(400); err != nil {
+	report, err := sys.Run(400)
+	if err != nil {
 		t.Fatal(err)
+	}
+	emitted := make(map[string][]event.Instance)
+	for _, in := range report.Instances() {
+		emitted[in.Observer] = append(emitted[in.Observer], in)
 	}
 
 	// Replay every observer's trace through a standalone bank built from
@@ -354,11 +354,12 @@ func TestEngineSimDifferential(t *testing.T) {
 		"sink1": {{LayerCyberPhysical, sinkPresence}},
 		"CCU1":  {{LayerCyber, ccuAlert}},
 	}
-	for obs, rec := range recs {
-		if len(rec.ops) == 0 {
+	for obs, ops := range recs {
+		if len(*ops) == 0 {
 			t.Fatalf("%s: empty trace (scenario produced no traffic)", obs)
 		}
-		if len(rec.outs) == 0 {
+		outs := emitted[obs]
+		if len(outs) == 0 {
 			t.Fatalf("%s: no emissions during the run", obs)
 		}
 		bank, err := engine.NewBank(engine.Config{Observer: obs})
@@ -374,12 +375,12 @@ func TestEngineSimDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got := bank.Replay(rec.ops)
-		if len(got) != len(rec.outs) {
-			t.Fatalf("%s: replay emitted %d instances, sim emitted %d", obs, len(got), len(rec.outs))
+		got := bank.Replay(*ops)
+		if len(got) != len(outs) {
+			t.Fatalf("%s: replay emitted %d instances, sim emitted %d", obs, len(got), len(outs))
 		}
 		for i := range got {
-			want, err := event.EncodeInstance(rec.outs[i])
+			want, err := event.EncodeInstance(outs[i])
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -16,6 +16,24 @@ import (
 	"github.com/stcps/stcps/internal/timemodel"
 )
 
+// evalCondition compiles e over its own roles and evaluates it with the
+// entities bound by role name — the evaluator the detectors run.
+func evalCondition(t *testing.T, e condition.Expr, b map[string]event.Entity) (bool, error) {
+	t.Helper()
+	slots := condition.NewSlotMap(e.Roles())
+	c, err := condition.Compile(e, slots)
+	if err != nil {
+		t.Fatalf("compile %s: %v", e, err)
+	}
+	ents := make([]event.Entity, slots.Len())
+	for role, ent := range b {
+		if i, ok := slots.Slot(role); ok {
+			ents[i] = ent
+		}
+	}
+	return c.Eval(ents)
+}
+
 // entityAt builds a test entity with the given occurrence time, location
 // and value.
 func entityAt(id string, occ Time, loc Location, v float64) Observation {
@@ -58,7 +76,7 @@ func TestX1_S1WorkedExample(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, err := s1.Eval(condition.Binding{"x": tt.x, "y": tt.y})
+			got, err := evalCondition(t, s1, map[string]event.Entity{"x": tt.x, "y": tt.y})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,7 +181,7 @@ func TestX3_OperatorMatrix(t *testing.T) {
 	room := InField(spatial.MustField(spatial.Pt(0, 0), spatial.Pt(10, 0), spatial.Pt(10, 10), spatial.Pt(0, 10)))
 	x := entityAt("X", timemodel.MustBetween(10, 20), AtPoint(5, 5), 4)
 	y := entityAt("Y", timemodel.MustBetween(20, 40), room, 6)
-	b := condition.Binding{"x": x, "y": y}
+	b := map[string]event.Entity{"x": x, "y": y}
 
 	tests := []struct {
 		expr string
@@ -203,7 +221,7 @@ func TestX3_OperatorMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := cond.Eval(b)
+			got, err := evalCondition(t, cond, b)
 			if err != nil {
 				t.Fatal(err)
 			}

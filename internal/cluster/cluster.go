@@ -95,11 +95,9 @@ type Config struct {
 	// Cell is the partition grid cell size (default sub.DefaultCell,
 	// the same coarse cell scheme the subscription index uses).
 	Cell float64
-	// ProbeInterval is the health probe period (default 1s).
+	// ProbeInterval is the health probe period (default 1s). One probe
+	// dial+handshake is bounded by the same interval, capped at 2s.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe dial+handshake (default
-	// ProbeInterval, capped at 2s).
-	ProbeTimeout time.Duration
 	// DownAfter is the number of consecutive probe failures that
 	// demote a suspect node to down (default 3). The first failure
 	// already makes it suspect, which removes it from routing.
@@ -134,12 +132,6 @@ func (cfg Config) normalize() (Config, error) {
 	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = time.Second
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = cfg.ProbeInterval
-		if cfg.ProbeTimeout > 2*time.Second {
-			cfg.ProbeTimeout = 2 * time.Second
-		}
 	}
 	if cfg.DownAfter <= 0 {
 		cfg.DownAfter = 3

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -203,6 +205,64 @@ func TestCursorRoundTrip(t *testing.T) {
 	for _, bad := range []string{"v9~0:0:", "c1~x:0:", "c1~0:9:", "c1~0:0", "c1~9:0:"} {
 		if _, err := parseCursor(bad, 3); !errors.Is(err, ErrBadCursor) {
 			t.Fatalf("parseCursor(%q) = %v, want ErrBadCursor", bad, err)
+		}
+	}
+}
+
+// TestPartitionOfPinned pins PartitionOf's routing on a 3- and a 7-node
+// cluster over points, fields, NaN and ±1e21 coordinates. The expected
+// partitions were computed with the router's own clamp before the cell
+// conversion moved to spatial.ClampCell; a change to the clamp, the
+// flooring or the hash shows up here.
+func TestPartitionOfPinned(t *testing.T) {
+	r3, _ := testRouter(t, 0)
+	nodes := make([]NodeSpec, 7)
+	for i := range nodes {
+		nodes[i] = NodeSpec{Wire: fmt.Sprint("n", i), HTTP: fmt.Sprint("h", i)}
+	}
+	cfg7, err := Config{Nodes: nodes}.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r7 := NewRouter(cfg7, NewMembership(cfg7, nil))
+	rect := func(x0, y0, x1, y1 float64) spatial.Location {
+		f, err := spatial.Rect(x0, y0, x1, y1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return spatial.InField(f)
+	}
+	nan := math.NaN()
+	for _, tt := range []struct {
+		name   string
+		loc    spatial.Location
+		p3, p7 int
+	}{
+		{"origin", spatial.AtPoint(0, 0), 0, 0},
+		{"cell 0 interior", spatial.AtPoint(63.9, 0.5), 0, 0},
+		{"cell edge", spatial.AtPoint(64, 0), 2, 1},
+		{"negative", spatial.AtPoint(-1, -1), 0, 5},
+		{"mixed", spatial.AtPoint(-64.5, 300), 2, 1},
+		{"far", spatial.AtPoint(1e6, -1e6), 2, 2},
+		{"grid walk 1", spatial.AtPoint(128, 256), 1, 3},
+		{"grid walk 2", spatial.AtPoint(640, 1280), 2, 0},
+		{"grid walk 3", spatial.AtPoint(-1984, 3968), 1, 2},
+		{"field", rect(0, 0, 20, 20), 0, 0},
+		{"field spanning cells", rect(-100, -100, 300, 50), 0, 2},
+		{"wide field", rect(-1e6, -1e6, 3e6, 1e6), 1, 6},
+		{"NaN x", spatial.AtPoint(nan, 5), 0, 0},
+		{"NaN y", spatial.AtPoint(700, nan), 1, 5},
+		{"NaN both", spatial.AtPoint(nan, nan), 0, 0},
+		{"+1e21", spatial.AtPoint(1e21, 1e21), 1, 3},
+		{"-1e21", spatial.AtPoint(-1e21, -1e21), 2, 2},
+		{"+1e21 -1e21", spatial.AtPoint(1e21, -1e21), 0, 6},
+		{"-1e21 y", spatial.AtPoint(10, -1e21), 0, 6},
+	} {
+		if got := r3.PartitionOf(tt.loc); got != tt.p3 {
+			t.Errorf("%s: 3-node PartitionOf = %d, want %d", tt.name, got, tt.p3)
+		}
+		if got := r7.PartitionOf(tt.loc); got != tt.p7 {
+			t.Errorf("%s: 7-node PartitionOf = %d, want %d", tt.name, got, tt.p7)
 		}
 	}
 }

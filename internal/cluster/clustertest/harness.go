@@ -1,8 +1,8 @@
 // Package clustertest is the in-process multi-node harness: N cluster
 // nodes, each a real engine behind a real wire listener with a real
 // coordinator, plus a single-node oracle engine fed the same stream.
-// The differential tests and the E17 benchmark drive it; nothing in
-// the production tree imports it.
+// The differential tests drive it; nothing in the production tree
+// imports it.
 package clustertest
 
 import (
@@ -15,9 +15,7 @@ import (
 
 	stcps "github.com/stcps/stcps"
 	"github.com/stcps/stcps/internal/cluster"
-	"github.com/stcps/stcps/internal/event"
 	"github.com/stcps/stcps/internal/frame"
-	"github.com/stcps/stcps/internal/timemodel"
 )
 
 // ErrKilled is returned by the harness fetcher for a killed node.
@@ -40,13 +38,6 @@ type Config struct {
 	// node and the oracle must stamp the same observer for the
 	// differential to be byte-identical.
 	Observer string
-	// OnApply, when set, observes every successful engine apply:
-	// owner applies and replica applies both fire, keyed by the
-	// entity id. With Replicas=1 each acked record fires exactly
-	// twice (owner then follower), so the callback can pair the two
-	// and time replication lag — what the E17 benchmark measures.
-	// Called inside the node's ingest guard; keep it cheap.
-	OnApply func(node int, key string)
 }
 
 // Node is one in-process cluster member.
@@ -137,13 +128,7 @@ func New(cfg Config) (*Harness, error) {
 				}
 				return true, fn()
 			},
-			Apply: func(source string, ent event.Entity, conf float64, now timemodel.Tick) ([]event.Instance, error) {
-				out, err := eng.Ingest(source, ent, conf, now)
-				if err == nil && cfg.OnApply != nil {
-					cfg.OnApply(i, ent.EntityID())
-				}
-				return out, err
-			},
+			Apply: eng.Ingest,
 			SeqOf: eng.Store().SeqOf,
 			Query: eng.QueryST,
 		})

@@ -125,12 +125,6 @@ func (co *Coordinator) Close() {
 	})
 }
 
-// Clock exposes the node's HLC.
-func (co *Coordinator) Clock() *hlc.Clock { return co.clock }
-
-// Stamps exposes the node's stamp sidecar.
-func (co *Coordinator) Stamps() *StampIndex { return co.stamps }
-
 // Frontier returns the max HLC stamp this node has applied.
 func (co *Coordinator) Frontier() hlc.Stamp { return hlc.Stamp(co.frontier.Load()) }
 

@@ -119,6 +119,10 @@ func (m *Membership) Stop() {
 	m.wg.Wait()
 }
 
+// probeWaitCap caps one probe's dial+handshake; below it a probe may
+// take up to ProbeInterval.
+const probeWaitCap = 2 * time.Second
+
 // probeLoop probes one peer every ProbeInterval: success → Alive,
 // first failure → Suspect, DownAfter consecutive failures → Down.
 func (m *Membership) probeLoop(i int) {
@@ -132,7 +136,7 @@ func (m *Membership) probeLoop(i int) {
 			return
 		case <-t.C:
 		}
-		err := m.probe(m.cfg.Nodes[i], m.cfg.ProbeTimeout)
+		err := m.probe(m.cfg.Nodes[i], min(m.cfg.ProbeInterval, probeWaitCap))
 		m.probes.Add(1)
 		if err == nil {
 			fails = 0

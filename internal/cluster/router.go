@@ -1,10 +1,6 @@
 package cluster
 
 import (
-	"math"
-	"sync/atomic"
-
-	"github.com/stcps/stcps/internal/engine"
 	"github.com/stcps/stcps/internal/spatial"
 )
 
@@ -21,11 +17,6 @@ import (
 type Router struct {
 	cfg Config
 	m   *Membership
-
-	// detectors counts detectors registered per partition for the
-	// Owners() report. Atomic for the same /v1/stats reason as
-	// engine.Sharded.placed.
-	detectors atomic.Int64
 }
 
 // NewRouter builds a router over a normalized config and membership.
@@ -36,25 +27,6 @@ func NewRouter(cfg Config, m *Membership) *Router {
 // Partitions returns the partition count (== node count).
 func (r *Router) Partitions() int { return len(r.cfg.Nodes) }
 
-// maxCellCoord mirrors internal/sub's cell clamp: int(f) for a float
-// beyond ±2^30 would be platform-dependent, so coordinates clamp there.
-const maxCellCoord = 1 << 30
-
-// clampCell converts one grid coordinate, clamped to ±maxCellCoord.
-//
-//stcps:hotpath
-func clampCell(f float64) int {
-	switch {
-	case f != f: // NaN routes to cell 0 rather than poisoning the hash
-		return 0
-	case f < -maxCellCoord:
-		return -maxCellCoord
-	case f > maxCellCoord:
-		return maxCellCoord
-	}
-	return int(f)
-}
-
 // FNV-1a 64-bit constants, inlined so routing never allocates.
 const (
 	fnvOffset64 uint64 = 14695981039346656037
@@ -62,16 +34,17 @@ const (
 )
 
 // PartitionOf routes an occurrence location to its partition: the
-// location's centroid cell, FNV-1a hashed over its two clamped cell
-// coordinates. Field locations route by centroid — a field spanning
-// cells still has exactly one routing cell, which is what keeps a
-// record on exactly one owner.
+// location's centroid cell, FNV-1a hashed over its two cell coordinates
+// (spatial.ClampCell: a NaN coordinate routes to cell 0 rather than
+// poisoning the hash). Field locations route by centroid — a field
+// spanning cells still has exactly one routing cell, which is what
+// keeps a record on exactly one owner.
 //
 //stcps:hotpath
 func (r *Router) PartitionOf(loc spatial.Location) int {
 	p := loc.Point()
-	cx := clampCell(math.Floor(p.X / r.cfg.Cell))
-	cy := clampCell(math.Floor(p.Y / r.cfg.Cell))
+	cx := spatial.ClampCell(p.X / r.cfg.Cell)
+	cy := spatial.ClampCell(p.Y / r.cfg.Cell)
 	h := fnvOffset64
 	for _, c := range [2]int{cx, cy} {
 		v := uint64(int64(c))
@@ -125,40 +98,25 @@ func (r *Router) Followers(p, owner int) []int {
 	return out
 }
 
-// SetDetectors records the per-node detector count for the Owners()
-// report. Every cluster node registers the full detector set (records
-// are partitioned by space, not by event ID), so one number covers all
-// partitions.
-func (r *Router) SetDetectors(n int) { r.detectors.Store(int64(n)) }
-
-// Compile-time check: the cluster router is an engine.Partitioner.
-var _ engine.Partitioner = (*Router)(nil)
-
-// Route implements engine.Partitioner over detected event IDs with the
-// same FNV-1a hash the router uses for cells. It exists for the
-// Partitioner seam (placement introspection); ingest routes by
-// location via PartitionOf, not by event ID.
-func (r *Router) Route(eventID string) int {
-	h := fnvOffset64
-	for i := 0; i < len(eventID); i++ {
-		h ^= uint64(eventID[i])
-		h *= fnvPrime64
-	}
-	return int(h % uint64(len(r.cfg.Nodes)))
+// Owner is one row of the /v1/stats owners table: a partition and the
+// node currently serving it.
+type Owner struct {
+	// Shard is the partition index.
+	Shard int `json:"shard"`
+	// Node is the acting owner's wire address, or "down" when the whole
+	// replica chain is unreachable.
+	Node string `json:"node"`
 }
 
-// Owners implements engine.Partitioner: one Owner per partition,
-// reporting the acting owner's wire address (or "down" when the whole
-// chain is unreachable) and the locally registered detector count.
-func (r *Router) Owners() []engine.Owner {
-	out := make([]engine.Owner, len(r.cfg.Nodes))
-	det := int(r.detectors.Load())
+// Owners snapshots the acting owner of every partition.
+func (r *Router) Owners() []Owner {
+	out := make([]Owner, len(r.cfg.Nodes))
 	for p := range out {
 		node := "down"
 		if o, ok := r.ActingOwner(p); ok {
 			node = r.cfg.Nodes[o].Wire
 		}
-		out[p] = engine.Owner{Shard: p, Node: node, Detectors: det}
+		out[p] = Owner{Shard: p, Node: node}
 	}
 	return out
 }

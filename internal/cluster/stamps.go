@@ -48,13 +48,6 @@ func (x *StampIndex) Lookup(seq uint64) (stamp hlc.Stamp, partition int, ok bool
 	return hlc.Stamp(x.stamps[seq]), int(x.parts[seq]), true
 }
 
-// Len returns the number of recorded seqs (including gap sentinels).
-func (x *StampIndex) Len() int {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	return len(x.stamps)
-}
-
 // dedupKey identifies one (partition, origin) record stream.
 type dedupKey struct {
 	partition int32

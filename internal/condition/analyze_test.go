@@ -83,11 +83,11 @@ func TestAnalyzeConjunctionEquivalence(t *testing.T) {
 		a := Analyze(e)
 		for trial := 0; trial < 6; trial++ {
 			b := randomBinding(rng)
-			want, wantErr := e.Eval(b)
+			want, wantErr := interpret(e, b)
 			got := true
 			anyErr := false
 			for _, cl := range a.Clauses {
-				v, err := cl.Expr.Eval(b)
+				v, err := interpret(cl.Expr, b)
 				if err != nil {
 					anyErr = true
 					got = false
@@ -153,7 +153,7 @@ func TestStartBoundsSound(t *testing.T) {
 		}
 		xt, yt := randTime(), randTime()
 		b := Binding{"x": mkEnt(xt), "y": mkEnt(yt)}
-		sat, err := clause.Eval(b)
+		sat, err := interpret(clause, b)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -67,9 +67,9 @@ func Compile(e Expr, m *SlotMap) (*Compiled, error) {
 
 // Eval evaluates the compiled condition over a slot-indexed binding.
 // ents[slot] holds the entity bound to that slot's role; a nil entry is
-// an unbound role. Same error semantics as Expr.Eval: errors indicate
-// unbound roles or missing attributes, and callers treat erroring
-// bindings as unsatisfied.
+// an unbound role. Errors indicate unbound roles, missing attributes or
+// failed aggregations, and callers treat erroring bindings as
+// unsatisfied. And and Or short-circuit.
 //
 //stcps:hotpath
 func (c *Compiled) Eval(ents []event.Entity) (bool, error) {
@@ -437,16 +437,23 @@ func (n *cLocCtor) loc(ents []event.Entity) (spatial.Location, error) {
 
 // --- compilation ---
 
-// compileExpr compiles a condition node, folding role-free subtrees whose
-// evaluation succeeds into literals.
+// compileExpr compiles a condition node and folds it to a literal when it
+// is role-free and its compiled form evaluates without a binding. A
+// role-free node whose evaluation errors stays unfolded, so the error
+// surfaces on every evaluation. compileNum, compileTime and compileLoc
+// fold the same way.
 func compileExpr(e Expr, m *SlotMap) (cexpr, error) {
-	if len(e.Roles()) == 0 {
-		if v, err := e.Eval(nil); err == nil {
-			return &cBool{v: v}, nil
-		}
-		// Evaluation fails without a binding: keep the node so the error
-		// surfaces per evaluation, matching the interpreter.
+	c, err := compileExprNode(e, m)
+	if err != nil || len(e.Roles()) > 0 {
+		return c, err
 	}
+	if v, err := c.eval(nil); err == nil {
+		return &cBool{v: v}, nil
+	}
+	return c, nil
+}
+
+func compileExprNode(e Expr, m *SlotMap) (cexpr, error) {
 	switch v := e.(type) {
 	case And:
 		l, err := compileExpr(v.L, m)
@@ -522,11 +529,17 @@ func resolveSlot(m *SlotMap, role string) (int, error) {
 
 // compileNum compiles a numeric term, constant-folding role-free terms.
 func compileNum(t Term, m *SlotMap) (cnum, error) {
-	if len(termRoles(t)) == 0 {
-		if v, err := EvalNum(t, nil); err == nil {
-			return &cNumLit{v: v}, nil
-		}
+	c, err := compileNumNode(t, m)
+	if err != nil || len(termRoles(t)) > 0 {
+		return c, err
 	}
+	if v, err := c.num(nil); err == nil {
+		return &cNumLit{v: v}, nil
+	}
+	return c, nil
+}
+
+func compileNumNode(t Term, m *SlotMap) (cnum, error) {
 	switch v := t.(type) {
 	case NumLit:
 		return &cNumLit{v: v.V}, nil
@@ -597,13 +610,19 @@ func compileNumCall(c Call, m *SlotMap) (cnum, error) {
 	}
 }
 
-// compileTime compiles a temporal term.
+// compileTime compiles a temporal term, constant-folding role-free terms.
 func compileTime(t Term, m *SlotMap) (ctime, error) {
-	if len(termRoles(t)) == 0 {
-		if v, err := EvalTime(t, nil); err == nil {
-			return &cTimeLit{t: v}, nil
-		}
+	c, err := compileTimeNode(t, m)
+	if err != nil || len(termRoles(t)) > 0 {
+		return c, err
 	}
+	if v, err := c.time(nil); err == nil {
+		return &cTimeLit{t: v}, nil
+	}
+	return c, nil
+}
+
+func compileTimeNode(t Term, m *SlotMap) (ctime, error) {
 	switch v := t.(type) {
 	case TimeLit:
 		return &cTimeLit{t: v.T}, nil
@@ -642,13 +661,19 @@ func compileTime(t Term, m *SlotMap) (ctime, error) {
 	}
 }
 
-// compileLoc compiles a spatial term.
+// compileLoc compiles a spatial term, constant-folding role-free terms.
 func compileLoc(t Term, m *SlotMap) (cloc, error) {
-	if len(termRoles(t)) == 0 {
-		if v, err := EvalLoc(t, nil); err == nil {
-			return &cLocLit{l: v}, nil
-		}
+	c, err := compileLocNode(t, m)
+	if err != nil || len(termRoles(t)) > 0 {
+		return c, err
 	}
+	if v, err := c.loc(nil); err == nil {
+		return &cLocLit{l: v}, nil
+	}
+	return c, nil
+}
+
+func compileLocNode(t Term, m *SlotMap) (cloc, error) {
 	switch v := t.(type) {
 	case LocRef:
 		slot, err := resolveSlot(m, v.Role)

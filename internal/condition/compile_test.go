@@ -1,6 +1,8 @@
 package condition
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,8 +11,8 @@ import (
 	"github.com/stcps/stcps/internal/timemodel"
 )
 
-// compile_test.go cross-checks the slot compiler against the interpreted
-// evaluator: for every generated expression and binding, the compiled
+// compile_test.go cross-checks the slot compiler against the interpreter
+// oracle (interp_test.go): for every generated expression and binding, the compiled
 // form must produce the same truth value (or error exactly when the
 // interpreter errors), and evaluation must not allocate.
 
@@ -40,7 +42,7 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 		}
 		for trial := 0; trial < 8; trial++ {
 			b := randomBinding(rng)
-			want, wantErr := e.Eval(b)
+			want, wantErr := interpret(e, b)
 			got, gotErr := c.Eval(slotBinding(t, slots, b))
 			if (wantErr != nil) != (gotErr != nil) {
 				t.Fatalf("seed %d trial %d: %s\ninterpreted err=%v, compiled err=%v",
@@ -74,20 +76,77 @@ func TestCompileRejectsUnknownRole(t *testing.T) {
 	}
 }
 
+// TestCompiledConstantFolding pins what the compiler folds. Role-free
+// terms and comparisons become literals; a role-free term whose
+// evaluation errors stays a live node that errors on every Eval; an
+// ill-typed role-free call fails Compile instead of folding.
 func TestCompiledConstantFolding(t *testing.T) {
 	slots := NewSlotMap([]string{"x"})
-	// A role-free subterm folds; the whole role-free comparison folds to
-	// a boolean literal.
-	c, err := Compile(MustParse("avg(1, 2, 3) > 1 and x.a > 0"), slots)
-	if err != nil {
-		t.Fatal(err)
+	root := func(c *Compiled) any { return c.root }
+	right := func(c *Compiled) any {
+		switch n := c.root.(type) {
+		case *cCmpNum:
+			return n.r
+		case *cCmpTime:
+			return n.r
+		case *cCmpLoc:
+			return n.r
+		case *cAnd:
+			return n.r
+		}
+		return nil
 	}
-	and, ok := c.root.(*cAnd)
-	if !ok {
-		t.Fatalf("root = %T, want *cAnd", c.root)
+	left := func(c *Compiled) any { return c.root.(*cAnd).l }
+	illTyped := CmpNum{
+		L:  Call{Fn: "dist", Args: []Term{NumLit{V: 1}, NumLit{V: 2}}, Result: TypeNum},
+		Op: OpLt,
+		R:  NumLit{V: 3},
 	}
-	if _, ok := and.l.(*cBool); !ok {
-		t.Errorf("constant conjunct compiled to %T, want folded *cBool", and.l)
+	tests := []struct {
+		name string
+		expr Expr
+		node func(*Compiled) any // the node whose type is checked
+		want string              // its dynamic type
+		// evalErr: every Eval of the compiled condition errors.
+		evalErr bool
+		// compileErr: Compile fails with this error.
+		compileErr error
+	}{
+		{name: "numeric term", expr: MustParse("x.a > avg(1, 2, 3)"), node: right, want: "*condition.cNumLit"},
+		{name: "temporal term", expr: MustParse("x.time before latest(@1, [3, 9])"), node: right, want: "*condition.cTimeLit"},
+		{name: "spatial term", expr: MustParse("x.loc inside rect(0, 0, 10, 10)"), node: right, want: "*condition.cLocLit"},
+		{name: "comparison", expr: MustParse("avg(1, 2, 3) > 1 and x.a > 0"), node: left, want: "*condition.cBool"},
+		{name: "role-free condition", expr: MustParse("dist(point(0, 0), point(3, 4)) == 5"), node: root, want: "*condition.cBool"},
+		{name: "erroring term", expr: MustParse("duration(common(@1, @5)) > 0"), node: root, want: "*condition.cCmpNum", evalErr: true},
+		{name: "erroring clause", expr: MustParse("x.a > 0 and common(@1, @5) before @9"), node: right, want: "*condition.cCmpTime", evalErr: true},
+		{name: "ill-typed call", expr: illTyped, compileErr: ErrTypeMismatch},
+		{name: "unknown function", expr: CmpNum{L: Call{Fn: "nope", Result: TypeNum}, Op: OpLt, R: NumLit{V: 3}}, compileErr: ErrUnknownFunc},
+	}
+	ents := []event.Entity{event.Observation{
+		Mote: "M", Sensor: "S", Seq: 1,
+		Time: timemodel.At(2), Loc: spatial.AtPoint(1, 1), Attrs: event.Attrs{"a": 5},
+	}}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			c, err := Compile(tt.expr, slots)
+			if tt.compileErr != nil {
+				if !errors.Is(err, tt.compileErr) {
+					t.Fatalf("Compile(%s) err = %v, want %v", tt.expr, err, tt.compileErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Compile(%s): %v", tt.expr, err)
+			}
+			if got := fmt.Sprintf("%T", tt.node(c)); got != tt.want {
+				t.Fatalf("%s: node compiled to %s, want %s", tt.expr, got, tt.want)
+			}
+			for i := 0; i < 2; i++ {
+				if _, err := c.Eval(ents); (err != nil) != tt.evalErr {
+					t.Fatalf("%s: Eval #%d err = %v, want error %v", tt.expr, i, err, tt.evalErr)
+				}
+			}
+		})
 	}
 }
 

@@ -245,8 +245,8 @@ func TestDifferentialParsePrintEval(t *testing.T) {
 		}
 		for bi := 0; bi < 3; bi++ {
 			b := randomBinding(rng)
-			v1, err1 := orig.Eval(b)
-			v2, err2 := reparsed.Eval(b)
+			v1, err1 := interpret(orig, b)
+			v2, err2 := interpret(reparsed, b)
 			if (err1 != nil) != (err2 != nil) {
 				t.Fatalf("trial %d: error divergence on %s: %v vs %v", trial, printed, err1, err2)
 			}

@@ -9,6 +9,19 @@ import (
 	"github.com/stcps/stcps/internal/timemodel"
 )
 
+// evalCompiled compiles e over its own roles and evaluates it against b:
+// the paper-semantics cases run through Compile, the evaluator
+// production uses.
+func evalCompiled(t *testing.T, e Expr, b Binding) (bool, error) {
+	t.Helper()
+	slots := NewSlotMap(e.Roles())
+	c, err := Compile(e, slots)
+	if err != nil {
+		t.Fatalf("compile %s: %v", e, err)
+	}
+	return c.Eval(slotBinding(t, slots, b))
+}
+
 // obs builds a test observation entity.
 func obs(mote string, seq uint64, t timemodel.Time, loc spatial.Location, attrs event.Attrs) event.Observation {
 	return event.Observation{
@@ -55,7 +68,7 @@ func TestEvalPaperS1(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, err := s1.Eval(Binding{"x": tt.x, "y": tt.y})
+			got, err := evalCompiled(t, s1, Binding{"x": tt.x, "y": tt.y})
 			if err != nil {
 				t.Fatalf("Eval: %v", err)
 			}
@@ -83,7 +96,7 @@ func TestEvalPaperOffsetExample(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			y := obs("MT2", 1, timemodel.At(tt.yTick), spatial.AtPoint(0, 0), nil)
-			got, err := e.Eval(Binding{"x": x, "y": y})
+			got, err := evalCompiled(t, e, Binding{"x": x, "y": y})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,10 +117,10 @@ func TestEvalSpatialInside(t *testing.T) {
 	in := obs("MT1", 1, timemodel.At(0), spatial.AtPoint(5, 5), nil)
 	out := obs("MT1", 2, timemodel.At(0), spatial.AtPoint(15, 5), nil)
 
-	if got, _ := e.Eval(Binding{"x": in, "y": y}); !got {
+	if got, _ := evalCompiled(t, e, Binding{"x": in, "y": y}); !got {
 		t.Error("point in room should be inside")
 	}
-	if got, _ := e.Eval(Binding{"x": out, "y": y}); got {
+	if got, _ := evalCompiled(t, e, Binding{"x": out, "y": y}); got {
 		t.Error("point out of room must not be inside")
 	}
 }
@@ -118,7 +131,7 @@ func TestEvalAttributeAggregation(t *testing.T) {
 	e := MustParse("avg(x.v, y.v) > 20")
 	x := obs("MT1", 1, timemodel.At(0), spatial.AtPoint(0, 0), event.Attrs{"v": 18})
 	y := obs("MT2", 1, timemodel.At(0), spatial.AtPoint(0, 0), event.Attrs{"v": 25})
-	got, err := e.Eval(Binding{"x": x, "y": y})
+	got, err := evalCompiled(t, e, Binding{"x": x, "y": y})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +139,7 @@ func TestEvalAttributeAggregation(t *testing.T) {
 		t.Error("avg(18,25)=21.5 > 20 should hold")
 	}
 	y2 := obs("MT2", 2, timemodel.At(0), spatial.AtPoint(0, 0), event.Attrs{"v": 21})
-	if got, _ := e.Eval(Binding{"x": x, "y": y2}); got {
+	if got, _ := evalCompiled(t, e, Binding{"x": x, "y": y2}); got {
 		t.Error("avg(18,21)=19.5 > 20 must not hold")
 	}
 }
@@ -145,7 +158,7 @@ func TestEvalErrors(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			_, err := MustParse(tt.expr).Eval(tt.binding)
+			_, err := evalCompiled(t, MustParse(tt.expr), tt.binding)
 			if !errors.Is(err, tt.wantErr) {
 				t.Fatalf("err = %v, want %v", err, tt.wantErr)
 			}
@@ -158,11 +171,11 @@ func TestEvalShortCircuit(t *testing.T) {
 	// The second operand references an unbound role but must never be
 	// evaluated.
 	and := MustParse("x.v < 0 and y.v > 0")
-	if got, err := and.Eval(Binding{"x": x}); err != nil || got {
+	if got, err := evalCompiled(t, and, Binding{"x": x}); err != nil || got {
 		t.Errorf("and short-circuit: got (%v, %v), want (false, nil)", got, err)
 	}
 	or := MustParse("x.v > 0 or y.v > 0")
-	if got, err := or.Eval(Binding{"x": x}); err != nil || !got {
+	if got, err := evalCompiled(t, or, Binding{"x": x}); err != nil || !got {
 		t.Errorf("or short-circuit: got (%v, %v), want (true, nil)", got, err)
 	}
 }
@@ -173,15 +186,15 @@ func TestEvalIntervalSemantics(t *testing.T) {
 	probe := obs("MT2", 1, timemodel.At(120), spatial.AtPoint(0, 0), nil)
 
 	during := MustParse("x.time during y.time")
-	if got, _ := during.Eval(Binding{"x": probe, "y": lightOn}); !got {
+	if got, _ := evalCompiled(t, during, Binding{"x": probe, "y": lightOn}); !got {
 		t.Error("@120 should be during [100,160]")
 	}
 	dur := MustParse("duration(y.time) >= 60")
-	if got, _ := dur.Eval(Binding{"y": lightOn}); !got {
+	if got, _ := evalCompiled(t, dur, Binding{"y": lightOn}); !got {
 		t.Error("duration 60 >= 60 should hold")
 	}
 	startEnd := MustParse("y.start before y.end")
-	if got, _ := startEnd.Eval(Binding{"y": lightOn}); !got {
+	if got, _ := evalCompiled(t, startEnd, Binding{"y": lightOn}); !got {
 		t.Error("interval start should be before its end")
 	}
 }
@@ -192,7 +205,7 @@ func TestEvalSpatialAggregations(t *testing.T) {
 	c := obs("MT3", 1, timemodel.At(0), spatial.AtPoint(2, 4), nil)
 
 	e := MustParse("centroid(a.loc, b.loc, c.loc) inside rect(1, 0, 3, 2)")
-	got, err := e.Eval(Binding{"a": a, "b": b, "c": c})
+	got, err := evalCompiled(t, e, Binding{"a": a, "b": b, "c": c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +214,7 @@ func TestEvalSpatialAggregations(t *testing.T) {
 	}
 
 	hull := MustParse("area(hull(a.loc, b.loc, c.loc)) == 8")
-	got, err = hull.Eval(Binding{"a": a, "b": b, "c": c})
+	got, err = evalCompiled(t, hull, Binding{"a": a, "b": b, "c": c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +239,7 @@ func TestEvalNumericEdgeCases(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.expr, func(t *testing.T) {
-			got, err := MustParse(tt.expr).Eval(Binding{"x": x})
+			got, err := evalCompiled(t, MustParse(tt.expr), Binding{"x": x})
 			if err != nil {
 				t.Fatal(err)
 			}

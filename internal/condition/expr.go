@@ -11,12 +11,9 @@ import (
 // Expr is a composite event condition (Eq. 4.5): a tree of attribute-based,
 // temporal and spatial conditions combined with the logical operators AND,
 // OR, NOT.
+//
+// Evaluation goes through Compile, which resolves roles to slots.
 type Expr interface {
-	// Eval evaluates the condition against a binding of roles to
-	// entities. Errors indicate unbound roles, missing attributes, or
-	// evaluation failures — the detection engine treats such bindings as
-	// unsatisfied.
-	Eval(b Binding) (bool, error)
 	// Roles reports all role names referenced by the condition.
 	Roles() []string
 	// String renders the condition in the condition language; the output
@@ -28,18 +25,6 @@ type Expr interface {
 type And struct {
 	// L and R are the operands.
 	L, R Expr
-}
-
-// Eval implements Expr with short-circuiting.
-func (a And) Eval(b Binding) (bool, error) {
-	lv, err := a.L.Eval(b)
-	if err != nil {
-		return false, err
-	}
-	if !lv {
-		return false, nil
-	}
-	return a.R.Eval(b)
 }
 
 // Roles implements Expr.
@@ -56,18 +41,6 @@ type Or struct {
 	L, R Expr
 }
 
-// Eval implements Expr with short-circuiting.
-func (o Or) Eval(b Binding) (bool, error) {
-	lv, err := o.L.Eval(b)
-	if err != nil {
-		return false, err
-	}
-	if lv {
-		return true, nil
-	}
-	return o.R.Eval(b)
-}
-
 // Roles implements Expr.
 func (o Or) Roles() []string { return mergeRoles(o.L.Roles(), o.R.Roles()) }
 
@@ -80,15 +53,6 @@ func (o Or) String() string {
 type Not struct {
 	// X is the negated condition.
 	X Expr
-}
-
-// Eval implements Expr.
-func (n Not) Eval(b Binding) (bool, error) {
-	v, err := n.X.Eval(b)
-	if err != nil {
-		return false, err
-	}
-	return !v, nil
 }
 
 // Roles implements Expr.
@@ -107,19 +71,6 @@ type CmpNum struct {
 	Op RelOp
 }
 
-// Eval implements Expr.
-func (c CmpNum) Eval(b Binding) (bool, error) {
-	lv, err := EvalNum(c.L, b)
-	if err != nil {
-		return false, err
-	}
-	rv, err := EvalNum(c.R, b)
-	if err != nil {
-		return false, err
-	}
-	return c.Op.Apply(lv, rv), nil
-}
-
 // Roles implements Expr.
 func (c CmpNum) Roles() []string { return mergeRoles(termRoles(c.L), termRoles(c.R)) }
 
@@ -134,19 +85,6 @@ type CmpTime struct {
 	L, R Term
 	// Op is the temporal operator.
 	Op timemodel.Operator
-}
-
-// Eval implements Expr.
-func (c CmpTime) Eval(b Binding) (bool, error) {
-	lv, err := EvalTime(c.L, b)
-	if err != nil {
-		return false, err
-	}
-	rv, err := EvalTime(c.R, b)
-	if err != nil {
-		return false, err
-	}
-	return c.Op.Apply(lv, rv), nil
 }
 
 // Roles implements Expr.
@@ -165,19 +103,6 @@ type CmpLoc struct {
 	Op spatial.Operator
 }
 
-// Eval implements Expr.
-func (c CmpLoc) Eval(b Binding) (bool, error) {
-	lv, err := EvalLoc(c.L, b)
-	if err != nil {
-		return false, err
-	}
-	rv, err := EvalLoc(c.R, b)
-	if err != nil {
-		return false, err
-	}
-	return c.Op.Apply(lv, rv), nil
-}
-
 // Roles implements Expr.
 func (c CmpLoc) Roles() []string { return mergeRoles(termRoles(c.L), termRoles(c.R)) }
 
@@ -192,9 +117,6 @@ type BoolLit struct {
 	// V is the constant truth value.
 	V bool
 }
-
-// Eval implements Expr.
-func (l BoolLit) Eval(Binding) (bool, error) { return l.V, nil }
 
 // Roles implements Expr.
 func (BoolLit) Roles() []string { return nil }

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"github.com/stcps/stcps/internal/spatial"
-	"github.com/stcps/stcps/internal/timemodel"
 )
 
 // funcSig describes a registered function: its result type and the
@@ -99,21 +98,9 @@ func NewCall(name string, args ...Term) (Call, error) {
 	return Call{Fn: name, Args: args, Result: res}, nil
 }
 
-func evalNumArgs(args []Term, b Binding) ([]float64, error) {
-	out := make([]float64, len(args))
-	for i, a := range args {
-		v, err := EvalNum(a, b)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// applyNumAgg is the shared avg/sum/min/max kernel: both the
-// interpreter and the slot compiler evaluate through it, so the two
-// paths cannot drift. vals must be non-empty.
+// applyNumAgg is the shared avg/sum/min/max kernel: the slot compiler
+// and the interpreter the tests use as its oracle both evaluate through
+// it. vals must be non-empty.
 func applyNumAgg(fn string, vals []float64) float64 {
 	switch fn {
 	case "avg":
@@ -161,99 +148,4 @@ func buildLoc(fn string, vals []float64) (spatial.Location, error) {
 		}
 		return spatial.InField(f), nil
 	}
-}
-
-func evalNumCall(c Call, b Binding) (float64, error) {
-	switch c.Fn {
-	case "avg", "sum", "min", "max":
-		vals, err := evalNumArgs(c.Args, b)
-		if err != nil {
-			return 0, err
-		}
-		if len(vals) == 0 {
-			return 0, fmt.Errorf("%s: %w", c.Fn, ErrArity)
-		}
-		return applyNumAgg(c.Fn, vals), nil
-	case "abs":
-		v, err := EvalNum(c.Args[0], b)
-		if err != nil {
-			return 0, err
-		}
-		return math.Abs(v), nil
-	case "dist":
-		la, err := EvalLoc(c.Args[0], b)
-		if err != nil {
-			return 0, err
-		}
-		lb, err := EvalLoc(c.Args[1], b)
-		if err != nil {
-			return 0, err
-		}
-		return spatial.Dist(la, lb), nil
-	case "duration":
-		tv, err := EvalTime(c.Args[0], b)
-		if err != nil {
-			return 0, err
-		}
-		return float64(tv.Duration()), nil
-	case "area":
-		lv, err := EvalLoc(c.Args[0], b)
-		if err != nil {
-			return 0, err
-		}
-		if f, ok := lv.Field(); ok {
-			return f.Area(), nil
-		}
-		return 0, nil
-	default:
-		return 0, fmt.Errorf("%q as num: %w", c.Fn, ErrUnknownFunc)
-	}
-}
-
-func evalTimeCall(c Call, b Binding) (timemodel.Time, error) {
-	agg, ok := timemodel.Aggregation(c.Fn)
-	if !ok {
-		return timemodel.Time{}, fmt.Errorf("%q as time: %w", c.Fn, ErrUnknownFunc)
-	}
-	times := make([]timemodel.Time, len(c.Args))
-	for i, a := range c.Args {
-		tv, err := EvalTime(a, b)
-		if err != nil {
-			return timemodel.Time{}, err
-		}
-		times[i] = tv
-	}
-	out, err := agg(times)
-	if err != nil {
-		return timemodel.Time{}, fmt.Errorf("condition: %s: %w", c.Fn, err)
-	}
-	return out, nil
-}
-
-func evalLocCall(c Call, b Binding) (spatial.Location, error) {
-	switch c.Fn {
-	case "point", "rect", "circle":
-		vals, err := evalNumArgs(c.Args, b)
-		if err != nil {
-			return spatial.Location{}, err
-		}
-		return buildLoc(c.Fn, vals)
-	}
-	agg, ok := spatial.Aggregation(c.Fn)
-	if !ok {
-		return spatial.Location{}, fmt.Errorf("%q as loc: %w", c.Fn, ErrUnknownFunc)
-	}
-	locs := make([]spatial.Location, len(c.Args))
-	for i, a := range c.Args {
-		lv, err := EvalLoc(a, b)
-		if err != nil {
-			return spatial.Location{}, err
-		}
-		locs[i] = lv
-	}
-	out, err := agg(locs)
-	if err != nil {
-		return spatial.Location{}, fmt.Errorf("condition: %s: %w", c.Fn, err)
-	}
-	return out, nil
 }

@@ -2,12 +2,9 @@ package condition
 
 import (
 	"errors"
-	"fmt"
 	"strconv"
 	"strings"
 
-	"github.com/stcps/stcps/internal/event"
-	"github.com/stcps/stcps/internal/spatial"
 	"github.com/stcps/stcps/internal/timemodel"
 )
 
@@ -29,12 +26,8 @@ var (
 	ErrArity = errors.New("condition: wrong argument count")
 )
 
-// Binding maps condition roles (the paper's entities x, y, ...) to the
-// observations or event instances being evaluated.
-type Binding map[string]event.Entity
-
 // Term is a typed expression fragment: a value of numeric, temporal or
-// spatial type, evaluated against a binding.
+// spatial type.
 type Term interface {
 	// TermType returns the static type of the term.
 	TermType() Type
@@ -196,103 +189,4 @@ func (c Call) String() string {
 		parts[i] = a.String()
 	}
 	return c.Fn + "(" + strings.Join(parts, ", ") + ")"
-}
-
-// lookupEntity resolves a role in the binding.
-func lookupEntity(b Binding, role string) (event.Entity, error) {
-	e, ok := b[role]
-	if !ok || e == nil {
-		return nil, fmt.Errorf("%q: %w", role, ErrUnboundRole)
-	}
-	return e, nil
-}
-
-// EvalNum evaluates a numeric term against a binding.
-func EvalNum(t Term, b Binding) (float64, error) {
-	switch v := t.(type) {
-	case NumLit:
-		return v.V, nil
-	case AttrRef:
-		e, err := lookupEntity(b, v.Role)
-		if err != nil {
-			return 0, err
-		}
-		val, ok := e.Attr(v.Name)
-		if !ok {
-			return 0, fmt.Errorf("%s.%s: %w", v.Role, v.Name, ErrUnknownAttr)
-		}
-		return val, nil
-	case NumArith:
-		lv, err := EvalNum(v.L, b)
-		if err != nil {
-			return 0, err
-		}
-		rv, err := EvalNum(v.R, b)
-		if err != nil {
-			return 0, err
-		}
-		if v.Sub {
-			return lv - rv, nil
-		}
-		return lv + rv, nil
-	case Call:
-		return evalNumCall(v, b)
-	default:
-		return 0, fmt.Errorf("%s is not numeric: %w", t, ErrTypeMismatch)
-	}
-}
-
-// EvalTime evaluates a temporal term against a binding.
-func EvalTime(t Term, b Binding) (timemodel.Time, error) {
-	switch v := t.(type) {
-	case TimeLit:
-		return v.T, nil
-	case TimeRef:
-		e, err := lookupEntity(b, v.Role)
-		if err != nil {
-			return timemodel.Time{}, err
-		}
-		occ := e.OccTime()
-		switch v.Part {
-		case StartTime:
-			return timemodel.At(occ.Start()), nil
-		case EndTime:
-			return timemodel.At(occ.End()), nil
-		default:
-			return occ, nil
-		}
-	case TimeShift:
-		base, err := EvalTime(v.T, b)
-		if err != nil {
-			return timemodel.Time{}, err
-		}
-		d, err := EvalNum(v.D, b)
-		if err != nil {
-			return timemodel.Time{}, err
-		}
-		if v.Neg {
-			d = -d
-		}
-		return base.Shift(timemodel.Tick(d)), nil
-	case Call:
-		return evalTimeCall(v, b)
-	default:
-		return timemodel.Time{}, fmt.Errorf("%s is not temporal: %w", t, ErrTypeMismatch)
-	}
-}
-
-// EvalLoc evaluates a spatial term against a binding.
-func EvalLoc(t Term, b Binding) (spatial.Location, error) {
-	switch v := t.(type) {
-	case LocRef:
-		e, err := lookupEntity(b, v.Role)
-		if err != nil {
-			return spatial.Location{}, err
-		}
-		return e.OccLoc(), nil
-	case Call:
-		return evalLocCall(v, b)
-	default:
-		return spatial.Location{}, fmt.Errorf("%s is not spatial: %w", t, ErrTypeMismatch)
-	}
 }

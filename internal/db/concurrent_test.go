@@ -148,8 +148,8 @@ func TestHotEventChurnAmortized(t *testing.T) {
 	if st.Evicted != total-1000 {
 		t.Fatalf("Evicted = %d, want %d", st.Evicted, total-1000)
 	}
-	if got := s.QueryTime("E.hot", 0, 100); len(got) != 1000 {
-		t.Fatalf("QueryTime after churn = %d, want 1000", len(got))
+	if got := hotTime(t, s, "E.hot", 0, 100); len(got) != 1000 {
+		t.Fatalf("time query after churn = %d, want 1000", len(got))
 	}
 	checkStoreInvariants(t, s)
 }
@@ -432,12 +432,11 @@ func TestStoreRaceStress(t *testing.T) {
 						return
 					}
 				case 3:
-					_ = s.QueryTime("E2", 100, 400)
+					_ = s.ScanTime("E2", 100, 400)
 					_ = s.ScanRegion(region)
 				case 4:
 					_ = s.All()
 					_ = s.Len()
-					_ = s.EventIDs()
 					_ = s.Stats()
 				case 5:
 					if err := s.Snapshot(io.Discard); err != nil {

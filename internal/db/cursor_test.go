@@ -144,12 +144,8 @@ func TestQuerySTSeqsParallelInstances(t *testing.T) {
 		t.Fatalf("Seqs length %d != Instances length %d", len(res.Seqs), len(res.Instances))
 	}
 	for i, seq := range res.Seqs {
-		got, err := s.Get(res.Instances[i].EntityID())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want, _ := s.SeqOf(got.EntityID()); want != seq {
-			t.Fatalf("Seqs[%d] = %d, store says %d", i, seq, want)
+		if want, ok := s.SeqOf(res.Instances[i].EntityID()); !ok || want != seq {
+			t.Fatalf("Seqs[%d] = %d, store says %d (resolved %v)", i, seq, want, ok)
 		}
 	}
 	if res.NextCursor != strconv.FormatUint(res.Seqs[3], 10) {

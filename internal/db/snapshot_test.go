@@ -36,7 +36,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("loaded %d instances, want 2", dst.Len())
 	}
 	// Queries behave identically after reload.
-	got := dst.QueryTime("CP.e", 0, 100)
+	got := hotTime(t, dst, "CP.e", 0, 100)
 	if len(got) != 1 || !got[0].Occ.Equal(timemodel.MustBetween(5, 9)) {
 		t.Fatalf("query after load = %+v", got)
 	}
@@ -50,7 +50,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	// Spatial index rebuilt.
 	region, _ := spatial.Rect(0.5, 0.5, 1.5, 1.5)
-	if hits := dst.QueryRegion(spatial.InField(region)); len(hits) != 1 {
+	if hits := hotRegion(t, dst, spatial.InField(region)); len(hits) != 1 {
 		t.Fatalf("region query after load = %d hits", len(hits))
 	}
 }

@@ -452,7 +452,7 @@ func (s *Store) enforceRetentionLocked() {
 // with the deferred reclamation amortized by compactLocked. When the
 // instance was its event's last live one, the event's whole index list
 // (all stale by definition) is dropped immediately so the event id
-// disappears from EventIDs/Stats exactly as it always has.
+// leaves Stats().Events exactly as it always has.
 //
 //stcps:holds mu
 func (s *Store) evictFrontLocked() {
@@ -618,48 +618,6 @@ func (s *Store) All() []event.Instance {
 	return out
 }
 
-// Get resolves an instance by its entity id.
-func (s *Store) Get(entityID string) (event.Instance, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	seq, ok := s.byEntity[entityID]
-	if !ok {
-		return event.Instance{}, fmt.Errorf("%q: %w", entityID, ErrNotFound)
-	}
-	return *s.at(seq), nil
-}
-
-// QueryTime returns instances of eventID whose estimated occurrence
-// intersects [from, to], ordered by occurrence start. An empty eventID
-// matches every event (via scan). The index probe is a short critical
-// section; materialization runs lock-free against the published view.
-func (s *Store) QueryTime(eventID string, from, to timemodel.Tick) []event.Instance {
-	if to < from {
-		return nil
-	}
-	if eventID == "" {
-		v := s.loadView()
-		return scanTimeView(v, "", from, to)
-	}
-	s.mu.RLock()
-	v := s.loadView()
-	lst, lo, hi := s.timeWindowLocked(eventID, from, to)
-	cand := make([]uint64, 0, hi-lo)
-	for _, seq := range lst[lo:hi] {
-		if seq >= v.base {
-			cand = append(cand, seq)
-		}
-	}
-	s.mu.RUnlock()
-	var out []event.Instance
-	for _, seq := range cand {
-		if v.at(seq).Occ.End() >= from {
-			out = append(out, *v.at(seq))
-		}
-	}
-	return out
-}
-
 // timeWindowLocked returns the slice [lo, hi) of the event's
 // start-ordered index that can intersect [from, to]: starts <= to, and
 // starts >= from minus the event's longest logged duration (an interval
@@ -690,17 +648,15 @@ func (s *Store) timeWindowLocked(eventID string, from, to timemodel.Tick) (lst [
 	return lst, lo, hi
 }
 
-// ScanTime is the unindexed equivalent of QueryTime: the oracle the
-// tests check the time index against. It scans the published view
-// without locking.
+// ScanTime returns the instances of eventID (every event when empty)
+// whose estimated occurrence intersects [from, to], ordered by
+// occurrence start. It scans the published view without locking: the
+// unindexed oracle the tests check the time index against.
 func (s *Store) ScanTime(eventID string, from, to timemodel.Tick) []event.Instance {
 	if to < from {
 		return nil
 	}
-	return scanTimeView(s.loadView(), eventID, from, to)
-}
-
-func scanTimeView(v *view, eventID string, from, to timemodel.Tick) []event.Instance {
+	v := s.loadView()
 	var out []event.Instance
 	for seq := v.base; seq < v.frontier; seq++ {
 		in := v.at(seq)
@@ -717,24 +673,10 @@ func scanTimeView(v *view, eventID string, from, to timemodel.Tick) []event.Inst
 	return out
 }
 
-// QueryRegion returns instances whose estimated occurrence location is
-// Joint with the region, in arrival order. The grid probe is a short
-// critical section; materialization runs lock-free.
-func (s *Store) QueryRegion(region spatial.Location) []event.Instance {
-	s.mu.RLock()
-	v := s.loadView()
-	seqs := s.grid.QueryRegion(nil, region) // ascending: arrival order
-	s.mu.RUnlock()
-	out := make([]event.Instance, len(seqs))
-	for i, seq := range seqs {
-		out[i] = *v.at(seq)
-	}
-	return out
-}
-
-// ScanRegion is the unindexed equivalent of QueryRegion: the oracle the
-// tests check the spatial grid against. It scans the published view
-// without locking.
+// ScanRegion returns the instances whose estimated occurrence location
+// is Joint with the region, in arrival order. It scans the published
+// view without locking: the unindexed oracle the tests check the
+// spatial grid against.
 func (s *Store) ScanRegion(region spatial.Location) []event.Instance {
 	v := s.loadView()
 	var out []event.Instance
@@ -778,16 +720,4 @@ func (s *Store) Lineage(entityID string) ([]string, error) {
 	}
 	walk(entityID)
 	return out, nil
-}
-
-// EventIDs lists the distinct event ids with live instances, sorted.
-func (s *Store) EventIDs() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.byEvent))
-	for id := range s.byEvent {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -27,7 +27,41 @@ func inst(observer, eventID string, seq uint64, occ timemodel.Time, loc spatial.
 	}
 }
 
-func TestLogAndGet(t *testing.T) {
+// hotTime is a time-window QueryST over the hot tier, re-sorted by
+// occurrence start (stably, so ties keep arrival order): the form the
+// ScanTime oracle returns.
+func hotTime(t *testing.T, s *Store, eventID string, from, to timemodel.Tick) []event.Instance {
+	t.Helper()
+	res, err := s.QueryST(QuerySpec{Event: eventID, Window: &TimeWindow{From: from, To: to}, Tier: TierHot})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := res.Instances
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Occ.Start() < out[j].Occ.Start() })
+	return out
+}
+
+// hotRegion is a region QueryST over the hot tier, in arrival order like
+// the ScanRegion oracle.
+func hotRegion(t *testing.T, s *Store, region spatial.Location) []event.Instance {
+	t.Helper()
+	res, err := s.QueryST(QuerySpec{Region: &region, Tier: TierHot})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Instances
+}
+
+// orderedIDs renders a result's entity ids, in order.
+func orderedIDs(list []event.Instance) []string {
+	out := make([]string, len(list))
+	for i, in := range list {
+		out[i] = in.EntityID()
+	}
+	return out
+}
+
+func TestLogAndSeqOf(t *testing.T) {
 	s, err := New(0)
 	if err != nil {
 		t.Fatal(err)
@@ -36,15 +70,15 @@ func TestLogAndGet(t *testing.T) {
 	if err := s.Log(in); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Get(in.EntityID())
-	if err != nil {
-		t.Fatal(err)
+	seq, ok := s.SeqOf(in.EntityID())
+	if !ok {
+		t.Fatal("logged instance does not resolve")
 	}
-	if got.EntityID() != in.EntityID() {
-		t.Errorf("Get = %q", got.EntityID())
+	if got := s.All(); len(got) != 1 || got[0].EntityID() != in.EntityID() || seq != 0 {
+		t.Errorf("SeqOf = %d, All = %v", seq, orderedIDs(got))
 	}
-	if _, err := s.Get("E(x,y,9)"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("missing Get err = %v", err)
+	if _, ok := s.SeqOf("E(x,y,9)"); ok {
+		t.Error("unknown entity id resolved")
 	}
 	if s.Len() != 1 {
 		t.Errorf("Len = %d", s.Len())
@@ -72,7 +106,7 @@ func TestQueryTime(t *testing.T) {
 	_ = s.Log(inst("M", "E", 3, timemodel.MustBetween(90, 120), spatial.AtPoint(0, 0)))
 	_ = s.Log(inst("M", "other", 4, timemodel.At(55), spatial.AtPoint(0, 0)))
 
-	got := s.QueryTime("E", 0, 200)
+	got := hotTime(t, s, "E", 0, 200)
 	if len(got) != 3 {
 		t.Fatalf("all = %d, want 3", len(got))
 	}
@@ -80,19 +114,19 @@ func TestQueryTime(t *testing.T) {
 		t.Fatalf("order wrong: %v %v %v", got[0].Occ, got[1].Occ, got[2].Occ)
 	}
 	// Range intersecting only the interval [50,60].
-	got = s.QueryTime("E", 55, 70)
+	got = hotTime(t, s, "E", 55, 70)
 	if len(got) != 1 || got[0].Seq != 1 {
 		t.Fatalf("range query = %+v", got)
 	}
 	// Empty range.
-	if got := s.QueryTime("E", 200, 100); got != nil {
+	if got := hotTime(t, s, "E", 200, 100); len(got) != 0 {
 		t.Fatal("inverted range should be empty")
 	}
-	if got := s.QueryTime("E", 61, 89); len(got) != 0 {
+	if got := hotTime(t, s, "E", 61, 89); len(got) != 0 {
 		t.Fatalf("gap query = %d", len(got))
 	}
 	// Empty event id scans everything.
-	if got := s.QueryTime("", 0, 200); len(got) != 4 {
+	if got := hotTime(t, s, "", 0, 200); len(got) != 4 {
 		t.Fatalf("scan-all = %d, want 4", len(got))
 	}
 }
@@ -109,24 +143,9 @@ func TestQueryTimeMatchesScan(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		from := timemodel.Tick(rng.Intn(1000))
 		to := from + timemodel.Tick(rng.Intn(200))
-		a := s.QueryTime("E", from, to)
-		b := s.ScanTime("E", from, to)
-		if len(a) != len(b) {
-			t.Fatalf("trial %d: index %d != scan %d", trial, len(a), len(b))
-		}
-		ids := func(list []event.Instance) []string {
-			out := make([]string, len(list))
-			for i, in := range list {
-				out[i] = in.EntityID()
-			}
-			sort.Strings(out)
-			return out
-		}
-		ai, bi := ids(a), ids(b)
-		for i := range ai {
-			if ai[i] != bi[i] {
-				t.Fatalf("trial %d: results differ", trial)
-			}
+		a, b := orderedIDs(hotTime(t, s, "E", from, to)), orderedIDs(s.ScanTime("E", from, to))
+		if fmt.Sprint(a) != fmt.Sprint(b) {
+			t.Fatalf("trial %d: index %v != scan %v", trial, a, b)
 		}
 	}
 }
@@ -145,10 +164,9 @@ func TestQueryRegionMatchesScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		region := spatial.InField(f)
-		a := s.QueryRegion(region)
-		b := s.ScanRegion(region)
-		if len(a) != len(b) {
-			t.Fatalf("trial %d: index %d != scan %d", trial, len(a), len(b))
+		a, b := orderedIDs(hotRegion(t, s, region)), orderedIDs(s.ScanRegion(region))
+		if fmt.Sprint(a) != fmt.Sprint(b) {
+			t.Fatalf("trial %d: index %v != scan %v", trial, a, b)
 		}
 	}
 }
@@ -212,16 +230,16 @@ func TestLineageCycleSafe(t *testing.T) {
 	}
 }
 
-func TestEventIDsAndAll(t *testing.T) {
+func TestEventCountAndAll(t *testing.T) {
 	s, _ := New(0)
 	_ = s.Log(inst("M", "B", 1, timemodel.At(1), spatial.AtPoint(0, 0)))
 	_ = s.Log(inst("M", "A", 1, timemodel.At(2), spatial.AtPoint(0, 0)))
-	ids := s.EventIDs()
-	if len(ids) != 2 || ids[0] != "A" || ids[1] != "B" {
-		t.Errorf("EventIDs = %v", ids)
+	_ = s.Log(inst("M", "A", 2, timemodel.At(3), spatial.AtPoint(0, 0)))
+	if n := s.Stats().Events; n != 2 {
+		t.Errorf("Stats().Events = %d, want 2", n)
 	}
 	all := s.All()
-	if len(all) != 2 || all[0].Event != "B" {
+	if len(all) != 3 || all[0].Event != "B" {
 		t.Errorf("All = %v", all)
 	}
 }
@@ -239,12 +257,68 @@ func TestConcurrentLogAndQuery(t *testing.T) {
 					t.Errorf("log: %v", err)
 					return
 				}
-				s.QueryTime("E", 0, timemodel.Tick(i))
+				if _, err := s.QueryST(QuerySpec{Event: "E", Window: &TimeWindow{From: 0, To: timemodel.Tick(i)}, Tier: TierHot}); err != nil {
+					t.Errorf("query: %v", err)
+					return
+				}
 			}
 		}(g)
 	}
 	wg.Wait()
 	if s.Len() != 400 {
 		t.Fatalf("Len = %d, want 400", s.Len())
+	}
+}
+
+// TestRegionQueryFarOutAndWide: a region QueryST served by the grid
+// returns an instance at (1e21, 1e21) and one whose field spans 15,625
+// grid cells, agreeing with the ScanRegion oracle. Unclamped, the
+// far-out instance sat in a wrapped cell and the grid never found it.
+func TestRegionQueryFarOutAndWide(t *testing.T) {
+	s, _ := New(0)
+	for i := 0; i < 20; i++ {
+		_ = s.Log(inst("M", "E", uint64(i+1), timemodel.At(timemodel.Tick(i)), spatial.AtPoint(float64(i), float64(i))))
+	}
+	far := inst("M", "E", 100, timemodel.At(100), spatial.AtPoint(1e21, 1e21))
+	wideField, err := spatial.Rect(0, 0, 2000, 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := inst("M", "E", 101, timemodel.At(101), spatial.InField(wideField))
+	for _, in := range []event.Instance{far, wide} {
+		if err := s.Log(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rect := func(x0, y0, x1, y1 float64) spatial.Location {
+		f, err := spatial.Rect(x0, y0, x1, y1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return spatial.InField(f)
+	}
+	for _, tt := range []struct {
+		name   string
+		region spatial.Location
+		want   []string
+	}{
+		{"around the far-out instance", rect(9e20, 9e20, 2e21, 2e21), []string{far.EntityID()}},
+		{"inside the wide instance", rect(100, 100, 200, 200), []string{wide.EntityID()}},
+	} {
+		res, err := s.QueryST(QuerySpec{Region: &tt.region, Tier: TierHot})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Index != "region" {
+			t.Fatalf("%s: served by %q, want the grid", tt.name, res.Index)
+		}
+		got, oracle := orderedIDs(res.Instances), orderedIDs(s.ScanRegion(tt.region))
+		if fmt.Sprint(got) != fmt.Sprint(oracle) || fmt.Sprint(got) != fmt.Sprint(tt.want) {
+			t.Fatalf("%s: QueryST %v, ScanRegion %v, want %v", tt.name, got, oracle, tt.want)
+		}
+	}
+	everywhere := rect(-1e22, -1e22, 1e22, 1e22)
+	if got, oracle := orderedIDs(hotRegion(t, s, everywhere)), orderedIDs(s.ScanRegion(everywhere)); len(got) != 22 || fmt.Sprint(got) != fmt.Sprint(oracle) {
+		t.Fatalf("all-covering region: QueryST %v, ScanRegion %v", got, oracle)
 	}
 }

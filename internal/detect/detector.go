@@ -177,7 +177,8 @@ type Stats struct {
 	// Pruned counts window entries skipped without evaluation, via
 	// insertion-time filters or index probes. Zero on the enumerate path.
 	Pruned uint64
-	// Truncations counts evaluation rounds cut short by MaxBindings.
+	// Truncations counts evaluation rounds cut short by MaxBindings,
+	// each losing an unknown number of candidate bindings.
 	Truncations uint64
 	// EvalErrors counts failed evaluations (unbound roles, missing
 	// attributes); failed bindings count as unsatisfied.
@@ -299,14 +300,6 @@ func (d *Detector) Sources() []string {
 	sort.Strings(out)
 	return out
 }
-
-// EvalErrors returns how many binding evaluations failed (unbound roles,
-// missing attributes); failed bindings count as unsatisfied.
-func (d *Detector) EvalErrors() uint64 { return d.evalErrors.Load() }
-
-// Truncations returns how many evaluation rounds were cut short by the
-// MaxBindings cap (each losing an unknown number of candidate bindings).
-func (d *Detector) Truncations() uint64 { return d.truncations.Load() }
 
 // Stats returns the detector's evaluation counters.
 func (d *Detector) Stats() Stats {

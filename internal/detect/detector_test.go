@@ -433,8 +433,8 @@ func TestEvalErrorsCounted(t *testing.T) {
 	if len(out) != 0 {
 		t.Fatal("error binding must not emit")
 	}
-	if d.EvalErrors() != 1 {
-		t.Fatalf("EvalErrors = %d, want 1", d.EvalErrors())
+	if n := d.Stats().EvalErrors; n != 1 {
+		t.Fatalf("EvalErrors = %d, want 1", n)
 	}
 }
 

@@ -19,7 +19,6 @@ package engine
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"sync/atomic"
 
@@ -85,9 +84,9 @@ type Config struct {
 	Emit EmitFunc
 	// Tap, when set, receives every emitted instance after Log and Emit
 	// ran — the observability/fan-out hook the subscription subsystem
-	// attaches to. Unlike Bank.Tap (a per-bank field), a Config Tap is
-	// shared by every shard bank of a Sharded engine; it then runs on
-	// worker goroutines and must be safe for concurrent use.
+	// attaches to. It is shared by every shard bank of a Sharded engine;
+	// it then runs on worker goroutines and must be safe for concurrent
+	// use.
 	Tap EmitFunc
 }
 
@@ -132,9 +131,6 @@ type Bank struct {
 	// Trace, when set, observes every Ingest and Flush in call order —
 	// the replay hook. Set it before feeding the bank.
 	Trace func(TraceOp)
-	// Tap, when set, observes every emitted instance after Log and Emit
-	// ran — an observability hook that needs no Config rewiring.
-	Tap EmitFunc
 
 	// Traffic counters are atomic so Stats can serve a live endpoint
 	// while a worker goroutine owns the bank.
@@ -163,9 +159,6 @@ func NewBank(cfg Config) (*Bank, error) {
 	}, nil
 }
 
-// Observer returns the bank's observer id.
-func (b *Bank) Observer() string { return b.cfg.Observer }
-
 // AddDetector compiles and registers a detector, indexing it under every
 // input source it consumes. The returned detector lets callers inspect
 // sources (e.g. to subscribe on a pub/sub network).
@@ -180,9 +173,6 @@ func (b *Bank) AddDetector(spec detect.Spec) (*detect.Detector, error) {
 	}
 	return d, nil
 }
-
-// Detectors returns the number of registered detectors.
-func (b *Bank) Detectors() int { return len(b.detectors) }
 
 // SeedEventSeq raises the emission sequence counter of the event's
 // detector to at least min — the crash-recovery hook that keeps restarted
@@ -205,11 +195,6 @@ func (b *Bank) Sources() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// HasSource reports whether any detector consumes the given source.
-func (b *Bank) HasSource(source string) bool {
-	return len(b.bySource[source]) > 0
 }
 
 // Ingest feeds one entity from an input stream into every detector
@@ -275,10 +260,10 @@ func (b *Bank) Replay(ops []TraceOp) []event.Instance {
 // deliver takes the instances one detector just emitted — the
 // detector's own buffer, read in place and copied out before its next
 // offer — appends them to out for the caller, and routes them through
-// the hooks: Log, Emit, then the Config and Bank taps. With a LogBatch
-// hook they are buffered instead — the whole round's hooks run from
-// flushRound, with the batch logged (and WAL-appended, on durable
-// engines) before any per-instance callback.
+// the hooks: Log, Emit, then Tap. With a LogBatch hook they are
+// buffered instead — the whole round's hooks run from flushRound, with
+// the batch logged (and WAL-appended, on durable engines) before any
+// per-instance callback.
 func (b *Bank) deliver(out, insts []event.Instance) []event.Instance {
 	if len(insts) == 0 {
 		return out
@@ -299,9 +284,8 @@ func (b *Bank) deliver(out, insts []event.Instance) []event.Instance {
 }
 
 // hooks runs the per-instance callbacks in order: log (nil in a batched
-// round, where LogBatch already ran), Emit, the Config tap, the Bank
-// tap. The hook signatures take the instance by value; up to here it
-// moves by pointer.
+// round, where LogBatch already ran), Emit, Tap. The hook signatures
+// take the instance by value; up to here it moves by pointer.
 func (b *Bank) hooks(inst *event.Instance, log EmitFunc) {
 	if log != nil {
 		log(*inst)
@@ -311,9 +295,6 @@ func (b *Bank) hooks(inst *event.Instance, log EmitFunc) {
 	}
 	if b.cfg.Tap != nil {
 		b.cfg.Tap(*inst)
-	}
-	if b.Tap != nil {
-		b.Tap(*inst)
 	}
 }
 
@@ -333,7 +314,7 @@ func (b *Bank) endRound() {
 
 // flushRound delivers the buffered round: the batch hook first (the
 // database transfer, write-ahead of everything downstream), then the
-// per-instance Emit and taps in emission order.
+// per-instance Emit and Tap in emission order.
 func (b *Bank) flushRound() {
 	insts := b.round
 	b.cfg.LogBatch(insts)
@@ -341,16 +322,6 @@ func (b *Bank) flushRound() {
 		b.hooks(&insts[i], nil)
 	}
 	b.round = insts[:0]
-}
-
-// EvalErrors sums failed binding evaluations across the bank's
-// detectors.
-func (b *Bank) EvalErrors() uint64 {
-	var n uint64
-	for _, d := range b.detectors {
-		n += d.EvalErrors()
-	}
-	return n
 }
 
 // Stats returns the traffic counters plus the detectors' aggregated
@@ -377,10 +348,4 @@ func (b *Bank) PlanDescriptions() []string {
 		out = append(out, d.EventID()+": "+d.PlanDesc())
 	}
 	return out
-}
-
-// String describes the bank for logs.
-func (b *Bank) String() string {
-	return fmt.Sprintf("engine.Bank{observer=%s detectors=%d sources=%d}",
-		b.cfg.Observer, len(b.detectors), len(b.bySource))
 }

@@ -43,9 +43,6 @@ func TestBankValidation(t *testing.T) {
 	if _, err := b.AddDetector(detect.Spec{}); err == nil {
 		t.Fatal("bad spec accepted")
 	}
-	if b.Observer() != "OB" {
-		t.Error("Observer accessor")
-	}
 }
 
 func TestBankFanOutAndHooks(t *testing.T) {
@@ -54,11 +51,11 @@ func TestBankFanOutAndHooks(t *testing.T) {
 		Observer: "OB",
 		Log:      func(in event.Instance) { logged = append(logged, in.EntityID()) },
 		Emit:     func(in event.Instance) { emitted = append(emitted, in.EntityID()) },
+		Tap:      func(in event.Instance) { tapped = append(tapped, in.EntityID()) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.Tap = func(in event.Instance) { tapped = append(tapped, in.EntityID()) }
 
 	// Two detectors on source "sa", one on "sb": fan-out is per source.
 	for _, id := range []string{"E.a1", "E.a2"} {
@@ -71,12 +68,6 @@ func TestBankFanOutAndHooks(t *testing.T) {
 	}
 	if got := b.Sources(); len(got) != 2 || got[0] != "sa" || got[1] != "sb" {
 		t.Fatalf("Sources() = %v", got)
-	}
-	if !b.HasSource("sa") || b.HasSource("nope") {
-		t.Error("HasSource")
-	}
-	if b.Detectors() != 3 {
-		t.Errorf("Detectors() = %d", b.Detectors())
 	}
 
 	loc := spatial.AtPoint(0, 0)
@@ -103,8 +94,8 @@ func TestBankFanOutAndHooks(t *testing.T) {
 	if st.Ingested != 3 || st.Emitted != 3 {
 		t.Errorf("stats = %+v", st)
 	}
-	if b.EvalErrors() != 0 {
-		t.Errorf("eval errors = %d", b.EvalErrors())
+	if st.EvalErrors != 0 {
+		t.Errorf("eval errors = %d", st.EvalErrors)
 	}
 }
 
@@ -188,11 +179,11 @@ func TestBankHookOrder(t *testing.T) {
 		Observer: "OB",
 		Log:      func(event.Instance) { order = append(order, "log") },
 		Emit:     func(event.Instance) { order = append(order, "emit") },
+		Tap:      func(event.Instance) { order = append(order, "tap") },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.Tap = func(event.Instance) { order = append(order, "tap") }
 	if _, err := b.AddDetector(punctualSpec("E", "s")); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -53,11 +52,6 @@ type Sharded struct {
 	// routes maps each input source to the shards hosting a detector
 	// that consumes it. Immutable after Start.
 	routes map[string][]int
-	// placed counts detectors per shard. Atomic because Owners() is
-	// served from /v1/stats at runtime while AddDetector may still be
-	// running on another goroutine (registration races a scrape only
-	// before Start, but a torn read there is still a data race).
-	placed []atomic.Int64
 	in     []chan *[]offerMsg
 	// pending is the producer-side partial batch per shard, guarded by
 	// pmu.
@@ -97,7 +91,6 @@ func NewSharded(cfg Config, shards int) (*Sharded, error) {
 	s := &Sharded{
 		cfg:    cfg,
 		routes: make(map[string][]int),
-		placed: make([]atomic.Int64, shards),
 	}
 	s.idle = sync.NewCond(&s.mu)
 	for i := 0; i < shards; i++ {
@@ -109,9 +102,6 @@ func NewSharded(cfg Config, shards int) (*Sharded, error) {
 	}
 	return s, nil
 }
-
-// Shards returns the shard count.
-func (s *Sharded) Shards() int { return len(s.banks) }
 
 // FNV-1a constants (hash/fnv), inlined so routing never allocates.
 const (
@@ -149,7 +139,6 @@ func (s *Sharded) AddDetector(spec detect.Spec) error {
 			s.routes[src] = append(s.routes[src], shard)
 		}
 	}
-	s.placed[shard].Add(1)
 	return nil
 }
 
@@ -374,9 +363,4 @@ func (s *Sharded) Sources() []string {
 	}
 	sort.Strings(union)
 	return union
-}
-
-// String describes the sharded engine for logs.
-func (s *Sharded) String() string {
-	return fmt.Sprintf("engine.Sharded{observer=%s shards=%d}", s.cfg.Observer, len(s.banks))
 }

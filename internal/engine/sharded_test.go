@@ -109,8 +109,8 @@ func TestShardedLifecycle(t *testing.T) {
 		t.Fatalf("missing observer err = %v", err)
 	}
 	s := shardedFixture(t, 0, 1, nil) // shard count clamps to 1
-	if s.Shards() != 1 {
-		t.Fatalf("Shards() = %d", s.Shards())
+	if len(s.banks) != 1 {
+		t.Fatalf("shard count = %d", len(s.banks))
 	}
 	loc := spatial.AtPoint(0, 0)
 	if err := s.Ingest("S0", obsAt("S0", 1, 0, 1), 1, 0, loc); !errors.Is(err, ErrNotStarted) {
@@ -214,7 +214,7 @@ func TestShardOfZeroAlloc(t *testing.T) {
 	}
 	// Distribution sanity: shardOf must still land inside the bank range.
 	for i := 0; i < 100; i++ {
-		if sh := s.shardOf(fmt.Sprintf("E%d", i)); sh < 0 || sh >= s.Shards() {
+		if sh := s.shardOf(fmt.Sprintf("E%d", i)); sh < 0 || sh >= len(s.banks) {
 			t.Fatalf("shardOf out of range: %d", sh)
 		}
 	}

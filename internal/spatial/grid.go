@@ -17,10 +17,17 @@ import (
 // (retention, a sliding window) always removes a cell's front key, in
 // O(1); removing from the middle of a cell costs the cell's length.
 //
+// Cell coordinates are clamped (ClampCell), so a far-out location shares
+// an edge cell instead of wrapping. An entry whose bounding box spans
+// more than maxEntryCells cells is kept on one wide list instead of in
+// cells; every query examines that list, verifying it like any other
+// candidate, so one very large field costs one key, not a cell apiece.
+//
 // Grid is not safe for concurrent use; callers synchronize externally.
 type Grid struct {
 	cell  float64
 	cells map[cellKey][]uint64
+	wide  []uint64 // keys of wide entries, in insertion order
 	locs  map[uint64]Location
 	// ext is the cell extent ever populated, grow-only (removals do not
 	// shrink it). Queries clamp their rect to it, so an arbitrarily large
@@ -34,6 +41,42 @@ type cellKey struct{ cx, cy int }
 
 // cellExtent is an inclusive cell-coordinate bounding box.
 type cellExtent struct{ x0, y0, x1, y1 int }
+
+// maxEntryCells is the most cells an entry is indexed under; a larger
+// entry goes on the grid's wide list.
+const maxEntryCells = 4096
+
+// wide reports whether the extent spans more than maxEntryCells cells.
+// Clamped coordinates keep the width and height below 2^31, so the
+// product cannot overflow.
+func (e cellExtent) wide() bool {
+	w, h := e.x1-e.x0+1, e.y1-e.y0+1
+	return w > maxEntryCells || h > maxEntryCells || w*h > maxEntryCells
+}
+
+// maxCellCoord bounds cell coordinates: int(f) for a float beyond the
+// int64 range wraps on amd64 (and saturates elsewhere).
+const maxCellCoord = 1 << 30
+
+// ClampCell converts a coordinate in cell units — a position divided by
+// the cell size — to its integer cell: floored, NaN mapped to 0, and
+// clamped to ±2^30. Clamping merges far-out cells, so an index that
+// verifies its candidates stays exact. The grid, the subscription index
+// and the cluster router all cut space with it.
+//
+//stcps:hotpath
+func ClampCell(f float64) int {
+	f = math.Floor(f)
+	switch {
+	case f != f: // NaN
+		return 0
+	case f < -maxCellCoord:
+		return -maxCellCoord
+	case f > maxCellCoord:
+		return maxCellCoord
+	}
+	return int(f)
+}
 
 // NewGrid returns a grid index with the given cell size. Cell size must be
 // positive.
@@ -58,7 +101,11 @@ func (g *Grid) Insert(id uint64, loc Location) {
 		g.Remove(id)
 	}
 	g.locs[id] = loc
-	e := g.cellsOf(&loc)
+	e := g.extentOf(bboxOf(&loc))
+	if e.wide() {
+		g.wide = append(g.wide, id)
+		return
+	}
 	if !g.hasExt {
 		g.ext = e
 		g.hasExt = true
@@ -83,28 +130,35 @@ func (g *Grid) Remove(id uint64) {
 		return
 	}
 	delete(g.locs, id)
-	e := g.cellsOf(&loc)
+	e := g.extentOf(bboxOf(&loc))
+	if e.wide() {
+		g.wide = without(g.wide, id)
+		return
+	}
 	for cx := e.x0; cx <= e.x1; cx++ {
 		for cy := e.y0; cy <= e.y1; cy++ {
 			k := cellKey{cx: cx, cy: cy}
-			bucket := g.cells[k]
-			i := slices.Index(bucket, id)
-			switch {
-			case i < 0:
-				continue
-			case len(bucket) == 1:
+			if bucket := without(g.cells[k], id); len(bucket) > 0 {
+				g.cells[k] = bucket
+			} else {
 				delete(g.cells, k)
-				continue
-			case i == 0:
-				// Popping the front only moves the slice header; the next
-				// append that outgrows the tail reallocates and frees the
-				// popped prefix, so a cell holds at most twice its keys.
-				bucket = bucket[1:]
-			default:
-				bucket = slices.Delete(bucket, i, i+1)
 			}
-			g.cells[k] = bucket
 		}
+	}
+}
+
+// without removes id from a key list, preserving order. Popping the
+// front only moves the slice header; the next append that outgrows the
+// tail reallocates and frees the popped prefix, so a list holds at most
+// twice its keys.
+func without(keys []uint64, id uint64) []uint64 {
+	switch i := slices.Index(keys, id); {
+	case i < 0:
+		return keys
+	case i == 0:
+		return keys[1:]
+	default:
+		return slices.Delete(keys, i, i+1)
 	}
 }
 
@@ -146,62 +200,37 @@ func bboxOf(loc *Location) rect {
 	return rect{minX: p.X, minY: p.Y, maxX: p.X, maxY: p.Y}
 }
 
-// cellsOf returns the inclusive range of grid cells overlapped by the
-// location's bounding box, exactly — the insert/remove path, where the
-// cell set must match the entry's own extent (one cell for a point).
-func (g *Grid) cellsOf(loc *Location) cellExtent {
-	b := bboxOf(loc)
+// extentOf returns the inclusive range of clamped grid cells a bounding
+// box overlaps — one cell for a point. Insert, Remove and the queries
+// all cut with it, so a far-out entry and a query around it agree on
+// its cell.
+func (g *Grid) extentOf(b rect) cellExtent {
 	return cellExtent{
-		x0: int(math.Floor(b.minX / g.cell)), y0: int(math.Floor(b.minY / g.cell)),
-		x1: int(math.Floor(b.maxX / g.cell)), y1: int(math.Floor(b.maxY / g.cell)),
+		x0: ClampCell(b.minX / g.cell), y0: ClampCell(b.minY / g.cell),
+		x1: ClampCell(b.maxX / g.cell), y1: ClampCell(b.maxY / g.cell),
 	}
 }
 
-// eachBucket calls fn with every populated cell overlapped by a query
-// rect. The rect is clamped to the extent ever populated — in float
-// space, so an arbitrarily large rect cannot overflow cell coordinates —
-// and when the clamped rect still covers more cells than exist, the
-// populated cells are filtered directly instead of enumerated.
+// eachBucket calls fn with the wide list and with every populated cell
+// overlapped by a query rect. The rect is clamped to the extent ever
+// populated, and when the clamped rect still covers more cells than
+// exist, the populated cells are filtered directly instead of
+// enumerated — an arbitrarily large rect costs at most the populated
+// cells.
 func (g *Grid) eachBucket(b rect, fn func(bucket []uint64)) {
+	if len(g.wide) > 0 {
+		fn(g.wide)
+	}
 	if len(g.cells) == 0 {
 		return
 	}
-	x0, y0, x1, y1 := g.ext.x0, g.ext.y0, g.ext.x1, g.ext.y1
-	// Tighten each bound only when the rect's edge falls inside the
-	// extent. The comparisons stay in float space: a coordinate past
-	// the opposite extent edge means an empty intersection, and is
-	// rejected before any int conversion — int(f) for f beyond int64
-	// range would wrap instead of saturating.
-	if f := math.Floor(b.minX / g.cell); f > float64(x0) {
-		if f > float64(x1) {
-			return
-		}
-		x0 = int(f)
-	}
-	if f := math.Floor(b.minY / g.cell); f > float64(y0) {
-		if f > float64(y1) {
-			return
-		}
-		y0 = int(f)
-	}
-	if f := math.Floor(b.maxX / g.cell); f < float64(x1) {
-		if f < float64(x0) {
-			return
-		}
-		x1 = int(f)
-	}
-	if f := math.Floor(b.maxY / g.cell); f < float64(y1) {
-		if f < float64(y0) {
-			return
-		}
-		y1 = int(f)
-	}
+	q := g.extentOf(b)
+	x0, y0 := max(q.x0, g.ext.x0), max(q.y0, g.ext.y0)
+	x1, y1 := min(q.x1, g.ext.x1), min(q.y1, g.ext.y1)
 	if x1 < x0 || y1 < y0 {
 		return
 	}
 	w, h := x1-x0+1, y1-y0+1
-	// Compare width and height before multiplying: both are bounded by
-	// the populated extent, but their product can still overflow.
 	if w > len(g.cells) || h > len(g.cells) || w*h > len(g.cells) {
 		for k, bucket := range g.cells {
 			if k.cx >= x0 && k.cx <= x1 && k.cy >= y0 && k.cy <= y1 {

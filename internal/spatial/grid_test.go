@@ -2,7 +2,9 @@ package spatial
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -203,5 +205,99 @@ func TestGridFIFORemovalIsConstantTime(t *testing.T) {
 	}
 	if got := g.QueryRegion(nil, at); len(got) != n || got[0] != n {
 		t.Fatalf("cell holds %d entries from %d, want %d from %d", len(got), got[0], n, n)
+	}
+}
+
+// TestGridWideEntry pins the cost of one very large field: a 1000×1000
+// field in a cell-1 grid would cover 1M cells. It goes on the wide list
+// instead — one key, a bounded allocation — and queries still find it
+// exactly.
+func TestGridWideEntry(t *testing.T) {
+	g, _ := NewGrid(1)
+	field := InField(MustField(Pt(0, 0), Pt(1000, 0), Pt(1000, 1000), Pt(0, 1000)))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g.Insert(1, field)
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("inserting one wide field allocated %d bytes, want ≤ 1 MiB", n)
+	}
+	if len(g.cells) != 0 {
+		t.Fatalf("wide field filled %d cells, want 0", len(g.cells))
+	}
+	g.Insert(2, AtPoint(5000, 5000))
+	inside, _ := Rect(10, 10, 20, 20)
+	if got := g.QueryRegion(nil, InField(inside)); fmt.Sprint(got) != "[1]" {
+		t.Fatalf("query inside the wide field = %v, want [1]", got)
+	}
+	if n := g.EstimateRegion(InField(inside)); n != 1 {
+		t.Fatalf("EstimateRegion inside the wide field = %d, want 1", n)
+	}
+	// The wide entry is a candidate for every query and is verified.
+	if got := g.QueryRegion(nil, AtPoint(5000, 5000)); fmt.Sprint(got) != "[2]" {
+		t.Fatalf("query outside the wide field = %v, want [2]", got)
+	}
+	g.Remove(1)
+	if got := g.QueryRegion(nil, InField(inside)); len(got) != 0 || len(g.wide) != 0 {
+		t.Fatalf("after Remove: query = %v, wide list = %v", got, g.wide)
+	}
+}
+
+// TestGridFarOutPoint: a point at (1e21, 1e21) lands in the clamped
+// edge cell, where a query around it finds it. Unclamped, int(f) wraps
+// it into cell MinInt64 and the query returns nothing.
+func TestGridFarOutPoint(t *testing.T) {
+	g, _ := NewGrid(16)
+	g.Insert(1, AtPoint(1e21, 1e21))
+	around, err := Rect(9e20, 9e20, 2e21, 2e21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := g.QueryRegion(nil, InField(around)); fmt.Sprint(got) != "[1]" {
+		t.Fatalf("query around the far-out point = %v, want [1]", got)
+	}
+	if got := g.QueryRegion(nil, AtPoint(1e21, 1e21)); fmt.Sprint(got) != "[1]" {
+		t.Fatalf("point query at the far-out point = %v, want [1]", got)
+	}
+}
+
+// TestGridHugeQueryOverFarOutExtent: with a far-out point and a point
+// near the origin, a query spanning ±1e22 must return both promptly.
+// Unclamped, the populated extent spans the whole int64 range, its width
+// overflows, and the query enumerates cells without end.
+func TestGridHugeQueryOverFarOutExtent(t *testing.T) {
+	g, _ := NewGrid(16)
+	g.Insert(1, AtPoint(1e21, 1e21))
+	g.Insert(2, AtPoint(5, 5))
+	all, err := Rect(-1e22, -1e22, 1e22, 1e22)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan []uint64, 1)
+	go func() { done <- g.QueryRegion(nil, InField(all)) }()
+	select {
+	case got := <-done:
+		if fmt.Sprint(got) != "[1 2]" {
+			t.Fatalf("huge query = %v, want [1 2]", got)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("huge query over a far-out extent still running after 5s")
+	}
+}
+
+func TestClampCell(t *testing.T) {
+	for _, tt := range []struct {
+		in   float64
+		want int
+	}{
+		{0, 0}, {0.5, 0}, {-0.5, -1}, {3.9, 3}, {-3.1, -4},
+		{math.NaN(), 0},
+		{1e21, maxCellCoord}, {-1e21, -maxCellCoord},
+		{math.Inf(1), maxCellCoord}, {math.Inf(-1), -maxCellCoord},
+		{maxCellCoord + 0.5, maxCellCoord}, {-maxCellCoord - 0.5, -maxCellCoord},
+	} {
+		if got := ClampCell(tt.in); got != tt.want {
+			t.Errorf("ClampCell(%g) = %d, want %d", tt.in, got, tt.want)
+		}
 	}
 }

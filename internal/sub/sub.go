@@ -29,7 +29,6 @@ package sub
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -60,13 +59,6 @@ const (
 	DefaultBuffer = 256
 	// DefaultReplayPage is the catch-up replay page size.
 	DefaultReplayPage = 512
-	// DefaultMaxRegionCells caps the cells a single subscription region
-	// may occupy in the index; larger regions fall back to the bucket's
-	// unregioned list (still verified exactly at match time).
-	DefaultMaxRegionCells = 4096
-	// DefaultSeamCap bounds the content keys retained for seam
-	// deduplication after a catch-up replay.
-	DefaultSeamCap = 1 << 20
 	// CondRole is the role name a subscription condition binds the
 	// matched instance to: "e.temp > 30 and e.time after @100".
 	CondRole = "e"
@@ -80,11 +72,17 @@ type Config struct {
 	Buffer int
 	// ReplayPage is the catch-up replay page size.
 	ReplayPage int
-	// MaxRegionCells caps the index cells per subscription region.
-	MaxRegionCells int
-	// SeamCap bounds the retained seam-dedup keys per catch-up replay.
-	SeamCap int
 }
+
+const (
+	// regionCellLimit caps the cells a single subscription region may
+	// occupy in the index; larger regions fall back to the bucket's
+	// unregioned list (still verified exactly at match time).
+	regionCellLimit = 4096
+	// seamKeyLimit bounds the content keys retained for seam
+	// deduplication after a catch-up replay.
+	seamKeyLimit = 1 << 20
+)
 
 func (c *Config) normalize() {
 	if c.Cell <= 0 {
@@ -95,12 +93,6 @@ func (c *Config) normalize() {
 	}
 	if c.ReplayPage <= 0 {
 		c.ReplayPage = DefaultReplayPage
-	}
-	if c.MaxRegionCells <= 0 {
-		c.MaxRegionCells = DefaultMaxRegionCells
-	}
-	if c.SeamCap <= 0 {
-		c.SeamCap = DefaultSeamCap
 	}
 }
 
@@ -312,14 +304,14 @@ func (m *Matcher) register(s *Subscription) {
 
 // regionCells returns the index cells a subscription region occupies,
 // or nil when the subscription belongs on the unregioned list (no
-// region, or a region spanning more than MaxRegionCells cells).
+// region, or a region spanning more than regionCellLimit cells).
 func (m *Matcher) regionCells(region *spatial.Location) []cellKey {
 	if region == nil {
 		return nil
 	}
 	x0, y0, x1, y1 := m.cellRange(*region)
 	w, h := x1-x0+1, y1-y0+1
-	if w > m.cfg.MaxRegionCells || h > m.cfg.MaxRegionCells || w*h > m.cfg.MaxRegionCells {
+	if w > regionCellLimit || h > regionCellLimit || w*h > regionCellLimit {
 		return nil
 	}
 	keys := make([]cellKey, 0, w*h)
@@ -331,33 +323,15 @@ func (m *Matcher) regionCells(region *spatial.Location) []cellKey {
 	return keys
 }
 
-// maxCellCoord bounds cell coordinates: int(f) for a float beyond the
-// int64 range wraps on amd64 (and saturates elsewhere), so a region or
-// instance at ±1e21 would otherwise index at a garbage cell and never
-// match (spatial.Grid guards the same class in queryKeys). Clamping
-// only widens the candidate rectangle — matching stays exact because
-// offer verifies every candidate with OpJoint.
-const maxCellCoord = 1 << 30
-
 // cellRange converts a location's bounding box to inclusive cell
-// coordinates, clamped to ±maxCellCoord.
+// coordinates. spatial.ClampCell clamps them, so a region or instance at
+// ±1e21 indexes at an edge cell instead of a wrapped one; clamping only
+// widens the candidate rectangle, and offer verifies every candidate
+// with OpJoint.
 func (m *Matcher) cellRange(loc spatial.Location) (x0, y0, x1, y1 int) {
 	minX, minY, maxX, maxY := loc.Bounds()
-	return clampCell(minX / m.cfg.Cell), clampCell(minY / m.cfg.Cell),
-		clampCell(maxX / m.cfg.Cell), clampCell(maxY / m.cfg.Cell)
-}
-
-func clampCell(f float64) int {
-	f = math.Floor(f)
-	switch {
-	case math.IsNaN(f):
-		return 0
-	case f < -maxCellCoord:
-		return -maxCellCoord
-	case f > maxCellCoord:
-		return maxCellCoord
-	}
-	return int(f)
+	return spatial.ClampCell(minX / m.cfg.Cell), spatial.ClampCell(minY / m.cfg.Cell),
+		spatial.ClampCell(maxX / m.cfg.Cell), spatial.ClampCell(maxY / m.cfg.Cell)
 }
 
 // Unsubscribe closes and removes a subscription by id, reporting

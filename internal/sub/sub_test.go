@@ -294,7 +294,11 @@ func oracleMatch(spec Spec, in *event.Instance) bool {
 		return false
 	}
 	if spec.Where != "" {
-		ok, err := condition.MustParse(spec.Where).Eval(condition.Binding{CondRole: *in})
+		c, err := condition.Compile(condition.MustParse(spec.Where), condition.NewSlotMap([]string{CondRole}))
+		if err != nil {
+			return false
+		}
+		ok, err := c.Eval([]event.Entity{*in})
 		if err != nil || !ok {
 			return false
 		}

@@ -51,7 +51,7 @@ type Subscription struct {
 	// delivered: a live match carrying one of these keys is a duplicate
 	// of a replayed instance (the emission hook ran after the replay had
 	// already read it from the store) and is discarded. Bounded by
-	// SeamCap; kept until the subscription closes, since an emission
+	// seamKeyLimit; kept until the subscription closes, since an emission
 	// hook may be arbitrarily delayed between logging and publishing.
 	seam map[string]struct{} //stcps:guardedby mu
 
@@ -249,7 +249,7 @@ func (s *Subscription) noteReplayed(d *Delivery) {
 	if s.seam == nil {
 		s.seam = make(map[string]struct{}, 64)
 	}
-	if len(s.seam) < s.m.cfg.SeamCap {
+	if len(s.seam) < seamKeyLimit {
 		s.seam[key] = struct{}{}
 	}
 	s.mu.Unlock()

@@ -31,7 +31,6 @@ type Report struct {
 // for tests).
 type storeView interface {
 	All() []event.Instance
-	EventIDs() []string
 	Lineage(string) ([]string, error)
 }
 
