@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -78,6 +80,46 @@ func TestRunJSONArtifact(t *testing.T) {
 			t.Errorf("artifact carries unexpected section %q", key)
 		}
 	}
+}
+
+// TestBenchArtifactRegenerates pins the paper reproduction: edlbench
+// -json regenerates the committed BENCH_1.json exactly, host fields
+// aside. The chains run in virtual time with fixed seeds, so a change
+// to the EDL model or to the simulator shows up here as a changed row.
+func TestBenchArtifactRegenerates(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bench.json")
+	if err := run([]string{"-json", path}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	got, want := readArtifact(t, path), readArtifact(t, filepath.Join("..", "..", "BENCH_1.json"))
+	for _, host := range []string{"generated", "goVersion", "goos", "goarch", "cpus"} {
+		delete(got, host)
+		delete(want, host)
+	}
+	for key := range want {
+		if _, ok := got[key]; !ok {
+			t.Errorf("BENCH_1.json carries %q, which edlbench no longer writes", key)
+		}
+	}
+	for key, v := range got {
+		if !reflect.DeepEqual(v, want[key]) {
+			t.Errorf("%q regenerates as\n%v\nbut BENCH_1.json holds\n%v", key, v, want[key])
+		}
+	}
+}
+
+// readArtifact decodes a benchmark artifact section by section.
+func readArtifact(t *testing.T, path string) map[string]any {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var art map[string]any
+	if err := json.Unmarshal(data, &art); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return art
 }
 
 // TestRunUnknownExperiment also pins the tool's scope: the systems

@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -247,6 +250,19 @@ func TestDaemonHTTPDurabilityStats(t *testing.T) {
 	}
 	if st.Durability.Syncs == 0 {
 		t.Errorf("fsync always reported no syncs: %+v", st.Durability)
+	}
+	// The durability object's key set is part of the /v1/stats contract.
+	var raw struct {
+		Durability map[string]json.RawMessage `json:"durability"`
+	}
+	httpGetJSON(t, base+"/v1/stats", &raw)
+	keys := slices.Sorted(maps.Keys(raw.Durability))
+	wantKeys := []string{"appended", "bytes", "compactedSegments", "enabled", "hasTick",
+		"lastSeq", "lastSyncUnixMs", "lastTick", "recoveredInstances", "reofferedEntities",
+		"replayEmissions", "replaySuppressed", "replayedRecords", "segments", "snapshotSeq",
+		"snapshots", "syncFailures", "syncs", "tornRecords", "walErrors"}
+	if !slices.Equal(keys, wantKeys) {
+		t.Errorf("durability keys = %v, want %v", keys, wantKeys)
 	}
 	pw.Close()
 	if err := <-done; err != nil {

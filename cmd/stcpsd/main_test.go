@@ -85,11 +85,7 @@ func runDaemon(t *testing.T, args []string, stdin string) ([]event.Instance, str
 		if line == "" {
 			continue
 		}
-		in, err := event.DecodeInstance([]byte(line))
-		if err != nil {
-			t.Fatalf("bad output line %q: %v", line, err)
-		}
-		insts = append(insts, in)
+		insts = append(insts, mustInstance(t, line))
 	}
 	return insts, errw.String()
 }
@@ -184,6 +180,17 @@ func TestDaemonEmptyInput(t *testing.T) {
 	if !strings.Contains(stderr, "ingested=0 skipped=0 emitted=0") {
 		t.Errorf("stderr summary = %q", stderr)
 	}
+}
+
+// mustInstance decodes one emitted JSON line with the daemon's own feed
+// decoder and fails the test unless it is a valid instance.
+func mustInstance(t *testing.T, line string) event.Instance {
+	t.Helper()
+	in, _, kind, err := event.DecodeEntityJSON([]byte(line))
+	if err != nil || kind != event.KindInstance {
+		t.Fatalf("bad instance line %q: kind %d, %v", line, kind, err)
+	}
+	return in
 }
 
 // httpGetJSON fetches a URL and decodes the JSON body into out,

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/stcps/stcps/internal/event"
 	"github.com/stcps/stcps/internal/timemodel"
 )
 
@@ -114,11 +113,7 @@ func TestDaemonSSESubscribe(t *testing.T) {
 		if ev.event != "instance" || ev.id == "" {
 			t.Fatalf("live event %d = %+v, want instance with id", i, ev)
 		}
-		in, err := event.DecodeInstance([]byte(ev.data))
-		if err != nil {
-			t.Fatalf("live event %d data: %v", i, err)
-		}
-		if in.Event != "E.hot" {
+		if in := mustInstance(t, ev.data); in.Event != "E.hot" {
 			t.Fatalf("live event %d is %q, want E.hot", i, in.Event)
 		}
 		ids = append(ids, ev.id)
@@ -153,9 +148,8 @@ func TestDaemonSSESubscribe(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replayed event: %v", err)
 	}
-	in, err := event.DecodeInstance([]byte(ev.data))
-	if err != nil || in.Event != "E.hot" || in.Gen != 30 {
-		t.Fatalf("replayed event = %+v (%v), want the missed E.hot at tick 30", in, err)
+	if in := mustInstance(t, ev.data); in.Event != "E.hot" || in.Gen != 30 {
+		t.Fatalf("replayed event = %+v, want the missed E.hot at tick 30", in)
 	}
 	if _, err := io.WriteString(pw, tempLine(t, 4, 40, 36)); err != nil {
 		t.Fatal(err)

@@ -161,11 +161,7 @@ func TestDaemonWireIngest(t *testing.T) {
 		if line == "" {
 			continue
 		}
-		in, err := event.DecodeInstance([]byte(line))
-		if err != nil {
-			t.Fatalf("bad output line %q: %v", line, err)
-		}
-		byEvent[in.Event]++
+		byEvent[mustInstance(t, line).Event]++
 	}
 	if byEvent["E.hot"] != 3 || byEvent["E.warm"] != 1 || byEvent["E.obsHigh"] != 1 {
 		t.Errorf("wire feed emitted %v, want map[E.hot:3 E.obsHigh:1 E.warm:1]", byEvent)

@@ -46,35 +46,17 @@ type DurabilityConfig struct {
 	SegmentBytes int64
 }
 
+// WALStats reports the write-ahead log's own counters: segments, bytes,
+// appends, fsyncs, torn records, snapshots and compaction.
+type WALStats = wal.Stats
+
 // DurabilityStats reports the WAL and recovery counters of a durable
-// engine (zero value when durability is disabled).
+// engine (zero value when durability is disabled). The embedded
+// WALStats fields encode inline, beside the recovery counters.
 type DurabilityStats struct {
 	// Enabled reports whether the engine runs with a WAL.
 	Enabled bool `json:"enabled"`
-	// Segments is the number of live WAL segment files.
-	Segments int `json:"segments"`
-	// Bytes is the total size of the live segment files.
-	Bytes int64 `json:"bytes"`
-	// LastSeq is the newest WAL record sequence number.
-	LastSeq uint64 `json:"lastSeq"`
-	// Appended counts WAL records appended by this process.
-	Appended uint64 `json:"appended"`
-	// Syncs counts explicit fsyncs.
-	Syncs uint64 `json:"syncs"`
-	// SyncFailures counts failed fsyncs, including the background
-	// interval syncer's; non-zero means acknowledged records may not be
-	// durable.
-	SyncFailures uint64 `json:"syncFailures"`
-	// LastSyncUnixMs is the wall-clock time of the last fsync.
-	LastSyncUnixMs int64 `json:"lastSyncUnixMs"`
-	// TornRecords counts torn tail records truncated at open.
-	TornRecords uint64 `json:"tornRecords"`
-	// SnapshotSeq is the WAL sequence covered by the latest snapshot.
-	SnapshotSeq uint64 `json:"snapshotSeq"`
-	// Snapshots counts snapshots written by this process.
-	Snapshots uint64 `json:"snapshots"`
-	// CompactedSegments counts WAL segments deleted by compaction.
-	CompactedSegments uint64 `json:"compactedSegments"`
+	WALStats
 	// ReplayedRecords counts WAL records read during recovery.
 	ReplayedRecords uint64 `json:"replayedRecords"`
 	// ReofferedEntities counts ingested entities re-offered to the
@@ -227,8 +209,7 @@ func (d *durability) takeHookErr() error {
 // Replay re-derives emissions deterministically, so a re-derived
 // duplicate matches the key of the original even when the restarted
 // detector assigned a different sequence number. The key is
-// event.Instance.ContentKey — shared with the subscription subsystem's
-// catch-up seam dedup.
+// event.Instance.ContentKey.
 func emissionKey(in *event.Instance) string { return in.ContentKey() }
 
 // appendIngest writes one ingested entity to the WAL before it reaches
@@ -544,20 +525,9 @@ func (e *Engine) DurabilityStats() DurabilityStats {
 		return DurabilityStats{}
 	}
 	d := e.dur
-	ws := d.log.Stats()
 	out := DurabilityStats{
 		Enabled:            true,
-		Segments:           ws.Segments,
-		Bytes:              ws.Bytes,
-		LastSeq:            ws.LastSeq,
-		Appended:           ws.Appended,
-		Syncs:              ws.Syncs,
-		SyncFailures:       ws.SyncFailures,
-		LastSyncUnixMs:     ws.LastSyncUnixMs,
-		TornRecords:        ws.TornRecords,
-		SnapshotSeq:        ws.SnapshotSeq,
-		Snapshots:          ws.Snapshots,
-		CompactedSegments:  ws.CompactedSegments,
+		WALStats:           d.log.Stats(),
 		ReplayedRecords:    d.replayedRecords.Load(),
 		ReofferedEntities:  d.reoffered.Load(),
 		RecoveredInstances: d.recoveredInstances.Load(),

@@ -119,10 +119,9 @@ type EngineConfig struct {
 	// survive a crash. Durability implies WithStore. Call Start before
 	// ingesting — it performs the recovery replay.
 	Durability DurabilityConfig
-	// Subscriptions tunes the standing-subscription subsystem (buffer
-	// sizes, index cell size, replay page size). Subscriptions are
-	// always available via Subscribe; catch-up replay additionally
-	// needs WithStore.
+	// Subscriptions tunes the standing-subscription subsystem (the
+	// default ring capacity). Subscriptions are always available via
+	// Subscribe; catch-up replay additionally needs WithStore.
 	Subscriptions SubscriptionsConfig
 }
 
@@ -163,11 +162,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		return nil, fmt.Errorf("sharded engine needs OnInstance or WithStore (emissions would be lost): %w", ErrEngineConfig)
 	}
 	e := &Engine{cfg: cfg}
-	e.subs = sub.NewMatcher(sub.Config{
-		Cell:       cfg.Subscriptions.GridCell,
-		Buffer:     cfg.Subscriptions.Buffer,
-		ReplayPage: cfg.Subscriptions.ReplayPage,
-	})
+	e.subs = sub.NewMatcher(sub.Config{Buffer: cfg.Subscriptions.Buffer})
 	var logHook engine.BatchFunc
 	var tapHook engine.EmitFunc
 	if cfg.WithStore {

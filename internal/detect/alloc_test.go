@@ -23,7 +23,7 @@ func wireViews(t *testing.T, sensor string, n int) []event.ObservationView {
 			Loc:   spatial.AtPoint(32+0.01*float64(i%8), 32),
 			Attrs: event.Attrs{"temp": 21.5},
 		}
-		if err := event.DecodeObservationView(event.AppendObservationWire(nil, &o), &views[i], it); err != nil {
+		if err := event.DecodeObservationView(new(event.WireEncoder).AppendObservation(nil, &o), &views[i], it); err != nil {
 			t.Fatal(err)
 		}
 	}

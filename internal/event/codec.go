@@ -39,19 +39,6 @@ func AppendInstance(dst []byte, in *Instance) ([]byte, error) {
 	return dst, fmt.Errorf("event: encode: %w", err)
 }
 
-// DecodeInstance parses an instance from its JSON wire form and validates
-// it.
-func DecodeInstance(data []byte) (Instance, error) {
-	var in Instance
-	if err := json.Unmarshal(data, &in); err != nil {
-		return Instance{}, fmt.Errorf("event: decode: %w", err)
-	}
-	if err := in.Validate(); err != nil {
-		return Instance{}, fmt.Errorf("event: decode: %w", err)
-	}
-	return in, nil
-}
-
 // EncodeObservation serializes an observation to its JSON wire form.
 func EncodeObservation(o Observation) ([]byte, error) {
 	data, err := o.AppendJSON(make([]byte, 0, jsonSizeHint))
@@ -267,7 +254,7 @@ func appendLocation(dst []byte, l spatial.Location) []byte {
 }
 
 // WireEncoder encodes entities into their binary wire form. The zero
-// value is ready to use. Unlike the stateless Append*Wire functions, an
+// value is ready to use. Unlike the stateless AppendInstanceWire, an
 // encoder caches the last attribute schema it saw: sensor streams send
 // the same attribute set record after record, so the canonical
 // collect-and-sort of the names (and its allocation) is paid once per
@@ -352,15 +339,6 @@ func (e *WireEncoder) AppendInstance(dst []byte, in *Instance) ([]byte, error) {
 		dst = appendString(dst, inp)
 	}
 	return dst, nil
-}
-
-// AppendObservationWire appends the binary wire form of o to dst and
-// returns the extended slice.
-//
-//stcps:hotpath
-func AppendObservationWire(dst []byte, o *Observation) []byte {
-	var e WireEncoder
-	return e.AppendObservation(dst, o)
 }
 
 // AppendInstanceWire appends the binary wire form of in to dst and

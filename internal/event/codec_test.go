@@ -39,7 +39,7 @@ func TestObservationWireRoundTrip(t *testing.T) {
 	it := NewInterner()
 	for i := 0; i < 5; i++ {
 		o := wireObs(i)
-		enc := AppendObservationWire(nil, &o)
+		enc := new(WireEncoder).AppendObservation(nil, &o)
 		var got Observation
 		if err := DecodeObservationWire(enc, &got, it); err != nil {
 			t.Fatalf("decode: %v", err)
@@ -56,7 +56,7 @@ func TestObservationWireRoundTrip(t *testing.T) {
 		}
 		// Canonical encoding: re-encoding the decoded value reproduces
 		// the bytes (attr names are sorted on encode).
-		re := AppendObservationWire(nil, &got)
+		re := new(WireEncoder).AppendObservation(nil, &got)
 		if !bytes.Equal(re, enc) {
 			t.Fatalf("re-encode not byte-identical:\n got %x\nwant %x", re, enc)
 		}
@@ -90,7 +90,7 @@ func TestWireEncoderSchemaCache(t *testing.T) {
 		o := base()
 		o.Attrs = step.attrs
 		got := enc.AppendObservation(nil, &o)
-		want := AppendObservationWire(nil, &o)
+		want := new(WireEncoder).AppendObservation(nil, &o)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s: cached encoder diverged:\n got %x\nwant %x", step.name, got, want)
 		}
@@ -107,7 +107,7 @@ func TestObservationWireFieldLocation(t *testing.T) {
 		Time: timemodel.MustBetween(5, 9),
 		Loc:  spatial.InField(f),
 	}
-	enc := AppendObservationWire(nil, &o)
+	enc := new(WireEncoder).AppendObservation(nil, &o)
 	var got Observation
 	if err := DecodeObservationWire(enc, &got, nil); err != nil {
 		t.Fatalf("decode: %v", err)
@@ -179,7 +179,7 @@ func TestInstanceWireRejectsInvalid(t *testing.T) {
 
 func TestObservationWireTruncationsRejected(t *testing.T) {
 	o := wireObs(3)
-	enc := AppendObservationWire(nil, &o)
+	enc := new(WireEncoder).AppendObservation(nil, &o)
 	var got Observation
 	for n := 0; n < len(enc); n++ {
 		if err := DecodeObservationWire(enc[:n], &got, nil); err == nil {
@@ -256,7 +256,7 @@ func TestInternerBounds(t *testing.T) {
 func TestDecodeObservationWireAllocs(t *testing.T) {
 	o := wireObs(1)
 	o.Attrs = Attrs{"ax": 0.1, "ay": -0.2, "az": 9.8, "gx": 0.01, "gy": 0.02, "gz": 0.03}
-	enc := AppendObservationWire(nil, &o)
+	enc := new(WireEncoder).AppendObservation(nil, &o)
 	it := NewInterner()
 	var got Observation
 	// Warm the interner so steady-state behavior is measured.
@@ -278,7 +278,7 @@ func TestDecodeObservationWireAllocs(t *testing.T) {
 // lookups must stay allocation-free too.
 func TestDecodeObservationViewAllocs(t *testing.T) {
 	o := wireObs(1)
-	enc := AppendObservationWire(nil, &o)
+	enc := new(WireEncoder).AppendObservation(nil, &o)
 	it := NewInterner()
 	var v ObservationView
 	if err := DecodeObservationView(enc, &v, it); err != nil {
@@ -299,7 +299,7 @@ func TestDecodeObservationViewAllocs(t *testing.T) {
 
 func TestObservationViewEntity(t *testing.T) {
 	o := wireObs(2)
-	enc := AppendObservationWire(nil, &o)
+	enc := new(WireEncoder).AppendObservation(nil, &o)
 	var v ObservationView
 	if err := DecodeObservationView(enc, &v, nil); err != nil {
 		t.Fatal(err)
@@ -369,7 +369,7 @@ func TestDecodeEntityJSON(t *testing.T) {
 
 func FuzzObservationWireRoundTrip(f *testing.F) {
 	o := wireObs(0)
-	f.Add(AppendObservationWire(nil, &o))
+	f.Add(new(WireEncoder).AppendObservation(nil, &o))
 	f.Add([]byte{})
 	f.Add([]byte{1, 'a', 1, 'b', 0, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -379,7 +379,7 @@ func FuzzObservationWireRoundTrip(f *testing.F) {
 		}
 		// Anything that decodes must re-encode byte-identically
 		// (canonical form) and decode again to the same value.
-		re := AppendObservationWire(nil, &got)
+		re := new(WireEncoder).AppendObservation(nil, &got)
 		if !bytes.Equal(re, data) {
 			t.Fatalf("decoded observation not canonical:\n in %x\nout %x", data, re)
 		}

@@ -162,9 +162,7 @@ func (in Instance) MarshalJSON() ([]byte, error) {
 // bounds and the input entity ids it bound. Two independent derivations
 // of the same detection share a content key even when their observers
 // assigned different sequence numbers — the WAL recovery path uses it to
-// deduplicate re-derived emissions against durable storage, and the
-// subscription subsystem uses the same key to deduplicate the seam
-// between a catch-up replay and the live feed.
+// deduplicate re-derived emissions against durable storage.
 func (in *Instance) ContentKey() string {
 	var sb strings.Builder
 	sb.Grow(64)

@@ -98,9 +98,9 @@ func TestInstanceCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeInstance(data)
-	if err != nil {
-		t.Fatal(err)
+	got, _, kind, err := DecodeEntityJSON(data)
+	if err != nil || kind != KindInstance {
+		t.Fatalf("decode: kind %d, %v", kind, err)
 	}
 	if got.EntityID() != in.EntityID() {
 		t.Errorf("identity changed: %q -> %q", in.EntityID(), got.EntityID())
@@ -126,10 +126,10 @@ func TestCodecRejectsInvalid(t *testing.T) {
 	if _, err := EncodeInstance(in); !errors.Is(err, ErrConfidenceRange) {
 		t.Errorf("encode invalid: err = %v", err)
 	}
-	if _, err := DecodeInstance([]byte(`{"layer":1,"observer":"x","event":"y"}`)); !errors.Is(err, ErrBadLayer) {
+	if _, _, _, err := DecodeEntityJSON([]byte(`{"layer":1,"observer":"x","event":"y"}`)); !errors.Is(err, ErrBadLayer) {
 		t.Errorf("decode invalid layer: err = %v", err)
 	}
-	if _, err := DecodeInstance([]byte(`{`)); err == nil {
+	if _, _, _, err := DecodeEntityJSON([]byte(`{`)); err == nil {
 		t.Error("malformed JSON should fail")
 	}
 }
@@ -179,8 +179,8 @@ func TestInstanceRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := DecodeInstance(data)
-		if err != nil {
+		got, _, kind, err := DecodeEntityJSON(data)
+		if err != nil || kind != KindInstance {
 			return false
 		}
 		return got.EntityID() == in.EntityID() &&

@@ -212,16 +212,16 @@ func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
 }
 
 // TestAppendJSONDecodes closes the loop: what AppendJSON writes,
-// DecodeInstance reads back to the same value.
+// DecodeEntityJSON reads back to the same value.
 func TestAppendJSONDecodes(t *testing.T) {
 	in, _ := jsonCases[0].entities()
 	data, err := EncodeInstance(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeInstance(data)
-	if err != nil {
-		t.Fatal(err)
+	back, _, kind, err := DecodeEntityJSON(data)
+	if err != nil || kind != KindInstance {
+		t.Fatalf("decode: kind %d, %v", kind, err)
 	}
 	again, err := EncodeInstance(back)
 	if err != nil || !bytes.Equal(again, data) {

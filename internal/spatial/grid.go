@@ -7,15 +7,17 @@ import (
 )
 
 // Grid is a uniform spatial hash index over locations. The database server
-// (Section 3) uses it for region retrieval of event instances, and the
-// detection planner for spatial window probes.
+// (Section 3) uses it for region retrieval of event instances, the
+// detection planner for spatial window probes, and the subscription
+// matcher to find the subscriptions whose region an instance touches.
 //
-// Entries are keyed by a caller-owned uint64 — both users already have
+// Entries are keyed by a caller-owned uint64 — every user already has
 // one: the store's log sequence number, the detector window's arrival
-// sequence. Each cell keeps its keys in insertion order and removal
-// preserves that order, so a caller that retires its oldest entry first
-// (retention, a sliding window) always removes a cell's front key, in
-// O(1); removing from the middle of a cell costs the cell's length.
+// sequence, the subscription id. Each cell keeps its keys in insertion
+// order and removal preserves that order, so a caller that retires its
+// oldest entry first (retention, a sliding window) always removes a
+// cell's front key, in O(1); removing from the middle of a cell costs
+// the cell's length.
 //
 // Cell coordinates are clamped (ClampCell), so a far-out location shares
 // an edge cell instead of wrapping. An entry whose bounding box spans
@@ -24,6 +26,9 @@ import (
 // candidate, so one very large field costs one key, not a cell apiece.
 //
 // Grid is not safe for concurrent use; callers synchronize externally.
+// Concurrent QueryRegion and EstimateRegion calls with no writer are
+// safe, because they only read: the subscription matcher probes under a
+// read lock from sharded emission workers.
 type Grid struct {
 	cell  float64
 	cells map[cellKey][]uint64
@@ -61,8 +66,8 @@ const maxCellCoord = 1 << 30
 // ClampCell converts a coordinate in cell units — a position divided by
 // the cell size — to its integer cell: floored, NaN mapped to 0, and
 // clamped to ±2^30. Clamping merges far-out cells, so an index that
-// verifies its candidates stays exact. The grid, the subscription index
-// and the cluster router all cut space with it.
+// verifies its candidates stays exact. The grid (the store's and the
+// subscription index's) and the cluster router both cut space with it.
 //
 //stcps:hotpath
 func ClampCell(f float64) int {

@@ -9,21 +9,21 @@
 //
 // Matching is indexed so its cost tracks the number of *matching*
 // subscriptions, not the number of *registered* ones: subscriptions are
-// bucketed by event type and, within a bucket, by the coarse grid cells
-// their region overlaps (the same uniform-cell scheme as spatial.Grid,
-// reimplemented here so the probe path stays allocation-free). An
-// emitted instance probes exactly one event bucket (plus the any-event
-// bucket) and the cells its occurrence location overlaps; compiled
-// predicates are evaluated only on those index hits.
+// bucketed by event type and, within a bucket, region-scoped ones are
+// held in a spatial.Grid keyed by subscription id. An emitted instance
+// probes exactly one event bucket (plus the any-event bucket) with its
+// occurrence location; the grid returns the subscriptions whose region
+// is Joint with it, and compiled predicates are evaluated only on those
+// hits.
 //
 // Each subscriber owns a bounded ring buffer with drop-oldest
 // backpressure and per-subscriber delivery/drop counters. Every
 // delivery carries the store cursor (global db sequence number) of the
-// instance, so a reconnecting subscriber can resume gaplessly: a new
-// subscription created with SubscribeFrom replays the missed instances
-// from the store by cursor, then atomically splices onto the live feed,
-// deduplicating the seam by instance content key — the same identity
-// key the WAL recovery path uses (event.Instance.ContentKey).
+// instance, so a reconnecting subscriber can resume gaplessly: a
+// catch-up subscription (SubscribeFrom) replays the missed instances
+// from the store by cursor, then atomically splices onto the live feed.
+// The cursor is also the seam's identity: a live delivery below the
+// highest cursor the catch-up covered is a duplicate and is dropped.
 package sub
 
 import (
@@ -74,18 +74,8 @@ type Config struct {
 	ReplayPage int
 }
 
-const (
-	// regionCellLimit caps the cells a single subscription region may
-	// occupy in the index; larger regions fall back to the bucket's
-	// unregioned list (still verified exactly at match time).
-	regionCellLimit = 4096
-	// seamKeyLimit bounds the content keys retained for seam
-	// deduplication after a catch-up replay.
-	seamKeyLimit = 1 << 20
-)
-
 func (c *Config) normalize() {
-	if c.Cell <= 0 {
+	if !(c.Cell > 0) { // NaN too: spatial.NewGrid needs a positive cell
 		c.Cell = DefaultCell
 	}
 	if c.Buffer <= 0 {
@@ -120,6 +110,18 @@ type Spec struct {
 	Where string
 	// Buffer overrides the matcher's default ring capacity when > 0.
 	Buffer int
+	// Replay requests gapless catch-up: the subscription first replays
+	// every matching instance already in the store — from the oldest
+	// retained one, or after Cursor when set — then splices onto the
+	// live feed, dropping at the seam every live delivery whose cursor
+	// the replay already covered. Needs a store (SubscribeFrom).
+	Replay bool
+	// Cursor resumes a replay after a previous delivery's cursor (the
+	// value Delivery.Cursor, in its decimal string form: CursorString).
+	// Implies Replay. A cursor below the retained history fails with
+	// db.ErrStaleCursor: the gap is not silently skipped — resubscribe
+	// without a cursor to resync.
+	Cursor string
 }
 
 // Delivery is one instance handed to a subscriber.
@@ -188,13 +190,10 @@ type SubStats struct {
 	SeamDropped uint64 `json:"seamDropped"`
 }
 
-// cellKey addresses one coarse index cell.
-type cellKey struct{ cx, cy int }
-
-// bucket indexes one event id's subscriptions: by the cells their
-// regions overlap, plus the unregioned (or too-large-region) list.
+// bucket indexes one event id's subscriptions: region-scoped ones in a
+// grid keyed by subscription id, the rest on a plain list.
 type bucket struct {
-	cells      map[cellKey][]*Subscription
+	grid       *spatial.Grid
 	unregioned []*Subscription
 }
 
@@ -250,19 +249,24 @@ func compileWhere(text string) (*condition.Compiled, error) {
 }
 
 // Subscribe registers a live-push subscription: deliveries start with
-// the next matching emission. Use SubscribeFrom to also replay history.
+// the next matching emission. A spec asking for catch-up (Replay or
+// Cursor) fails with ErrNoStore; use SubscribeFrom to replay history.
 func (m *Matcher) Subscribe(spec Spec) (*Subscription, error) {
+	if spec.Replay || spec.Cursor != "" {
+		return nil, ErrNoStore
+	}
 	cond, err := compileWhere(spec.Where)
 	if err != nil {
 		return nil, err
 	}
-	s := m.newSub(spec, cond, false)
+	s := m.newSub(spec, cond, false, 0)
 	m.register(s)
 	return s, nil
 }
 
-// newSub builds an unregistered subscription.
-func (m *Matcher) newSub(spec Spec, cond *condition.Compiled, catchup bool) *Subscription {
+// newSub builds an unregistered subscription; seam is the catch-up
+// watermark it starts from.
+func (m *Matcher) newSub(spec Spec, cond *condition.Compiled, catchup bool, seam uint64) *Subscription {
 	capacity := spec.Buffer
 	if capacity <= 0 {
 		capacity = m.cfg.Buffer
@@ -274,6 +278,7 @@ func (m *Matcher) newSub(spec Spec, cond *condition.Compiled, catchup bool) *Sub
 		binding: make([]event.Entity, 1),
 		cap:     capacity,
 		catchup: catchup,
+		seam:    seam,
 		notify:  make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
@@ -288,50 +293,19 @@ func (m *Matcher) register(s *Subscription) {
 	m.subs[s.id] = s
 	b := m.byEvent[s.spec.Event]
 	if b == nil {
-		b = &bucket{cells: make(map[cellKey][]*Subscription)}
+		grid, err := spatial.NewGrid(m.cfg.Cell)
+		if err != nil {
+			panic(err) // normalize keeps Cell positive
+		}
+		b = &bucket{grid: grid}
 		m.byEvent[s.spec.Event] = b
 	}
-	s.cellRefs = m.regionCells(s.spec.Region)
-	if s.cellRefs == nil {
+	if s.spec.Region == nil {
 		b.unregioned = append(b.unregioned, s)
 	} else {
-		for _, k := range s.cellRefs {
-			b.cells[k] = append(b.cells[k], s)
-		}
+		b.grid.Insert(s.id, *s.spec.Region)
 	}
 	m.count.Add(1)
-}
-
-// regionCells returns the index cells a subscription region occupies,
-// or nil when the subscription belongs on the unregioned list (no
-// region, or a region spanning more than regionCellLimit cells).
-func (m *Matcher) regionCells(region *spatial.Location) []cellKey {
-	if region == nil {
-		return nil
-	}
-	x0, y0, x1, y1 := m.cellRange(*region)
-	w, h := x1-x0+1, y1-y0+1
-	if w > regionCellLimit || h > regionCellLimit || w*h > regionCellLimit {
-		return nil
-	}
-	keys := make([]cellKey, 0, w*h)
-	for cx := x0; cx <= x1; cx++ {
-		for cy := y0; cy <= y1; cy++ {
-			keys = append(keys, cellKey{cx: cx, cy: cy})
-		}
-	}
-	return keys
-}
-
-// cellRange converts a location's bounding box to inclusive cell
-// coordinates. spatial.ClampCell clamps them, so a region or instance at
-// ±1e21 indexes at an edge cell instead of a wrapped one; clamping only
-// widens the candidate rectangle, and offer verifies every candidate
-// with OpJoint.
-func (m *Matcher) cellRange(loc spatial.Location) (x0, y0, x1, y1 int) {
-	minX, minY, maxX, maxY := loc.Bounds()
-	return spatial.ClampCell(minX / m.cfg.Cell), spatial.ClampCell(minY / m.cfg.Cell),
-		spatial.ClampCell(maxX / m.cfg.Cell), spatial.ClampCell(maxY / m.cfg.Cell)
 }
 
 // Unsubscribe closes and removes a subscription by id, reporting
@@ -359,19 +333,12 @@ func (m *Matcher) removeLocked(s *Subscription) {
 	m.count.Add(-1)
 	b := m.byEvent[s.spec.Event]
 	if b != nil {
-		if s.cellRefs == nil {
+		if s.spec.Region == nil {
 			b.unregioned = removeSub(b.unregioned, s)
 		} else {
-			for _, k := range s.cellRefs {
-				lst := removeSub(b.cells[k], s)
-				if len(lst) == 0 {
-					delete(b.cells, k)
-				} else {
-					b.cells[k] = lst
-				}
-			}
+			b.grid.Remove(s.id)
 		}
-		if len(b.unregioned) == 0 && len(b.cells) == 0 {
+		if len(b.unregioned) == 0 && b.grid.Len() == 0 {
 			delete(m.byEvent, s.spec.Event)
 		}
 	}
@@ -397,7 +364,7 @@ func removeSub(lst []*Subscription, s *Subscription) []*Subscription {
 // cursor is the instance's store sequence number (hasCursor false on
 // store-less engines). Publish is the emission-path hot spot: with no
 // subscriptions it is one atomic load, and the index probe allocates
-// nothing for single-cell (point-located) instances.
+// nothing unless it hits more than 16 region-scoped subscriptions.
 //
 //stcps:hotpath
 func (m *Matcher) Publish(in *event.Instance, cursor uint64, hasCursor bool) {
@@ -407,69 +374,32 @@ func (m *Matcher) Publish(in *event.Instance, cursor uint64, hasCursor bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	m.published.Add(1)
-	d := Delivery{Inst: *in, Cursor: cursor, HasCursor: hasCursor}
-	m.matchBucket(m.byEvent[in.Event], in, &d)
+	m.matchBucket(m.byEvent[in.Event], in, cursor, hasCursor)
 	if in.Event != "" {
-		m.matchBucket(m.byEvent[""], in, &d)
+		m.matchBucket(m.byEvent[""], in, cursor, hasCursor)
 	}
 }
 
 // matchBucket probes one event bucket: the unregioned list, then the
-// cells overlapped by the instance's occurrence location. A sub indexed
-// under several of those cells must be offered once — the multi-cell
-// path deduplicates; the single-cell fast path (point instances) needs
-// no dedup and no allocation.
-func (m *Matcher) matchBucket(b *bucket, in *event.Instance, d *Delivery) {
+// grid, which returns each subscription whose region is Joint with the
+// instance's occurrence location exactly once. A probe that hits more
+// subscriptions than the stack buffer holds is the only one that
+// allocates.
+//
+//stcps:holds mu
+func (m *Matcher) matchBucket(b *bucket, in *event.Instance, cursor uint64, hasCursor bool) {
 	if b == nil {
 		return
 	}
 	for _, s := range b.unregioned {
-		s.offer(in, d)
+		s.offer(in, cursor, hasCursor)
 	}
-	if len(b.cells) == 0 {
+	if b.grid.Len() == 0 {
 		return
 	}
-	x0, y0, x1, y1 := m.cellRange(in.Loc)
-	if x0 == x1 && y0 == y1 {
-		for _, s := range b.cells[cellKey{cx: x0, cy: y0}] {
-			s.offer(in, d)
-		}
-		return
-	}
-	seen := make(map[*Subscription]struct{}, 8) //stcps:ignore hotpath multi-cell dedup; point instances take the alloc-free fast path
-	// A field instance can span more cells than the bucket populates
-	// (pathologically: a near-infinite bbox, clamped above). Walk the
-	// populated cells instead of enumerating the rectangle whenever
-	// that is cheaper — probe cost is then bounded by the index size,
-	// never by the instance's extent. Width and height are compared
-	// before multiplying, like spatial.Grid, so the product cannot
-	// mislead after an extreme clamp.
-	w, h := x1-x0+1, y1-y0+1
-	if w > len(b.cells) || h > len(b.cells) || w*h > len(b.cells) {
-		for k, lst := range b.cells {
-			if k.cx < x0 || k.cx > x1 || k.cy < y0 || k.cy > y1 {
-				continue
-			}
-			for _, s := range lst {
-				if _, dup := seen[s]; dup {
-					continue
-				}
-				seen[s] = struct{}{}
-				s.offer(in, d)
-			}
-		}
-		return
-	}
-	for cx := x0; cx <= x1; cx++ {
-		for cy := y0; cy <= y1; cy++ {
-			for _, s := range b.cells[cellKey{cx: cx, cy: cy}] {
-				if _, dup := seen[s]; dup {
-					continue
-				}
-				seen[s] = struct{}{}
-				s.offer(in, d)
-			}
-		}
+	var buf [16]uint64
+	for _, id := range b.grid.QueryRegion(buf[:0], in.Loc) {
+		m.subs[id].offer(in, cursor, hasCursor)
 	}
 }
 

@@ -324,7 +324,7 @@ func TestCatchUpReplayThenLive(t *testing.T) {
 	for i := uint64(1); i <= 10; i++ {
 		log(mkInst("E", i, timemodel.Tick(i), 0, 0, nil))
 	}
-	s, err := m.SubscribeFrom(Spec{Event: "E"}, "", store)
+	s, err := m.SubscribeFrom(Spec{Event: "E"}, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestCatchUpFromCursorNoGapsNoDups(t *testing.T) {
 	for i := uint64(1); i <= 6; i++ {
 		log(i)
 	}
-	s1, err := m.SubscribeFrom(Spec{Event: "E"}, "", store)
+	s1, err := m.SubscribeFrom(Spec{Event: "E"}, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestCatchUpFromCursorNoGapsNoDups(t *testing.T) {
 	for i := uint64(7); i <= 12; i++ {
 		log(i)
 	}
-	s2, err := m.SubscribeFrom(Spec{Event: "E"}, CursorString(lastCursor), store)
+	s2, err := m.SubscribeFrom(Spec{Event: "E", Cursor: CursorString(lastCursor)}, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func TestCatchUpFromCursorNoGapsNoDups(t *testing.T) {
 // TestSeamDedup forces the duplicate window: an instance is logged and
 // published while the catch-up replay is mid-flight, so it arrives both
 // from the store page and from the live pending buffer — the
-// content-keyed seam must keep exactly one copy.
+// cursor seam must keep exactly one copy.
 func TestSeamDedup(t *testing.T) {
 	store, err := db.New(16)
 	if err != nil {
@@ -423,7 +423,7 @@ func TestSeamDedup(t *testing.T) {
 	log(1)
 	log(2)
 	log(3) // three history items at page size 2 keep the replay open
-	s, err := m.SubscribeFrom(Spec{Event: "E"}, "", store)
+	s, err := m.SubscribeFrom(Spec{Event: "E"}, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,6 +446,65 @@ func TestSeamDedup(t *testing.T) {
 	}
 }
 
+// TestResumeDropsDelayedPublishAtCursor: a client resumed at cursor c
+// already holds the instance at c, so an emission hook that publishes
+// that instance only after the resume must not deliver it again.
+func TestResumeDropsDelayedPublishAtCursor(t *testing.T) {
+	store, err := db.New(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMatcher(Config{})
+	in := mkInst("E", 1, 1, 0, 0, nil)
+	c, _, err := store.LogSeq(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := m.SubscribeFrom(Spec{Event: "E", Cursor: CursorString(c)}, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Publish(&in, c, true) // the delayed emission hook
+	if got := drain(t, s); len(got) != 0 {
+		t.Fatalf("resume at cursor %d redelivered %+v", c, got)
+	}
+	if ss := m.SubscriptionStats()[0]; ss.SeamDropped != 1 {
+		t.Fatalf("seamDropped = %d, want 1", ss.SeamDropped)
+	}
+}
+
+// TestSeamKeepsInstancesDifferingOnlyInSeq: two stored instances are two
+// deliveries even when they agree on everything but their own Seq, one
+// replayed and one live.
+func TestSeamKeepsInstancesDifferingOnlyInSeq(t *testing.T) {
+	store, err := db.New(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMatcher(Config{})
+	log := func(in event.Instance) {
+		seq, fresh, err := store.LogSeq(in)
+		if err != nil || !fresh {
+			t.Fatalf("LogSeq: %v fresh=%v", err, fresh)
+		}
+		m.Publish(&in, seq, true)
+	}
+	first := mkInst("E", 1, 5, 0, 0, nil)
+	log(first)
+	s, err := m.SubscribeFrom(Spec{Event: "E"}, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := drain(t, s)
+	second := first
+	second.Seq = 2
+	log(second)
+	got = append(got, drain(t, s)...)
+	if len(got) != 2 || got[0].Inst.Seq != 1 || !got[0].Replayed || got[1].Inst.Seq != 2 || got[1].Replayed {
+		t.Fatalf("got %+v, want seq 1 replayed then seq 2 live", got)
+	}
+}
+
 func TestStaleCursorSurfaces(t *testing.T) {
 	store, err := db.New(16)
 	if err != nil {
@@ -459,25 +518,30 @@ func TestStaleCursorSurfaces(t *testing.T) {
 		}
 	}
 	// Seqs 0..7 are evicted; cursor 2 points below retained history.
-	if _, err := m.SubscribeFrom(Spec{Event: "E"}, "2", store); !errors.Is(err, db.ErrStaleCursor) {
+	if _, err := m.SubscribeFrom(Spec{Event: "E", Cursor: "2"}, store); !errors.Is(err, db.ErrStaleCursor) {
 		t.Fatalf("SubscribeFrom with evicted cursor = %v, want ErrStaleCursor", err)
 	}
 	if m.Len() != 0 {
 		t.Fatalf("failed subscribe left %d subs registered", m.Len())
 	}
 	// The eviction frontier itself is a clean resume.
-	s, err := m.SubscribeFrom(Spec{Event: "E"}, "7", store)
+	s, err := m.SubscribeFrom(Spec{Event: "E", Cursor: "7"}, store)
 	if err != nil {
 		t.Fatalf("SubscribeFrom at frontier: %v", err)
 	}
 	if got := drain(t, s); len(got) != 4 {
 		t.Fatalf("frontier resume got %d, want 4", len(got))
 	}
-	if _, err := m.SubscribeFrom(Spec{Event: "E"}, "bogus", store); !errors.Is(err, db.ErrBadCursor) {
+	if _, err := m.SubscribeFrom(Spec{Event: "E", Cursor: "bogus"}, store); !errors.Is(err, db.ErrBadCursor) {
 		t.Fatalf("bogus cursor = %v, want ErrBadCursor", err)
 	}
-	if _, err := m.SubscribeFrom(Spec{Event: "E"}, "", nil); !errors.Is(err, ErrNoStore) {
+	if _, err := m.SubscribeFrom(Spec{Event: "E"}, nil); !errors.Is(err, ErrNoStore) {
 		t.Fatalf("nil store = %v, want ErrNoStore", err)
+	}
+	for _, spec := range []Spec{{Event: "E", Replay: true}, {Event: "E", Cursor: "7"}} {
+		if _, err := m.Subscribe(spec); !errors.Is(err, ErrNoStore) {
+			t.Fatalf("live Subscribe(%+v) = %v, want ErrNoStore", spec, err)
+		}
 	}
 }
 
@@ -520,6 +584,29 @@ func TestPublishProbeNoAllocs(t *testing.T) {
 		t.Fatalf("hit probe+deliver allocates %.1f/op, want 0", got)
 	}
 	_ = hitSub
+}
+
+// TestPublishRegionHitNoAllocs extends the zero-allocation pin to the
+// grid probe's hit path: a point instance delivered to region-scoped
+// subscriptions, the shape of an SSE subscriber with a region.
+func TestPublishRegionHitNoAllocs(t *testing.T) {
+	m := NewMatcher(Config{Cell: 64, Buffer: 64})
+	for i := 0; i < 4; i++ {
+		region := spatial.InField(mustRect(t, float64(i), 0, 200, 200))
+		if _, err := m.Subscribe(Spec{Event: "E", Region: &region}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hit := mkInst("E", 1, 5, 100, 100, nil)
+	for i := 0; i < 200; i++ {
+		m.Publish(&hit, uint64(i), true)
+	}
+	if got := testing.AllocsPerRun(200, func() { m.Publish(&hit, 3, true) }); got != 0 {
+		t.Fatalf("region hit probe+deliver allocates %.1f/op, want 0", got)
+	}
+	if st := m.Stats(); st.Matched != 4*(200+201) {
+		t.Fatalf("matched = %d, want %d", st.Matched, 4*(200+201))
+	}
 }
 
 // TestConcurrentPublishSubscribe exercises the matcher under -race:
@@ -565,6 +652,55 @@ func TestConcurrentPublishSubscribe(t *testing.T) {
 	wg.Wait()
 	if st := m.Stats(); st.Subscriptions != 0 {
 		t.Fatalf("leaked %d subscriptions", st.Subscriptions)
+	}
+}
+
+// TestConcurrentRegionProbes runs grid probes from several publishers
+// at once (they share the matcher's read lock) while region-scoped
+// subscriptions insert into and remove from the same grid; run it under
+// -race.
+func TestConcurrentRegionProbes(t *testing.T) {
+	m := NewMatcher(Config{Cell: 8, Buffer: 16})
+	region := spatial.InField(mustRect(t, 0, 0, 50, 50))
+	keep, err := m.Subscribe(Spec{Event: "E", Region: &region})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const perPublisher = 2000
+	var wg sync.WaitGroup
+	for p := 0; p < 4; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perPublisher; i++ {
+				in := mkInst("E", uint64(i), 5, float64(i%40), float64(p), nil)
+				m.Publish(&in, uint64(i), true)
+			}
+		}()
+	}
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				f, err := spatial.Rect(float64(i%40), 0, float64(i%40+c+1), 10)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				r := spatial.InField(f)
+				s, err := m.Subscribe(Spec{Event: "E", Region: &r})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				s.Close()
+			}
+		}()
+	}
+	wg.Wait()
+	if st := keep.Stats(); st.Delivered != 4*perPublisher {
+		t.Fatalf("standing region sub delivered %d, want %d", st.Delivered, 4*perPublisher)
 	}
 }
 

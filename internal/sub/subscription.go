@@ -2,13 +2,13 @@ package sub
 
 import (
 	"context"
+	"fmt"
 	"strconv"
 	"sync"
 
 	"github.com/stcps/stcps/internal/condition"
 	"github.com/stcps/stcps/internal/db"
 	"github.com/stcps/stcps/internal/event"
-	"github.com/stcps/stcps/internal/spatial"
 )
 
 // Subscription is one subscriber's standing query plus its bounded
@@ -21,17 +21,14 @@ import (
 // serves the store replay — consumer-paced, so arbitrarily long history
 // never overflows the ring — while concurrent live matches park in a
 // bounded pending buffer; when the replay drains, the pending buffer is
-// atomically spliced into the ring with content-keyed deduplication at
-// the seam, and subsequent matches push straight to the ring.
+// atomically spliced into the ring, minus the deliveries whose cursor
+// the replay already covered, and subsequent matches push straight to
+// the ring.
 type Subscription struct {
 	id   uint64
 	m    *Matcher
 	spec Spec
 	cap  int
-	// cellRefs lists the index cells this subscription occupies; nil
-	// means it sits on its bucket's unregioned list. Written at
-	// register time and read at removal, both under the matcher's lock.
-	cellRefs []cellKey
 
 	// cond and binding form the compiled predicate's evaluation context
 	// (compiled conditions own scratch buffers).
@@ -47,13 +44,14 @@ type Subscription struct {
 	pending []Delivery //stcps:guardedby mu
 	catchup bool       //stcps:guardedby mu
 	closed  bool       //stcps:guardedby mu
-	// seam holds the content keys of everything the catch-up replay
-	// delivered: a live match carrying one of these keys is a duplicate
-	// of a replayed instance (the emission hook ran after the replay had
-	// already read it from the store) and is discarded. Bounded by
-	// seamKeyLimit; kept until the subscription closes, since an emission
-	// hook may be arbitrarily delayed between logging and publishing.
-	seam map[string]struct{} //stcps:guardedby mu
+	// seam is one past the highest store cursor the catch-up covered:
+	// the resume cursor, then each replayed delivery. A live match below
+	// it is a duplicate (its emission hook ran after the client already
+	// had the instance) and is discarded. It is kept until the
+	// subscription closes, since an emission hook may be arbitrarily
+	// delayed between logging and publishing; live-only subscriptions
+	// leave it at 0 and drop nothing.
+	seam uint64 //stcps:guardedby mu
 
 	delivered   uint64 //stcps:guardedby mu
 	dropped     uint64 //stcps:guardedby mu
@@ -82,14 +80,15 @@ type replayState struct {
 }
 
 // SubscribeFrom registers a catch-up subscription: it first replays
-// every instance matching spec from the store, starting after cursor
-// ("" replays from the oldest retained instance), then splices onto the
-// live feed with no gaps and no duplicates. The first page is fetched
-// synchronously so an unparseable cursor (db.ErrBadCursor) or one
-// pointing below the retained history (db.ErrStaleCursor — the
-// subscriber must resync from scratch) fails the subscribe itself;
-// a mid-replay eviction surfaces the same ErrStaleCursor from Poll/Next.
-func (m *Matcher) SubscribeFrom(spec Spec, cursor string, store *db.Store) (*Subscription, error) {
+// every instance matching spec from the store, starting after
+// spec.Cursor ("" replays from the oldest retained instance), then
+// splices onto the live feed with no gaps and no duplicates. Replay is
+// implied. An unparseable cursor (db.ErrBadCursor) fails the subscribe,
+// and so does one pointing below the retained history (db.ErrStaleCursor
+// — the subscriber must resync from scratch), because the first page is
+// fetched synchronously; a mid-replay eviction surfaces the same
+// ErrStaleCursor from Poll/Next.
+func (m *Matcher) SubscribeFrom(spec Spec, store *db.Store) (*Subscription, error) {
 	if store == nil {
 		return nil, ErrNoStore
 	}
@@ -97,7 +96,16 @@ func (m *Matcher) SubscribeFrom(spec Spec, cursor string, store *db.Store) (*Sub
 	if err != nil {
 		return nil, err
 	}
-	s := m.newSub(spec, cond, true)
+	var seam uint64
+	if spec.Cursor != "" {
+		after, err := strconv.ParseUint(spec.Cursor, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("sub: cursor %q: %w", spec.Cursor, db.ErrBadCursor)
+		}
+		// The client already holds the instance at its resume cursor.
+		seam = after + 1
+	}
+	s := m.newSub(spec, cond, true, seam)
 	// Tier is left at TierAll: with a cold tier attached, catch-up
 	// replays straight through the spilled history before splicing onto
 	// the live feed — a subscriber that fell behind the RAM window
@@ -109,7 +117,7 @@ func (m *Matcher) SubscribeFrom(spec Spec, cursor string, store *db.Store) (*Sub
 			Region: spec.Region,
 			Strict: true,
 		},
-		cursor: cursor,
+		cursor: spec.Cursor,
 		page:   m.cfg.ReplayPage,
 	}
 	if spec.HasTime {
@@ -157,14 +165,13 @@ func (rp *replayState) fetch() error {
 	return nil
 }
 
-// offer is the matcher-side delivery path: verify the spec's
-// predicates, evaluate the compiled condition, then hand the delivery
-// to the ring (live) or the pending buffer (catch-up).
-func (s *Subscription) offer(in *event.Instance, d *Delivery) {
+// offer is the matcher-side delivery path: verify the time predicate
+// (the index probe has verified the region), evaluate the compiled
+// condition, then hand the delivery to the ring (live) or the pending
+// buffer (catch-up). The delivery copies the instance only once it
+// matched.
+func (s *Subscription) offer(in *event.Instance, cursor uint64, hasCursor bool) {
 	if s.spec.HasTime && (in.Occ.Start() > s.spec.To || in.Occ.End() < s.spec.From) {
-		return
-	}
-	if s.spec.Region != nil && !spatial.OpJoint.Apply(in.Loc, *s.spec.Region) {
 		return
 	}
 	s.mu.Lock()
@@ -186,22 +193,21 @@ func (s *Subscription) offer(in *event.Instance, d *Delivery) {
 		}
 	}
 	s.m.matched.Add(1)
+	d := Delivery{Inst: *in, Cursor: cursor, HasCursor: hasCursor}
 	if s.catchup {
 		if len(s.pending) >= s.cap {
 			copy(s.pending, s.pending[1:])
 			s.pending = s.pending[:len(s.pending)-1]
 			s.dropped++
 		}
-		s.pending = append(s.pending, *d)
+		s.pending = append(s.pending, d)
 		return
 	}
-	if s.seam != nil {
-		if _, dup := s.seam[d.Inst.ContentKey()]; dup {
-			s.seamDropped++
-			return
-		}
+	if cursor < s.seam {
+		s.seamDropped++
+		return
 	}
-	s.pushLocked(*d)
+	s.pushLocked(d)
 }
 
 // pushLocked appends to the ring, evicting the oldest entry when full.
@@ -239,19 +245,13 @@ func (s *Subscription) pushLocked(d Delivery) {
 	}
 }
 
-// noteReplayed records one replay delivery: counters plus the seam key
-// the live path dedups against.
+// noteReplayed records one replay delivery: counters plus the seam
+// watermark the live path dedups against.
 func (s *Subscription) noteReplayed(d *Delivery) {
-	key := d.Inst.ContentKey()
 	s.mu.Lock()
 	s.replayed++
 	s.delivered++
-	if s.seam == nil {
-		s.seam = make(map[string]struct{}, 64)
-	}
-	if len(s.seam) < seamKeyLimit {
-		s.seam[key] = struct{}{}
-	}
+	s.seam = max(s.seam, d.Cursor+1)
 	s.mu.Unlock()
 }
 
@@ -263,11 +263,9 @@ func (s *Subscription) splice() {
 	s.catchup = false
 	for i := range s.pending {
 		d := &s.pending[i]
-		if s.seam != nil {
-			if _, dup := s.seam[d.Inst.ContentKey()]; dup {
-				s.seamDropped++
-				continue
-			}
+		if d.Cursor < s.seam {
+			s.seamDropped++
+			continue
 		}
 		s.pushLocked(*d)
 	}

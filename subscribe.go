@@ -32,11 +32,6 @@ type SubscriptionsConfig struct {
 	// Individual subscriptions can override it via
 	// SubscriptionSpec.Buffer.
 	Buffer int
-	// GridCell is the coarse cell size of the subscription index
-	// (default 64).
-	GridCell float64
-	// ReplayPage is the catch-up replay page size (default 512).
-	ReplayPage int
 }
 
 // SubscriptionSpec declares a standing subscription. The Event, Region
@@ -44,58 +39,24 @@ type SubscriptionsConfig struct {
 // QuerySpec's Event, Region and Window, so a subscriber's stream agrees
 // with a QueryST over the same predicates; Where adds a compiled
 // condition over each matched instance, bound under the role "e" (e.g.
-// "e.temp > 30").
-type SubscriptionSpec struct {
-	// Event filters to one event id; empty matches every event.
-	Event string
-	// Region, when non-nil, keeps instances whose estimated occurrence
-	// location is Joint with it.
-	Region *Location
-	// HasTime gates the temporal predicate: the estimated occurrence
-	// must intersect [From, To].
-	HasTime bool
-	// From and To bound the occurrence window (inclusive) when HasTime.
-	From, To Tick
-	// Where is an optional condition over the matched instance ("" =
-	// none), e.g. `e.temp > 30 and e.time after @100`.
-	Where string
-	// Buffer overrides the engine's default ring capacity when > 0.
-	Buffer int
-	// Replay requests gapless catch-up: the subscription first replays
-	// every matching instance already in the store — from the beginning,
-	// or after Cursor when set — then splices onto the live feed with
-	// content-keyed dedup at the seam. Requires WithStore.
-	Replay bool
-	// Cursor resumes a replay after a previous delivery's cursor (the
-	// value SubDelivery.Cursor, in its decimal string form). Implies
-	// Replay. A cursor below the retained history fails with
-	// db.ErrStaleCursor: the gap is not silently skipped — resubscribe
-	// without a cursor to resync.
-	Cursor string
-}
+// "e.temp > 30"). Replay and Cursor request gapless catch-up from the
+// store, which needs WithStore.
+type SubscriptionSpec = sub.Spec
 
 // Subscribe registers a standing subscription and returns its receive
 // handle. Matching runs on the emission path (under Workers > 1, on the
 // worker goroutines), with cost indexed by event type and region so it
-// tracks matching — not registered — subscriptions. Safe to call while
-// the engine ingests.
+// tracks matching — not registered — subscriptions. A catch-up request
+// (Replay or Cursor) on an engine without a store fails with
+// ErrNoCatchUp. Safe to call while the engine ingests.
 func (e *Engine) Subscribe(spec SubscriptionSpec) (*Subscription, error) {
-	s := sub.Spec{
-		Event:   spec.Event,
-		Region:  spec.Region,
-		HasTime: spec.HasTime,
-		From:    spec.From,
-		To:      spec.To,
-		Where:   spec.Where,
-		Buffer:  spec.Buffer,
+	if !spec.Replay && spec.Cursor == "" {
+		return e.subs.Subscribe(spec)
 	}
-	if spec.Replay || spec.Cursor != "" {
-		if e.store == nil {
-			return nil, ErrNoCatchUp
-		}
-		return e.subs.SubscribeFrom(s, spec.Cursor, e.store)
+	if e.store == nil {
+		return nil, ErrNoCatchUp
 	}
-	return e.subs.Subscribe(s)
+	return e.subs.SubscribeFrom(spec, e.store)
 }
 
 // Unsubscribe closes and removes a subscription by id, reporting
