@@ -58,10 +58,8 @@ func walIngestCount(t *testing.T, dir string) int {
 	}
 	defer l.Close()
 	n := 0
-	if err := l.Replay(func(rec wal.Record) error {
-		if rec.Kind == wal.KindObservation || rec.Kind == wal.KindIngest {
-			n++
-		}
+	if err := l.Replay([]wal.Kind{wal.KindObservation, wal.KindIngest}, func(wal.Record) error {
+		n++
 		return nil
 	}); err != nil {
 		t.Fatalf("replay WAL after kill: %v", err)

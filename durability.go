@@ -205,13 +205,6 @@ func (d *durability) takeHookErr() error {
 	return err
 }
 
-// emissionKey identifies an emission by content rather than entity id.
-// Replay re-derives emissions deterministically, so a re-derived
-// duplicate matches the key of the original even when the restarted
-// detector assigned a different sequence number. The key is
-// event.Instance.ContentKey.
-func emissionKey(in *event.Instance) string { return in.ContentKey() }
-
 // appendIngest writes one ingested entity to the WAL before it reaches
 // the detectors.
 func (e *Engine) appendIngest(source string, ent Entity, conf float64, now Tick) error {
@@ -253,7 +246,7 @@ func (e *Engine) appendEmit(in event.Instance) {
 // windows are approximate and an unknown re-derivation may be spurious
 // — it is suppressed (and counted), never guessed into the store.
 func (e *Engine) replayEmission(in event.Instance) {
-	key := emissionKey(&in)
+	key := in.ContentKey()
 	d := e.dur
 	d.replayMu.Lock()
 	if _, dup := d.known[key]; dup {
@@ -306,17 +299,18 @@ func (e *Engine) recover() error {
 	}
 	snapSeq := d.log.Stats().SnapshotSeq
 
-	// 2. Scan the WAL: restore the emitted-instance tail and remember
-	// every known emission. The scan streams, so recovery memory scales
-	// with the emission count (one known-key per emission), not with the
-	// full ingest history.
+	// 2. Scan the WAL's emit records: restore the emitted-instance tail
+	// and remember every known emission. Only emit payloads are decoded;
+	// the scan streams, so recovery memory scales with the emission
+	// count (one known-key per emission), not with the full ingest
+	// history.
 	d.known = make(map[string]struct{})
 	maxSeq := make(map[string]uint64)
 	for _, in := range e.store.All() {
 		if in.Observer != e.cfg.Observer {
 			continue
 		}
-		d.known[emissionKey(&in)] = struct{}{}
+		d.known[in.ContentKey()] = struct{}{}
 		if in.Seq > maxSeq[in.Event] {
 			maxSeq[in.Event] = in.Seq
 		}
@@ -334,13 +328,10 @@ func (e *Engine) recover() error {
 		page = page[:0]
 		return err
 	}
-	err := d.log.Replay(func(rec wal.Record) error {
+	err := d.log.Replay([]wal.Kind{wal.KindEmit}, func(rec wal.Record) error {
 		d.replayedRecords.Add(1)
-		if rec.Kind != wal.KindEmit {
-			return nil
-		}
 		in := rec.Instance
-		d.known[emissionKey(in)] = struct{}{} //stcps:ignore guardedby synchronous replay callback; workers have not started yet
+		d.known[in.ContentKey()] = struct{}{} //stcps:ignore guardedby synchronous replay callback; workers have not started yet
 		if in.Seq > maxSeq[in.Event] {
 			maxSeq[in.Event] = in.Seq
 		}
@@ -361,10 +352,11 @@ func (e *Engine) recover() error {
 	d.recoveredInstances.Store(uint64(e.store.Len()))
 	d.replayComplete = d.log.Complete()
 
-	// 3. Second streaming pass: re-offer the logged entities in their
-	// original order so the detector windows (and any open interval
-	// state) rebuild exactly; re-derived emissions route through
-	// replayEmission, which buffers only the (rare) crash-outran ones.
+	// 3. Second streaming pass, decoding only the ingest records:
+	// re-offer the logged entities in their original order so the
+	// detector windows (and any open interval state) rebuild exactly;
+	// re-derived emissions route through replayEmission, which buffers
+	// only the (rare) crash-outran ones.
 	if e.sharded != nil {
 		// Tolerate ErrStarted: a retried recovery finds the workers
 		// already running from the failed attempt.
@@ -373,15 +365,13 @@ func (e *Engine) recover() error {
 		}
 	}
 	e.replaying.Store(true)
-	err = d.log.Replay(func(rec wal.Record) error {
+	err = d.log.Replay([]wal.Kind{wal.KindObservation, wal.KindIngest}, func(rec wal.Record) error {
+		d.replayedRecords.Add(1)
 		var ent Entity
-		switch rec.Kind {
-		case wal.KindObservation:
-			ent = *rec.Observation
-		case wal.KindIngest:
+		if rec.Kind == wal.KindIngest {
 			ent = *rec.Instance
-		default:
-			return nil
+		} else {
+			ent = *rec.Observation
 		}
 		d.noteTick(rec.Now)
 		if _, err := e.offer(rec.Source, ent, rec.Conf, rec.Now); err != nil {

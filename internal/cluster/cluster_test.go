@@ -7,7 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"github.com/stcps/stcps/internal/event"
+	"github.com/stcps/stcps/internal/frame"
 	"github.com/stcps/stcps/internal/spatial"
+	"github.com/stcps/stcps/internal/timemodel"
 )
 
 func TestParseNodes(t *testing.T) {
@@ -156,9 +159,50 @@ func TestDedupWindow(t *testing.T) {
 	if !d.Admit(1, 0, 8) {
 		t.Fatal("base did not advance past the collapsed window")
 	}
+	if !d.Seen(1, 0, 3) || !d.Seen(1, 0, 8) || d.Seen(1, 0, 10) || d.Seen(3, 0, 0) {
+		t.Fatal("Seen disagrees with the admitted set")
+	}
 	// Streams are independent per (partition, origin).
 	if !d.Admit(2, 0, 0) || !d.Admit(1, 1, 0) {
 		t.Fatal("distinct streams share a window")
+	}
+}
+
+// TestFailedApplyIsRetried: an apply that fails (a WAL append on a
+// full disk, say) must not mark the record applied, or its redelivery
+// would be dropped as a duplicate and the record lost.
+func TestFailedApplyIsRetried(t *testing.T) {
+	fail := true
+	applied := 0
+	node, err := New(Config{Nodes: []NodeSpec{{Wire: "n0", HTTP: "h0"}}}, nil, Hooks{
+		Guard: func(fn func() error) (bool, error) { return true, fn() },
+		Apply: func(string, event.Entity, float64, timemodel.Tick) ([]event.Instance, error) {
+			if fail {
+				fail = false
+				return nil, errors.New("disk full")
+			}
+			applied++
+			return nil, nil
+		},
+		SeqOf: func(string) (uint64, bool) { return 0, false },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	co := node.Coord
+	defer co.Close()
+	item := localItem{
+		source: "SR1", ent: event.Observation{Mote: "MT1", Sensor: "SR1", Seq: 1},
+		conf: 1, f: frame.Forward{Origin: 1, Seq: 0, Replica: true},
+	}
+	if _, err := co.applyLocal([]localItem{item}); err == nil {
+		t.Fatal("failing apply reported success")
+	}
+	if _, err := co.applyLocal([]localItem{item}); err != nil {
+		t.Fatalf("redelivery: %v", err)
+	}
+	if st := co.Stats(); applied != 1 || st.Applied != 1 || st.Duplicates != 0 {
+		t.Fatalf("after fail + redelivery: applied %d, stats %+v; want 1 applied, 0 duplicates", applied, st)
 	}
 }
 

@@ -268,14 +268,15 @@ func (co *Coordinator) applyLocal(items []localItem) ([]replOp, error) {
 	open, err := co.hooks.Guard(func() error {
 		for i := range items {
 			it := &items[i]
-			if !co.dedup.Admit(it.p, it.f.Origin, it.f.Seq) {
+			if co.dedup.Seen(it.p, it.f.Origin, it.f.Seq) {
 				co.stats.duplicates.Add(1)
 				continue
 			}
 			outs, err := co.hooks.Apply(it.source, it.ent, it.conf, it.now)
 			if err != nil {
-				return err
+				return err // not admitted: a redelivery applies it
 			}
+			co.dedup.Admit(it.p, it.f.Origin, it.f.Seq)
 			co.stats.applied.Add(1)
 			co.noteApplied(hlc.Stamp(it.f.Stamp))
 			for j := range outs {

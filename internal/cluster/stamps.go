@@ -76,10 +76,22 @@ type Dedup struct {
 // NewDedup returns an empty dedup table.
 func NewDedup() *Dedup { return &Dedup{m: make(map[dedupKey]*dedupWindow)} }
 
+// Seen reports whether (partition, origin, seq) was already admitted.
+func (d *Dedup) Seen(partition, origin int, seq uint64) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	w := d.m[dedupKey{partition: int32(partition), origin: int32(origin)}]
+	if w == nil {
+		return false
+	}
+	_, dup := w.seen[seq]
+	return dup || seq < w.base
+}
+
 // Admit reports whether (partition, origin, seq) is new, marking it
-// applied when it is. Callers must apply the record after a true
-// return (the mark is taken eagerly; see docs/cluster.md on why a
-// failed apply then drops the record rather than retrying it).
+// applied when it is. The coordinator admits a record only after its
+// apply succeeded (checking Seen before the apply, both under the
+// ingest guard), so a failed apply leaves the record retryable.
 func (d *Dedup) Admit(partition, origin int, seq uint64) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -87,6 +87,7 @@ type Reader struct {
 	r   io.Reader
 	max uint32
 	buf []byte
+	hdr [HeaderSize]byte // Next reads headers here: a local array escapes to the heap per frame
 }
 
 // NewReader returns a frame reader over r rejecting payloads larger
@@ -110,8 +111,8 @@ func NewReader(r io.Reader, max uint32) *Reader {
 //
 //stcps:hotpath
 func (fr *Reader) Next() ([]byte, int, error) {
-	var hdr [HeaderSize]byte
-	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
+	hdr := fr.hdr[:]
+	if _, err := io.ReadFull(fr.r, hdr); err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil, 0, io.EOF
 		}

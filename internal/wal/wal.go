@@ -19,10 +19,17 @@
 //	| len u32  | crc32 u32| payload (len B)  |
 //	+----------+----------+------------------+
 //
-// The payload is the JSON envelope of one Record. A torn tail (partial
-// write from a crash) fails the length or CRC check and is truncated at
-// open; torn records in any segment other than the last indicate real
-// corruption and fail the open.
+// The payload (format v2) is a record header, then the observation or
+// instance in the binary entity codec the wire protocol carries
+// (internal/event):
+//
+//	kind u8 | now varint | conf f64 | source (uvarint len + bytes) | entity
+//
+// Open reads only kind and now, which compaction needs; Replay decodes
+// only the kinds its caller asks for. A torn tail (partial write from a
+// crash) fails the length or CRC check and is truncated at open; torn
+// records in any segment other than the last indicate real corruption
+// and fail the open, and so does a v1 (JSON) payload, with ErrVersion.
 //
 // Segments are named after the sequence number of their first record
 // (%016d.wal) and rotate at Options.SegmentBytes. A snapshot file
@@ -35,13 +42,14 @@ package wal
 
 import (
 	"bufio"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -49,6 +57,7 @@ import (
 
 	"github.com/stcps/stcps/internal/event"
 	"github.com/stcps/stcps/internal/frame"
+	"github.com/stcps/stcps/internal/spatial"
 	"github.com/stcps/stcps/internal/timemodel"
 )
 
@@ -61,6 +70,9 @@ var (
 	ErrCorrupt = errors.New("wal: corrupt segment")
 	// ErrBadRecord is returned for records that cannot be encoded.
 	ErrBadRecord = errors.New("wal: bad record")
+	// ErrVersion is returned by Open for a segment written in a record
+	// format this build does not read (the v1 JSON payload).
+	ErrVersion = errors.New("wal: unsupported record format")
 )
 
 // FsyncPolicy selects when appended records reach stable storage.
@@ -142,16 +154,6 @@ type Record struct {
 	Observation *event.Observation
 }
 
-// envelope is the JSON payload of a record.
-type envelope struct {
-	Kind        Kind               `json:"k"`
-	Source      string             `json:"src,omitempty"`
-	Conf        float64            `json:"conf,omitempty"`
-	Now         timemodel.Tick     `json:"now,omitempty"`
-	Instance    *event.Instance    `json:"inst,omitempty"`
-	Observation *event.Observation `json:"obs,omitempty"`
-}
-
 // segMeta describes one segment file.
 type segMeta struct {
 	path  string
@@ -218,6 +220,11 @@ type Log struct {
 	// later fsync succeeding does NOT mean the lost pages were written.
 	syncFailures uint64 //stcps:guardedby mu
 	firstErr     error  //stcps:guardedby mu
+	// buf holds the frame being appended and enc encodes its entity,
+	// one encoder per kind so each keeps its attribute schema cached:
+	// a steady-state append allocates nothing.
+	buf []byte                          //stcps:guardedby mu
+	enc [KindEmit + 1]event.WireEncoder //stcps:guardedby mu
 
 	// lock holds the directory lock file (see lockFile) preventing two
 	// processes from appending to the same directory.
@@ -236,6 +243,14 @@ const (
 	// would brick the log (sealed segment) or silently truncate an
 	// acknowledged record (torn-tail handling) at the next open.
 	maxPayloadBytes = 64 << 20
+	// boundsFreeBytes is the payload size below which no string or count
+	// in the entity can exceed the wire codec's decode bounds (64 KiB
+	// strings and inputs, 4096 attrs of at least 9 bytes each); a larger
+	// payload is decoded once before it is written, so Append never
+	// accepts a record Replay would refuse.
+	boundsFreeBytes = 32 << 10
+	// maxBufBytes caps the append buffer kept between appends.
+	maxBufBytes = 64 << 10
 )
 
 func segName(first uint64) string { return fmt.Sprintf("%016d%s", first, segSuffix) }
@@ -399,12 +414,21 @@ func (l *Log) scanSegment(path string, first uint64, isLast bool) (segMeta, erro
 		return meta, fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
-	fr := segmentReader(f)
+	fr := frame.NewReader(bufio.NewReader(f), maxPayloadBytes)
 	var off int64
 	for {
 		payload, n, err := fr.Next()
 		if errors.Is(err, io.EOF) {
 			break
+		}
+		var kind Kind
+		var now timemodel.Tick
+		if err == nil {
+			kind, now, _, err = header(payload)
+		}
+		if errors.Is(err, ErrVersion) {
+			// A v1 log is refused whole, never "repaired" as a torn tail.
+			return meta, fmt.Errorf("%w: %s holds v1 (JSON) records; this build reads v2 only", ErrVersion, filepath.Base(path))
 		}
 		if err != nil {
 			if !isLast {
@@ -417,42 +441,115 @@ func (l *Log) scanSegment(path string, first uint64, isLast bool) (segMeta, erro
 			l.torn++
 			break
 		}
-		var env envelope
-		if jerr := json.Unmarshal(payload, &env); jerr != nil {
-			if !isLast {
-				return meta, fmt.Errorf("%w: %s at offset %d: %w", ErrCorrupt, filepath.Base(path), off, jerr)
-			}
-			if terr := os.Truncate(path, off); terr != nil {
-				return meta, fmt.Errorf("wal: truncating torn tail of %s: %w", filepath.Base(path), terr)
-			}
-			l.torn++
-			break
-		}
 		off += int64(n)
 		meta.last++
-		meta.noteIngest(env)
+		meta.noteIngest(kind, now)
 	}
 	meta.bytes = off
 	return meta, nil
 }
 
 // noteIngest folds one record into the segment's compaction metadata.
-func (m *segMeta) noteIngest(env envelope) {
-	if env.Kind != KindObservation && env.Kind != KindIngest {
+func (m *segMeta) noteIngest(kind Kind, now timemodel.Tick) {
+	if kind != KindObservation && kind != KindIngest {
 		return
 	}
 	m.hasIngest = true
-	if env.Now > m.maxTick {
-		m.maxTick = env.Now
+	if now > m.maxTick {
+		m.maxTick = now
 	}
 }
 
-// segmentReader reads one segment's length+CRC framed payloads. The
-// framing itself lives in internal/frame (the WAL is where it was
-// first proven and is now one of its consumers); io.EOF signals a
-// clean end, any other error marks a torn or corrupt frame.
-func segmentReader(f io.Reader) *frame.Reader {
-	return frame.NewReader(bufio.NewReader(f), maxPayloadBytes)
+// uvarint reads a minimally encoded uvarint and its width (0 when
+// truncated or padded): as in the entity codec, every value has exactly
+// one encoding, so decode and encode are inverse.
+func uvarint(p []byte) (uint64, int) {
+	v, n := binary.Uvarint(p)
+	if n <= 0 || (n > 1 && p[n-1] == 0) {
+		return 0, 0
+	}
+	return v, n
+}
+
+// header parses the kind and tick a payload starts with and returns the
+// offset past them. A v1 payload, a JSON object, fails with ErrVersion.
+func header(p []byte) (Kind, timemodel.Tick, int, error) {
+	switch k := Kind(p[0]); k {
+	case KindObservation, KindIngest, KindEmit:
+		u, n := uvarint(p[1:])
+		if n == 0 {
+			return 0, 0, 0, event.ErrWireTruncated
+		}
+		return k, timemodel.Tick(int64(u>>1) ^ -int64(u&1)), 1 + n, nil
+	case '{':
+		return 0, 0, 0, ErrVersion
+	default:
+		return 0, 0, 0, fmt.Errorf("record kind %d: %w", k, event.ErrWireBounds)
+	}
+}
+
+// appendPayload appends rec's payload to dst, its entity through enc.
+func appendPayload(dst []byte, enc *event.WireEncoder, rec *Record) ([]byte, error) {
+	dst = append(dst, byte(rec.Kind))
+	dst = binary.AppendVarint(dst, int64(rec.Now))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(rec.Conf))
+	dst = binary.AppendUvarint(dst, uint64(len(rec.Source)))
+	dst = append(dst, rec.Source...)
+	if rec.Kind == KindObservation {
+		return enc.AppendObservation(dst, rec.Observation), nil
+	}
+	return enc.AppendInstance(dst, rec.Instance)
+}
+
+// decodePayload parses a payload into rec (all but Seq), sharing
+// repeated strings through it (which may be nil).
+func decodePayload(p []byte, rec *Record, it *event.Interner) error {
+	kind, now, off, err := header(p)
+	if err != nil {
+		return err
+	}
+	if len(p) < off+8 {
+		return event.ErrWireTruncated
+	}
+	conf := math.Float64frombits(binary.LittleEndian.Uint64(p[off:]))
+	off += 8
+	n, w := uvarint(p[off:])
+	if w == 0 || n > uint64(len(p)-off-w) {
+		return event.ErrWireTruncated
+	}
+	off += w
+	*rec = Record{Kind: kind, Now: now, Conf: conf, Source: it.Intern(p[off : off+int(n)])}
+	off += int(n)
+	if kind == KindObservation {
+		rec.Observation = new(event.Observation)
+		return event.DecodeObservationWire(p[off:], rec.Observation, it)
+	}
+	rec.Instance = new(event.Instance)
+	return event.DecodeInstanceWire(p[off:], rec.Instance, it)
+}
+
+// finite reports whether every float the record carries is finite: the
+// v1 JSON payload could not hold NaN or ±Inf, nor can the db.Snapshot
+// NDJSON, so the binary payload keeps refusing them. v-v is 0 for a
+// finite v and NaN otherwise; a location's bounds are non-finite iff
+// one of its coordinates is.
+func finite(rec *Record) bool {
+	sum := rec.Conf - rec.Conf
+	add := func(l spatial.Location, a event.Attrs) {
+		x0, y0, x1, y1 := l.Bounds()
+		sum += x0 - x0 + y0 - y0 + x1 - x1 + y1 - y1
+		for _, v := range a {
+			sum += v - v
+		}
+	}
+	if rec.Kind == KindObservation {
+		add(rec.Observation.Loc, rec.Observation.Attrs)
+	} else {
+		sum += rec.Instance.Confidence - rec.Instance.Confidence
+		add(rec.Instance.GenLoc, nil)
+		add(rec.Instance.Loc, rec.Instance.Attrs)
+	}
+	return sum == 0
 }
 
 // openSegmentLocked creates and activates a fresh segment whose first
@@ -520,14 +617,6 @@ func (l *Log) syncLoop() {
 // Append writes one record and returns its sequence number. Under
 // FsyncAlways the record is on stable storage when Append returns.
 func (l *Log) Append(rec Record) (uint64, error) {
-	env := envelope{
-		Kind:        rec.Kind,
-		Source:      rec.Source,
-		Conf:        rec.Conf,
-		Now:         rec.Now,
-		Instance:    rec.Instance,
-		Observation: rec.Observation,
-	}
 	switch rec.Kind {
 	case KindObservation:
 		if rec.Observation == nil {
@@ -540,12 +629,8 @@ func (l *Log) Append(rec Record) (uint64, error) {
 	default:
 		return 0, fmt.Errorf("%w: unknown kind %d", ErrBadRecord, rec.Kind)
 	}
-	payload, err := json.Marshal(env)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %w", ErrBadRecord, err)
-	}
-	if len(payload) > maxPayloadBytes {
-		return 0, fmt.Errorf("%w: payload is %d bytes (max %d)", ErrBadRecord, len(payload), maxPayloadBytes)
+	if !finite(&rec) {
+		return 0, fmt.Errorf("%w: NaN or infinite float", ErrBadRecord)
 	}
 
 	l.mu.Lock()
@@ -554,11 +639,24 @@ func (l *Log) Append(rec Record) (uint64, error) {
 		return 0, ErrClosed
 	}
 	var hdr [frame.HeaderSize]byte
-	frame.PutHeader(hdr[:], payload)
-	if _, err := l.w.Write(hdr[:]); err != nil {
-		return 0, fmt.Errorf("wal: append: %w", err)
+	buf, err := appendPayload(append(l.buf[:0], hdr[:]...), &l.enc[rec.Kind], &rec)
+	if cap(buf) <= maxBufBytes {
+		l.buf = buf
 	}
-	if _, err := l.w.Write(payload); err != nil {
+	if err != nil {
+		return 0, fmt.Errorf("%w: %w", ErrBadRecord, err)
+	}
+	payload := buf[frame.HeaderSize:]
+	if len(payload) > maxPayloadBytes {
+		return 0, fmt.Errorf("%w: payload is %d bytes (max %d)", ErrBadRecord, len(payload), maxPayloadBytes)
+	}
+	if len(payload) > boundsFreeBytes {
+		if err := decodePayload(payload, new(Record), nil); err != nil {
+			return 0, fmt.Errorf("%w: %w", ErrBadRecord, err)
+		}
+	}
+	frame.PutHeader(buf[:frame.HeaderSize], payload)
+	if _, err := l.w.Write(buf); err != nil {
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
 	l.seq++
@@ -566,8 +664,8 @@ func (l *Log) Append(rec Record) (uint64, error) {
 	l.dirty = true
 	active := &l.segs[len(l.segs)-1]
 	active.last = l.seq
-	active.bytes += int64(frame.HeaderSize + len(payload))
-	active.noteIngest(env)
+	active.bytes += int64(len(buf))
+	active.noteIngest(rec.Kind, rec.Now)
 	seq := l.seq
 
 	if l.opts.Fsync == FsyncAlways {
@@ -668,68 +766,56 @@ func (l *Log) Complete() bool {
 	return len(l.segs) > 0 && l.segs[0].first == 1
 }
 
-// Replay streams every live record, in sequence order, to fn. It reads
-// the segment files from disk, so it must run before appends start
-// (recovery time); fn must not call back into the log.
+// Replay streams the live records of the given kinds, in sequence
+// order, to fn. Only their payloads are decoded: a record of any other
+// kind costs its CRC check and nothing more. Strings repeated across
+// records (sources, motes, sensors, attribute names) are shared. Replay
+// reads the segment files from disk, so it must run before appends
+// start (recovery time); fn must not call back into the log.
 //
 //stcps:replay
-func (l *Log) Replay(fn func(Record) error) error {
+func (l *Log) Replay(kinds []Kind, fn func(Record) error) error {
 	l.mu.Lock()
-	if err := l.syncFlushLocked(); err != nil {
-		l.mu.Unlock()
-		return err
-	}
+	err := l.w.Flush() // the reads below go through the file system
 	segs := append([]segMeta(nil), l.segs...)
 	l.mu.Unlock()
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
 
+	it := event.NewInterner()
 	for _, seg := range segs {
-		f, err := os.Open(seg.path)
-		if err != nil {
-			return fmt.Errorf("wal: replay: %w", err)
+		if err := replaySegment(seg, kinds, it, fn); err != nil {
+			return err
 		}
-		fr := segmentReader(f)
-		seq := seg.first - 1
-		for seq < seg.last {
-			payload, _, err := fr.Next()
-			if err != nil {
-				f.Close()
-				return fmt.Errorf("wal: replay %s: %w", filepath.Base(seg.path), err)
-			}
-			var env envelope
-			if err := json.Unmarshal(payload, &env); err != nil {
-				f.Close()
-				return fmt.Errorf("wal: replay %s: %w", filepath.Base(seg.path), err)
-			}
-			seq++
-			rec := Record{
-				Seq:         seq,
-				Kind:        env.Kind,
-				Source:      env.Source,
-				Conf:        env.Conf,
-				Now:         env.Now,
-				Instance:    env.Instance,
-				Observation: env.Observation,
-			}
-			if err := fn(rec); err != nil {
-				f.Close()
-				return err
-			}
-		}
-		f.Close()
 	}
 	return nil
 }
 
-// syncFlushLocked lands buffered bytes without requiring fsync (so
-// Replay sees them through the file system).
-//
-//stcps:holds mu
-func (l *Log) syncFlushLocked() error {
-	if l.w == nil {
-		return nil
+// replaySegment is Replay over one segment.
+func replaySegment(seg segMeta, kinds []Kind, it *event.Interner, fn func(Record) error) error {
+	f, err := os.Open(seg.path)
+	if err != nil {
+		return fmt.Errorf("wal: replay: %w", err)
 	}
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("wal: %w", err)
+	defer f.Close()
+	fr := frame.NewReader(bufio.NewReader(f), maxPayloadBytes)
+	for seq := seg.first; seq <= seg.last; seq++ {
+		payload, _, err := fr.Next()
+		if err != nil {
+			return fmt.Errorf("wal: replay %s: %w", filepath.Base(seg.path), err)
+		}
+		if !slices.Contains(kinds, Kind(payload[0])) {
+			continue // Open checked every header: no unknown kind gets here
+		}
+		var rec Record
+		if err := decodePayload(payload, &rec, it); err != nil {
+			return fmt.Errorf("wal: replay %s: %w", filepath.Base(seg.path), err)
+		}
+		rec.Seq = seq
+		if err := fn(rec); err != nil {
+			return err
+		}
 	}
 	return nil
 }

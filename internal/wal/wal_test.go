@@ -3,10 +3,12 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -60,10 +62,13 @@ func appendN(t *testing.T, l *Log, n int, startTick timemodel.Tick) {
 	}
 }
 
+// allKinds asks Replay for every record.
+var allKinds = []Kind{KindObservation, KindIngest, KindEmit}
+
 func collect(t *testing.T, l *Log) []Record {
 	t.Helper()
 	var out []Record
-	if err := l.Replay(func(r Record) error {
+	if err := l.Replay(allKinds, func(r Record) error {
 		out = append(out, r)
 		return nil
 	}); err != nil {
@@ -320,7 +325,7 @@ func TestSnapshotAndCompaction(t *testing.T) {
 	appendN(t, l, 5, 100)
 	fresh := 0
 	lastSeq := uint64(0)
-	_ = l.Replay(func(r Record) error {
+	_ = l.Replay(allKinds, func(r Record) error {
 		if r.Seq <= lastSeq {
 			t.Fatalf("replay out of order: %d after %d", r.Seq, lastSeq)
 		}
@@ -372,7 +377,7 @@ func TestCompactionHorizon(t *testing.T) {
 	}
 	// Remaining sealed segments must still hold every ingest >= 20.
 	seen := make(map[uint64]bool)
-	_ = l.Replay(func(r Record) error {
+	_ = l.Replay(allKinds, func(r Record) error {
 		seen[r.Seq] = true
 		return nil
 	})
@@ -433,7 +438,7 @@ func TestOpenSweepsCrashDebris(t *testing.T) {
 		t.Errorf("snapshot tmp file not swept: %v", err)
 	}
 	fresh := 0
-	_ = l2.Replay(func(r Record) error {
+	_ = l2.Replay(allKinds, func(r Record) error {
 		if r.Seq > 40 {
 			fresh++
 		}
@@ -526,4 +531,210 @@ func TestOpenRequiresDir(t *testing.T) {
 	if _, err := Open(Options{}); err == nil {
 		t.Error("Open without Dir should fail")
 	}
+}
+
+// imuRecord is the ingest record of one 10-axis IMU observation, the
+// shape of the benchmark's imu workloads.
+func imuRecord(seq uint64) Record {
+	tick := timemodel.Tick(1_000_000 + seq)
+	return Record{Kind: KindObservation, Source: "IMU3", Conf: 1, Now: tick,
+		Observation: &event.Observation{
+			Mote: "MT1", Sensor: "IMU3", Seq: seq, Time: timemodel.At(tick),
+			Loc: spatial.AtPoint(812.25, 90.5),
+			Attrs: event.Attrs{
+				"ax": 4.2, "ay": -0.2, "az": 9.8, "gx": 0.01, "gy": 0.02, "gz": 0.03,
+				"mx": 41, "my": -12, "mz": 7, "temp": 21.5,
+			},
+		}}
+}
+
+// TestAppendAllocatesNothing pins the steady-state append cost: the
+// payload is encoded into a buffer and an encoder the log owns.
+func TestAppendAllocatesNothing(t *testing.T) {
+	l := mustOpen(t, Options{Dir: t.TempDir(), Fsync: FsyncOff})
+	defer l.Close()
+	rec := imuRecord(1)
+	if _, err := l.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		rec.Observation.Seq++
+		if _, err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("steady-state observation append = %.1f allocs, want 0", allocs)
+	}
+}
+
+// TestIMURecordSize pins the framed size of one IMU observation record:
+// an 8-byte frame header and a 161-byte payload (format v1 framed the
+// same record as 282 B, a 274-byte JSON payload).
+func TestIMURecordSize(t *testing.T) {
+	l := mustOpen(t, Options{Dir: t.TempDir(), Fsync: FsyncOff})
+	defer l.Close()
+	if _, err := l.Append(imuRecord(1)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := l.Stats().Bytes, int64(8+161); got != want {
+		t.Fatalf("IMU record = %d B framed, want %d", got, want)
+	}
+}
+
+// writeObservations fills a fresh log with n observation records over
+// small segments and returns its directory and segment count.
+func writeObservations(t *testing.T, n int) (string, int) {
+	t.Helper()
+	dir := t.TempDir()
+	l := mustOpen(t, Options{Dir: dir, Fsync: FsyncOff, SegmentBytes: 256 << 10})
+	for i := 1; i <= n; i++ {
+		if _, err := l.Append(imuRecord(uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs := l.Stats().Segments
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir, segs
+}
+
+// allocBudget bounds work that must scale with the segment count, not
+// with the record count.
+func allocBudget(segs int) float64 { return float64(64 + 32*segs) }
+
+// TestOpenReadsHeadersOnly: Open CRC-checks every frame but parses only
+// kind and tick, so its allocations scale with segments, not records.
+func TestOpenReadsHeadersOnly(t *testing.T) {
+	const n = 10_000
+	dir, segs := writeObservations(t, n)
+	allocs := testing.AllocsPerRun(3, func() {
+		l := mustOpen(t, Options{Dir: dir, Fsync: FsyncOff, SegmentBytes: 256 << 10})
+		if l.Seq() != n {
+			t.Fatalf("reopened seq = %d, want %d", l.Seq(), n)
+		}
+		l.Close()
+	})
+	t.Logf("Open over %d records in %d segments: %.0f allocs", n, segs, allocs)
+	if allocs > allocBudget(segs) {
+		t.Fatalf("Open over %d records in %d segments = %.0f allocs, want <= %.0f", n, segs, allocs, allocBudget(segs))
+	}
+}
+
+// TestReplayDecodesOnlyWantedKinds: a Replay filtered to emit records
+// over an observation-only log calls nothing and decodes nothing.
+func TestReplayDecodesOnlyWantedKinds(t *testing.T) {
+	const n = 10_000
+	dir, segs := writeObservations(t, n)
+	l := mustOpen(t, Options{Dir: dir, Fsync: FsyncOff, SegmentBytes: 256 << 10})
+	defer l.Close()
+	calls := 0
+	allocs := testing.AllocsPerRun(3, func() {
+		if err := l.Replay([]Kind{KindEmit}, func(Record) error {
+			calls++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if calls != 0 {
+		t.Fatalf("emit-only replay called fn %d times over an observation-only log", calls)
+	}
+	t.Logf("emit-only replay over %d records in %d segments: %.0f allocs", n, segs, allocs)
+	if allocs > allocBudget(segs) {
+		t.Fatalf("emit-only replay over %d records in %d segments = %.0f allocs, want <= %.0f", n, segs, allocs, allocBudget(segs))
+	}
+	got := 0
+	if err := l.Replay([]Kind{KindObservation}, func(r Record) error {
+		got++
+		if r.Kind != KindObservation || r.Seq != uint64(got) || r.Observation.Seq != r.Seq {
+			t.Fatalf("record %d = %+v", got, r)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got != n {
+		t.Fatalf("observation replay = %d records, want %d", got, n)
+	}
+}
+
+// TestAppendRefusesUnreadable: what the v1 JSON payload could not hold
+// (NaN, ±Inf), invalid instances, and entities past the wire codec's
+// decode bounds are refused with ErrBadRecord, and the log stays
+// readable.
+func TestAppendRefusesUnreadable(t *testing.T) {
+	l := mustOpen(t, Options{Dir: t.TempDir(), Fsync: FsyncOff})
+	defer l.Close()
+	nan, inf := math.NaN(), math.Inf(1)
+	huge := event.Attrs{}
+	for i := 0; i < 5000; i++ {
+		huge[fmt.Sprintf("a%04d", i)] = 1
+	}
+	bad := map[string]func(*Record){
+		"conf":       func(r *Record) { r.Conf = nan },
+		"attr":       func(r *Record) { r.Observation.Attrs["ax"] = inf },
+		"coordinate": func(r *Record) { r.Observation.Loc = spatial.AtPoint(nan, 0) },
+		"attr bound": func(r *Record) { r.Observation.Attrs = huge },
+		"confidence": func(r *Record) { r.Kind, r.Instance = KindEmit, inst(1, 1); r.Instance.Confidence = nan },
+		"genLoc": func(r *Record) {
+			r.Kind, r.Instance = KindEmit, inst(1, 1)
+			r.Instance.GenLoc = spatial.AtPoint(0, -inf)
+		},
+		"invalid inst": func(r *Record) { r.Kind, r.Instance = KindIngest, inst(1, 1); r.Instance.Observer = "" },
+	}
+	for name, mutate := range bad {
+		rec := imuRecord(1)
+		mutate(&rec)
+		if _, err := l.Append(rec); !errors.Is(err, ErrBadRecord) {
+			t.Errorf("%s: append = %v, want ErrBadRecord", name, err)
+		}
+	}
+	if _, err := l.Append(imuRecord(1)); err != nil {
+		t.Fatal(err)
+	}
+	if recs := collect(t, l); len(recs) != 1 || l.Seq() != 1 {
+		t.Fatalf("log after refusals: %d records, seq %d; want 1, 1", len(recs), l.Seq())
+	}
+}
+
+// FuzzWALPayload: decoding arbitrary bytes returns a record or an error
+// and never panics, and the payload codec is canonical — a payload that
+// decodes (to a loggable record) re-encodes to the same bytes. The seeds
+// are observation, ingest and emit records.
+func FuzzWALPayload(f *testing.F) {
+	var enc event.WireEncoder
+	for _, rec := range []Record{
+		imuRecord(7),
+		{Kind: KindIngest, Source: "S.t", Conf: 0.9, Now: -3, Instance: inst(2, -3)},
+		{Kind: KindEmit, Instance: inst(99, 1<<40)},
+	} {
+		p, err := appendPayload(nil, &enc, &rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(p)
+	}
+	f.Add([]byte(`{"k":1}`))
+	f.Fuzz(func(t *testing.T, p []byte) {
+		if len(p) == 0 {
+			return // a zero-length frame never reaches the decoder
+		}
+		var rec Record
+		if err := decodePayload(p, &rec, event.NewInterner()); err != nil || !finite(&rec) {
+			return
+		}
+		var enc event.WireEncoder
+		again, err := appendPayload(nil, &enc, &rec)
+		if err != nil {
+			t.Fatalf("decoded record does not re-encode: %v", err)
+		}
+		if !bytes.Equal(again, p) {
+			t.Fatalf("re-encoding differs:\n got %x\nwant %x", again, p)
+		}
+		var back Record
+		if err := decodePayload(again, &back, nil); err != nil || !reflect.DeepEqual(back, rec) {
+			t.Fatalf("decode(encode(rec)) = %+v, %v; want %+v", back, err, rec)
+		}
+	})
 }
