@@ -57,7 +57,7 @@ func feedLines(t *testing.T) string {
 		sb.WriteByte('\n')
 	}
 	// One raw observation for the sensor-layer event.
-	obs, err := event.EncodeObservation(event.Observation{
+	obs, err := json.Marshal(event.Observation{
 		Mote: "MT1", Sensor: "SR1", Seq: 1,
 		Time: timemodel.At(60), Loc: spatial.AtPoint(1, 1),
 		Attrs: event.Attrs{"v": 9},

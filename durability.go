@@ -73,7 +73,9 @@ type DurabilityStats struct {
 	// because compaction had shortened the replayed history, making them
 	// unverifiable (possibly spurious products of approximate windows).
 	ReplaySuppressed uint64 `json:"replaySuppressed"`
-	// WALErrors counts failed WAL appends from emission hooks.
+	// WALErrors counts durability failures no call could return: WAL
+	// appends from emission hooks, Flush's syncs, and the periodic
+	// snapshots Ingest runs after logging an entity.
 	WALErrors uint64 `json:"walErrors"`
 	// LastTick is the newest virtual time the engine has seen (ingested
 	// live or replayed from the WAL); meaningless until HasTick.
@@ -118,8 +120,7 @@ type durability struct {
 	replayNew      []event.Instance    //stcps:guardedby replayMu
 	replayComplete bool                //stcps:guardedby replayMu
 
-	// Sticky first WAL-append error from the emission hooks (which have
-	// no error return path), surfaced by Shutdown.
+	// Sticky first error from noteHookErr, surfaced by Shutdown.
 	errMu   sync.Mutex
 	hookErr error //stcps:guardedby errMu
 
@@ -185,8 +186,8 @@ func (d *durability) noteTick(now Tick) {
 	d.sawTick.Store(true)
 }
 
-// noteHookErr records the first WAL-append failure seen by an emission
-// hook.
+// noteHookErr records a durability failure that has no caller to return
+// to (see DurabilityStats.WALErrors); Shutdown returns the first one.
 func (d *durability) noteHookErr(err error) {
 	d.walErrors.Add(1)
 	d.errMu.Lock()

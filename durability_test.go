@@ -3,11 +3,17 @@ package stcps
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
+
+	"github.com/stcps/stcps/internal/cluster"
+	"github.com/stcps/stcps/internal/event"
+	"github.com/stcps/stcps/internal/frame"
 )
 
 // durFeedOp is one deterministic feed step: a lower-layer instance or a
@@ -419,5 +425,56 @@ func TestDurabilityStatsConcurrent(t *testing.T) {
 
 	if ds := rec.DurabilityStats(); ds.ReplayedRecords == 0 {
 		t.Fatalf("recovery replayed nothing: %+v", ds)
+	}
+}
+
+// TestFailedSnapshotDoesNotReapplyRedelivery: a cluster node applies a
+// record through Engine.Ingest and marks it applied only when Ingest
+// returns nil. A periodic snapshot that fails after the entity reached
+// the WAL and the detectors must therefore not fail Ingest: if it did,
+// the sender's redelivery would be logged and detected a second time.
+func TestFailedSnapshotDoesNotReapplyRedelivery(t *testing.T) {
+	dir := t.TempDir()
+	eng := durEngine(t, dir, 0, 1)
+	// Every snapshot fails: its rename target is a directory.
+	for seq := 1; seq <= 4; seq++ {
+		if err := os.Mkdir(filepath.Join(dir, fmt.Sprintf("snapshot-%016d.ndjson", seq)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	node, err := cluster.New(cluster.Config{Nodes: []cluster.NodeSpec{{Wire: "n0", HTTP: "h0"}}}, nil, cluster.Hooks{
+		Guard: func(fn func() error) (bool, error) { return true, fn() },
+		Apply: eng.Ingest,
+		SeqOf: func(string) (uint64, bool) { return 0, false },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Coord.Close()
+	// One replica hop from peer 1, delivered twice (the sender's resend).
+	var bw frame.BatchWriter
+	bw.AddForwardObservation(frame.Forward{Origin: 1, Seq: 0, Replica: true}, &Observation{
+		Mote: "MT9", Sensor: "SRX", Seq: 1, Time: At(5), Loc: AtPoint(5, 5),
+	})
+	payload, _ := bw.Take(nil)
+	var b frame.Batch
+	if err := frame.DecodeBatch(payload, true, event.NewInterner(), &b); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := node.Coord.OfferBatch(&b); err != nil {
+			t.Fatalf("delivery %d: %v", i+1, err)
+		}
+	}
+	st, ds := node.Coord.Stats(), eng.DurabilityStats()
+	if st.Applied != 1 || st.Duplicates != 1 || ds.Appended != 1 {
+		t.Fatalf("after two deliveries: applied %d, duplicates %d, WAL appends %d; want 1, 1, 1",
+			st.Applied, st.Duplicates, ds.Appended)
+	}
+	if ds.WALErrors == 0 || ds.Snapshots != 0 {
+		t.Fatalf("failed snapshot not counted: %+v", ds)
+	}
+	if _, err := eng.Shutdown(10); err == nil {
+		t.Fatal("Shutdown hid the failed snapshot")
 	}
 }

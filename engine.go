@@ -337,7 +337,9 @@ func (e *Engine) Start() error {
 // the emitted instances; sharded engines detect asynchronously and
 // return nil (instances flow through OnInstance / the store). A durable
 // engine logs the entity to the WAL before offering it (and requires
-// Start to have run recovery first).
+// Start to have run recovery first). It fails only when the entity was
+// not logged: a snapshot failing after that counts in WALErrors and
+// surfaces from Shutdown, so retrying a failed ingest never logs twice.
 func (e *Engine) Ingest(source string, ent Entity, conf float64, now Tick) ([]Instance, error) {
 	if e.dur != nil {
 		if !e.dur.recovered {
@@ -354,7 +356,7 @@ func (e *Engine) Ingest(source string, ent Entity, conf float64, now Tick) ([]In
 	}
 	if e.dur != nil {
 		if err := e.maybeSnapshot(); err != nil {
-			return out, err
+			e.dur.noteHookErr(err) // the WAL still covers it; the next snapshot retries
 		}
 	}
 	return out, nil

@@ -23,7 +23,8 @@ type Hooks struct {
 	// inside Guard; see docs/cluster.md for the deadlock argument.
 	Guard func(fn func() error) (open bool, err error)
 	// Apply ingests one record into the local engine and returns the
-	// instances it emitted. Called only inside Guard.
+	// instances it emitted. Called only inside Guard. It must fail only
+	// when nothing was applied: a failed record's redelivery is applied.
 	Apply func(source string, ent event.Entity, conf float64, now timemodel.Tick) ([]event.Instance, error)
 	// SeqOf resolves an emitted instance's store sequence number, for
 	// the stamp sidecar. Called only inside Guard, right after the

@@ -39,15 +39,6 @@ func AppendInstance(dst []byte, in *Instance) ([]byte, error) {
 	return dst, fmt.Errorf("event: encode: %w", err)
 }
 
-// EncodeObservation serializes an observation to its JSON wire form.
-func EncodeObservation(o Observation) ([]byte, error) {
-	data, err := o.AppendJSON(make([]byte, 0, jsonSizeHint))
-	if err != nil {
-		return nil, fmt.Errorf("event: encode observation: %w", err)
-	}
-	return data, nil
-}
-
 // EntityKind classifies one JSONL feed line by the discriminating field
 // it carries: instances have "event", observations have "sensor".
 type EntityKind uint8
@@ -172,6 +163,12 @@ const (
 	maxWireInputs = 64 << 10
 )
 
+// WireBoundsFreeBytes is the record size up to which no field can exceed
+// the bounds above: a writer that must never store a record the decoder
+// refuses need decode-check only longer ones. TestWireBoundsFreeBytes
+// derives it (the cheapest excess is maxWireAttrs+1 9-byte attributes).
+const WireBoundsFreeBytes = 32 << 10
+
 // Interner dedupes the small recurring strings of a wire stream (mote,
 // sensor, observer, event and attribute names) so steady-state decode
 // does not allocate per record. Lookups with a byte-slice key compile to
@@ -254,12 +251,12 @@ func appendLocation(dst []byte, l spatial.Location) []byte {
 }
 
 // WireEncoder encodes entities into their binary wire form. The zero
-// value is ready to use. Unlike the stateless AppendInstanceWire, an
-// encoder caches the last attribute schema it saw: sensor streams send
-// the same attribute set record after record, so the canonical
-// collect-and-sort of the names (and its allocation) is paid once per
-// schema change instead of once per record — the difference between a
-// wire sender saturating a core and spending half of it sorting.
+// value is ready to use. An encoder caches the last attribute schema it
+// saw: sensor streams send the same attribute set record after record,
+// so the canonical collect-and-sort of the names (and its allocation)
+// is paid once per schema change instead of once per record — the
+// difference between a wire sender saturating a core and spending half
+// of it sorting.
 type WireEncoder struct {
 	names []string // last schema, ascending
 }
@@ -341,189 +338,210 @@ func (e *WireEncoder) AppendInstance(dst []byte, in *Instance) ([]byte, error) {
 	return dst, nil
 }
 
-// AppendInstanceWire appends the binary wire form of in to dst and
-// returns the extended slice. The instance is validated first, mirroring
-// the JSON encoder.
-//
-//stcps:hotpath
-func AppendInstanceWire(dst []byte, in *Instance) ([]byte, error) {
-	var e WireEncoder
-	return e.AppendInstance(dst, in)
-}
-
-// wireCursor walks a binary record. A failed read returns a zero value
-// and err keeps the first failure, so a decoder reads its fields
-// straight through and checks once, at done; what it read after a
-// failure is discarded with the record.
+// wireCursor walks a binary record.
 type wireCursor struct {
 	b   []byte
 	off int
-	err error
-}
-
-// fail records err unless an earlier failure is already recorded.
-func (c *wireCursor) fail(err error) {
-	if c.err == nil {
-		c.err = err
-	}
 }
 
 // uvarint reads a minimally-encoded uvarint. Padded encodings (a
 // value whose final continuation group is zero) are rejected so every
 // value has exactly one wire form — that is what makes the codec
 // canonical and encode∘decode the identity.
-func (c *wireCursor) uvarint() uint64 {
+func (c *wireCursor) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(c.b[c.off:])
-	switch {
-	case n <= 0:
-		c.fail(ErrWireTruncated)
-	case n > 1 && v>>(7*(n-1)) == 0:
-		c.fail(ErrWireBounds)
-	default:
-		c.off += n
-		return v
+	if n <= 0 {
+		return 0, ErrWireTruncated
 	}
-	return 0
+	if n > 1 && v>>(7*(n-1)) == 0 {
+		return 0, ErrWireBounds
+	}
+	c.off += n
+	return v, nil
 }
 
 // varint reads a minimally-encoded zigzag varint.
-func (c *wireCursor) varint() int64 {
-	u := c.uvarint()
-	return int64(u>>1) ^ -int64(u&1)
+func (c *wireCursor) varint() (int64, error) {
+	u, err := c.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	return int64(u>>1) ^ -int64(u&1), nil
 }
 
-func (c *wireCursor) byte() byte {
+func (c *wireCursor) byte() (byte, error) {
 	if c.off >= len(c.b) {
-		c.fail(ErrWireTruncated)
-		return 0
+		return 0, ErrWireTruncated
 	}
+	v := c.b[c.off]
 	c.off++
-	return c.b[c.off-1]
+	return v, nil
 }
 
-func (c *wireCursor) f64() float64 {
+func (c *wireCursor) f64() (float64, error) {
 	if c.off+8 > len(c.b) {
-		c.fail(ErrWireTruncated)
-		return 0
+		return 0, ErrWireTruncated
 	}
+	v := math.Float64frombits(binary.LittleEndian.Uint64(c.b[c.off:]))
 	c.off += 8
-	return math.Float64frombits(binary.LittleEndian.Uint64(c.b[c.off-8:]))
+	return v, nil
 }
 
-// stringBytes returns the next string's bytes, still aliasing the
-// record buffer.
-func (c *wireCursor) stringBytes() []byte {
-	n := c.uvarint()
-	switch {
-	case n > maxWireString:
-		c.fail(ErrWireBounds)
-	case c.off+int(n) > len(c.b):
-		c.fail(ErrWireTruncated)
-	default:
-		c.off += int(n)
-		return c.b[c.off-int(n) : c.off]
+// bytes returns the next n raw bytes, still aliasing the record buffer.
+func (c *wireCursor) bytes(n int) ([]byte, error) {
+	if n < 0 || c.off+n > len(c.b) {
+		return nil, ErrWireTruncated
 	}
-	return nil
+	b := c.b[c.off : c.off+n]
+	c.off += n
+	return b, nil
 }
 
-func (c *wireCursor) internedString(it *Interner) string {
-	return it.Intern(c.stringBytes())
-}
-
-func (c *wireCursor) time() timemodel.Time {
-	start, dur := timemodel.Tick(c.varint()), c.uvarint()
-	end := start + timemodel.Tick(dur)
-	if dur > math.MaxInt64 || end < start {
-		c.fail(ErrWireBounds)
-		return timemodel.Time{}
+func (c *wireCursor) stringBytes() ([]byte, error) {
+	n, err := c.uvarint()
+	if err != nil {
+		return nil, err
 	}
-	t, err := timemodel.Between(start, end)
-	c.fail(err)
-	return t
+	if n > maxWireString {
+		return nil, ErrWireBounds
+	}
+	return c.bytes(int(n))
 }
 
-func (c *wireCursor) location() spatial.Location {
-	switch kind := c.byte(); {
-	case c.err != nil:
-	case kind == 1:
-		return spatial.AtPoint(c.f64(), c.f64())
-	case kind == 2:
-		n := c.uvarint()
+func (c *wireCursor) internedString(it *Interner) (string, error) {
+	b, err := c.stringBytes()
+	if err != nil {
+		return "", err
+	}
+	return it.Intern(b), nil
+}
+
+func (c *wireCursor) time() (timemodel.Time, error) {
+	start, err := c.varint()
+	if err != nil {
+		return timemodel.Time{}, err
+	}
+	dur, err := c.uvarint()
+	if err != nil {
+		return timemodel.Time{}, err
+	}
+	end := timemodel.Tick(start) + timemodel.Tick(dur)
+	if dur > math.MaxInt64 || end < timemodel.Tick(start) {
+		return timemodel.Time{}, ErrWireBounds
+	}
+	return timemodel.Between(timemodel.Tick(start), end)
+}
+
+func (c *wireCursor) location() (spatial.Location, error) {
+	kind, err := c.byte()
+	if err != nil {
+		return spatial.Location{}, err
+	}
+	switch kind {
+	case 1:
+		x, err := c.f64()
+		if err != nil {
+			return spatial.Location{}, err
+		}
+		y, err := c.f64()
+		if err != nil {
+			return spatial.Location{}, err
+		}
+		return spatial.AtPoint(x, y), nil
+	case 2:
+		n, err := c.uvarint()
+		if err != nil {
+			return spatial.Location{}, err
+		}
 		if n > maxWireVerts {
-			c.fail(ErrWireBounds)
-			break
+			return spatial.Location{}, ErrWireBounds
 		}
 		ring := make([]spatial.Point, n) //stcps:ignore hotpath field (polygon) locations materialize a ring; point locations take the alloc-free branch
 		for i := range ring {
-			ring[i] = spatial.Point{X: c.f64(), Y: c.f64()}
-		}
-		if c.err != nil {
-			break
+			if ring[i].X, err = c.f64(); err != nil {
+				return spatial.Location{}, err
+			}
+			if ring[i].Y, err = c.f64(); err != nil {
+				return spatial.Location{}, err
+			}
 		}
 		f, err := spatial.NewField(ring)
 		if err != nil {
-			c.fail(fmt.Errorf("event: decode location: %w", err)) //stcps:ignore hotpath error path rejects the record
-			break
+			return spatial.Location{}, fmt.Errorf("event: decode location: %w", err) //stcps:ignore hotpath error path rejects the record
 		}
-		return spatial.InField(f)
+		return spatial.InField(f), nil
 	default:
-		c.fail(fmt.Errorf("location kind %d: %w", kind, ErrWireBounds)) //stcps:ignore hotpath error path rejects the record
+		return spatial.Location{}, fmt.Errorf("location kind %d: %w", kind, ErrWireBounds) //stcps:ignore hotpath error path rejects the record
 	}
-	return spatial.Location{}
 }
 
-func (c *wireCursor) attrs(it *Interner) Attrs {
-	n := c.uvarint()
-	if n == 0 || n > maxWireAttrs {
-		if n > 0 {
-			c.fail(ErrWireBounds)
-		}
-		return nil
+func (c *wireCursor) attrs(it *Interner) (Attrs, error) {
+	n, err := c.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	if n > maxWireAttrs {
+		return nil, ErrWireBounds
 	}
 	a := make(Attrs, n)
 	prev := ""
-	for i := uint64(0); i < n && c.err == nil; i++ {
-		name := c.internedString(it)
+	for i := uint64(0); i < n; i++ {
+		name, err := c.internedString(it)
+		if err != nil {
+			return nil, err
+		}
 		// Names must be strictly ascending: the canonical order the
 		// encoder writes, which also rules out duplicates.
 		if i > 0 && name <= prev {
-			c.fail(ErrWireBounds)
+			return nil, ErrWireBounds
 		}
 		prev = name
-		a[name] = c.f64()
+		v, err := c.f64()
+		if err != nil {
+			return nil, err
+		}
+		a[name] = v
 	}
-	return a
+	return a, nil
 }
 
 // rawAttrs returns the attrs section (count prefix included) as a view
 // into the record buffer, validating its structure so later lookups
 // cannot fail.
-func (c *wireCursor) rawAttrs() ([]byte, int) {
+func (c *wireCursor) rawAttrs() ([]byte, int, error) {
 	start := c.off
-	n := c.uvarint()
+	n, err := c.uvarint()
+	if err != nil {
+		return nil, 0, err
+	}
 	if n > maxWireAttrs {
-		c.fail(ErrWireBounds)
-		return nil, 0
+		return nil, 0, ErrWireBounds
 	}
 	var prev []byte
-	for i := uint64(0); i < n && c.err == nil; i++ {
-		name := c.stringBytes()
+	for i := uint64(0); i < n; i++ {
+		name, err := c.stringBytes()
+		if err != nil {
+			return nil, 0, err
+		}
 		if i > 0 && bytes.Compare(name, prev) <= 0 {
-			c.fail(ErrWireBounds)
+			return nil, 0, ErrWireBounds
 		}
 		prev = name
-		c.f64()
+		if _, err := c.f64(); err != nil {
+			return nil, 0, err
+		}
 	}
-	return c.b[start:c.off], int(n)
+	return c.b[start:c.off], int(n), nil
 }
 
-// done reports the first failure, or ErrWireTrailing when the record
-// carries bytes past its last field.
 func (c *wireCursor) done() error {
-	if c.err == nil && c.off != len(c.b) {
-		c.err = ErrWireTrailing
+	if c.off != len(c.b) {
+		return ErrWireTrailing
 	}
-	return c.err
+	return nil
 }
 
 // DecodeObservationWire parses the binary wire form of an observation
@@ -534,12 +552,25 @@ func (c *wireCursor) done() error {
 // DecodeObservationView.
 func DecodeObservationWire(data []byte, o *Observation, it *Interner) error {
 	c := wireCursor{b: data}
-	o.Mote = c.internedString(it)
-	o.Sensor = c.internedString(it)
-	o.Seq = c.uvarint()
-	o.Time = c.time()
-	o.Loc = c.location()
-	o.Attrs = c.attrs(it)
+	var err error
+	if o.Mote, err = c.internedString(it); err != nil {
+		return err
+	}
+	if o.Sensor, err = c.internedString(it); err != nil {
+		return err
+	}
+	if o.Seq, err = c.uvarint(); err != nil {
+		return err
+	}
+	if o.Time, err = c.time(); err != nil {
+		return err
+	}
+	if o.Loc, err = c.location(); err != nil {
+		return err
+	}
+	if o.Attrs, err = c.attrs(it); err != nil {
+		return err
+	}
 	return c.done()
 }
 
@@ -550,23 +581,56 @@ func DecodeObservationWire(data []byte, o *Observation, it *Interner) error {
 // DecodeObservationView instead.
 func DecodeInstanceWire(data []byte, in *Instance, it *Interner) error {
 	c := wireCursor{b: data}
-	in.Layer = Layer(c.byte())
-	in.Observer = c.internedString(it)
-	in.Event = c.internedString(it)
-	in.Seq = c.uvarint()
-	in.Gen = timemodel.Tick(c.varint())
-	in.GenLoc = c.location()
-	in.Occ = c.time()
-	in.Loc = c.location()
-	in.Attrs = c.attrs(it)
-	in.Confidence = c.f64()
+	layer, err := c.byte()
+	if err != nil {
+		return err
+	}
+	in.Layer = Layer(layer)
+	if in.Observer, err = c.internedString(it); err != nil {
+		return err
+	}
+	if in.Event, err = c.internedString(it); err != nil {
+		return err
+	}
+	if in.Seq, err = c.uvarint(); err != nil {
+		return err
+	}
+	gen, err := c.varint()
+	if err != nil {
+		return err
+	}
+	in.Gen = timemodel.Tick(gen)
+	if in.GenLoc, err = c.location(); err != nil {
+		return err
+	}
+	if in.Occ, err = c.time(); err != nil {
+		return err
+	}
+	if in.Loc, err = c.location(); err != nil {
+		return err
+	}
+	if in.Attrs, err = c.attrs(it); err != nil {
+		return err
+	}
+	if in.Confidence, err = c.f64(); err != nil {
+		return err
+	}
+	n, err := c.uvarint()
+	if err != nil {
+		return err
+	}
+	if n > maxWireInputs {
+		return ErrWireBounds
+	}
 	in.Inputs = nil
-	if n := c.uvarint(); n > maxWireInputs {
-		c.fail(ErrWireBounds)
-	} else if n > 0 {
+	if n > 0 {
 		in.Inputs = make([]string, n)
 		for i := range in.Inputs {
-			in.Inputs[i] = string(c.stringBytes())
+			b, err := c.stringBytes()
+			if err != nil {
+				return err
+			}
+			in.Inputs[i] = string(b)
 		}
 	}
 	if err := c.done(); err != nil {
@@ -602,12 +666,25 @@ type ObservationView struct {
 //stcps:hotpath
 func DecodeObservationView(data []byte, v *ObservationView, it *Interner) error {
 	c := wireCursor{b: data}
-	v.mote = c.internedString(it)
-	v.sensor = c.internedString(it)
-	v.seq = c.uvarint()
-	v.time = c.time()
-	v.loc = c.location()
-	v.attrs, v.nattrs = c.rawAttrs()
+	var err error
+	if v.mote, err = c.internedString(it); err != nil {
+		return err
+	}
+	if v.sensor, err = c.internedString(it); err != nil {
+		return err
+	}
+	if v.seq, err = c.uvarint(); err != nil {
+		return err
+	}
+	if v.time, err = c.time(); err != nil {
+		return err
+	}
+	if v.loc, err = c.location(); err != nil {
+		return err
+	}
+	if v.attrs, v.nattrs, err = c.rawAttrs(); err != nil {
+		return err
+	}
 	return c.done()
 }
 
@@ -637,8 +714,10 @@ func (v *ObservationView) OccLoc() spatial.Location { return v.loc }
 // that never builds a map.
 func (v *ObservationView) Attr(name string) (float64, bool) {
 	c := wireCursor{b: v.attrs}
-	for i := c.uvarint(); i > 0; i-- {
-		nb, val := c.stringBytes(), c.f64()
+	n, _ := c.uvarint()
+	for i := uint64(0); i < n; i++ {
+		nb, _ := c.stringBytes()
+		val, _ := c.f64()
 		if string(nb) == name {
 			return val, true
 		}
@@ -659,8 +738,10 @@ func (v *ObservationView) Materialize() Observation {
 	if v.nattrs > 0 {
 		o.Attrs = make(Attrs, v.nattrs)
 		c := wireCursor{b: v.attrs}
-		for i := c.uvarint(); i > 0; i-- {
-			nb, val := c.stringBytes(), c.f64()
+		n, _ := c.uvarint()
+		for i := uint64(0); i < n; i++ {
+			nb, _ := c.stringBytes()
+			val, _ := c.f64()
 			o.Attrs[string(nb)] = val
 		}
 	}

@@ -2,7 +2,9 @@ package event
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"strconv"
 	"testing"
 
 	"github.com/stcps/stcps/internal/spatial"
@@ -122,7 +124,7 @@ func TestInstanceWireRoundTrip(t *testing.T) {
 	it := NewInterner()
 	for i := 0; i < 5; i++ {
 		in := wireInst(i)
-		enc, err := AppendInstanceWire(nil, &in)
+		enc, err := new(WireEncoder).AppendInstance(nil, &in)
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
@@ -140,7 +142,7 @@ func TestInstanceWireRoundTrip(t *testing.T) {
 				t.Fatalf("input %d = %q, want %q", j, got.Inputs[j], in.Inputs[j])
 			}
 		}
-		re, err := AppendInstanceWire(nil, &got)
+		re, err := new(WireEncoder).AppendInstance(nil, &got)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,14 +155,14 @@ func TestInstanceWireRoundTrip(t *testing.T) {
 func TestInstanceWireRejectsInvalid(t *testing.T) {
 	in := wireInst(0)
 	in.Confidence = 1.5
-	if _, err := AppendInstanceWire(nil, &in); !errors.Is(err, ErrConfidenceRange) {
+	if _, err := new(WireEncoder).AppendInstance(nil, &in); !errors.Is(err, ErrConfidenceRange) {
 		t.Fatalf("encode of invalid instance: err=%v, want ErrConfidenceRange", err)
 	}
 	// A decoded instance is validated too: corrupt a valid encoding's
 	// confidence field by re-encoding an invalid one through the raw
 	// appenders (bypass Validate by patching bytes instead).
 	ok := wireInst(0)
-	enc, err := AppendInstanceWire(nil, &ok)
+	enc, err := new(WireEncoder).AppendInstance(nil, &ok)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +345,7 @@ func TestDecodeEntityJSON(t *testing.T) {
 	}
 
 	o := wireObs(1)
-	obsLine, err := EncodeObservation(o)
+	obsLine, err := json.Marshal(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +390,7 @@ func FuzzObservationWireRoundTrip(f *testing.F) {
 
 func FuzzInstanceWireRoundTrip(f *testing.F) {
 	in := wireInst(0)
-	enc, _ := AppendInstanceWire(nil, &in)
+	enc, _ := new(WireEncoder).AppendInstance(nil, &in)
 	f.Add(enc)
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -396,7 +398,7 @@ func FuzzInstanceWireRoundTrip(f *testing.F) {
 		if err := DecodeInstanceWire(data, &got, nil); err != nil {
 			return
 		}
-		re, err := AppendInstanceWire(nil, &got)
+		re, err := new(WireEncoder).AppendInstance(nil, &got)
 		if err != nil {
 			t.Fatalf("re-encode of decoded instance failed: %v", err)
 		}
@@ -404,4 +406,28 @@ func FuzzInstanceWireRoundTrip(f *testing.F) {
 			t.Fatalf("decoded instance not canonical:\n in %x\nout %x", data, re)
 		}
 	})
+}
+
+// TestWireBoundsFreeBytes derives WireBoundsFreeBytes from the decode
+// bounds: every bound takes a longer record to exceed, and the cheapest
+// excess, one attribute too many, encodes past it and is refused.
+func TestWireBoundsFreeBytes(t *testing.T) {
+	// The fewest bytes each excess takes: the string itself; a 1-byte
+	// name length and an 8-byte value per attribute; two f64 per
+	// vertex; a 1-byte length per input.
+	cheapest := min(maxWireString+1, (maxWireAttrs+1)*9, (maxWireVerts+1)*16, maxWireInputs+1)
+	if WireBoundsFreeBytes >= cheapest {
+		t.Fatalf("WireBoundsFreeBytes = %d, but a %d-byte record can exceed a bound", WireBoundsFreeBytes, cheapest)
+	}
+	o := Observation{Mote: "m", Sensor: "s", Time: timemodel.At(1), Loc: spatial.AtPoint(0, 0), Attrs: Attrs{}}
+	for i := 0; i <= maxWireAttrs; i++ {
+		o.Attrs[strconv.Itoa(i)] = 1
+	}
+	rec := new(WireEncoder).AppendObservation(nil, &o)
+	if err := DecodeObservationWire(rec, new(Observation), nil); !errors.Is(err, ErrWireBounds) {
+		t.Fatalf("%d attributes decoded with err %v, want ErrWireBounds", len(o.Attrs), err)
+	}
+	if len(rec) <= WireBoundsFreeBytes {
+		t.Fatalf("a refused record is %d bytes, within WireBoundsFreeBytes = %d", len(rec), WireBoundsFreeBytes)
+	}
 }

@@ -101,9 +101,9 @@ func (in *Instance) AppendEntityID(dst []byte) []byte {
 // AppendJSON appends the instance's JSON wire form, byte-identical to
 // encoding/json's rendering of the struct tags above. It is the one
 // instance encoder: EncodeInstance and MarshalJSON (hence stdout, SSE,
-// query pages, the WAL envelope and snapshots) all go through it. On
-// error (a NaN or infinite float) the returned slice holds a partial
-// encoding the caller must discard.
+// query pages and snapshots) all go through it. On error (a NaN or
+// infinite float) the returned slice holds a partial encoding the
+// caller must discard.
 //
 //stcps:hotpath
 func (in *Instance) AppendJSON(dst []byte) ([]byte, error) {

@@ -1,6 +1,7 @@
 package event
 
 import (
+	"encoding/json"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -141,7 +142,7 @@ func TestObservationCodecRoundTrip(t *testing.T) {
 		Loc:   spatial.AtPoint(3, 4),
 		Attrs: Attrs{"temp": 21},
 	}
-	data, err := EncodeObservation(o)
+	data, err := json.Marshal(o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,6 @@
 package event
 
 import (
-	"strconv"
-
-	"github.com/stcps/stcps/internal/jsonenc"
 	"github.com/stcps/stcps/internal/spatial"
 	"github.com/stcps/stcps/internal/timemodel"
 )
@@ -32,38 +29,6 @@ type Observation struct {
 // EntityID implements Entity using the paper's O(MT,SR,i) notation.
 func (o Observation) EntityID() string {
 	return entityID('O', o.Mote, o.Sensor, o.Seq)
-}
-
-// AppendJSON appends the observation's JSON wire form, byte-identical
-// to encoding/json's rendering of the struct tags above.
-//
-//stcps:hotpath
-func (o *Observation) AppendJSON(dst []byte) ([]byte, error) {
-	dst = append(dst, `{"mote":`...)
-	dst = jsonenc.AppendString(dst, o.Mote)
-	dst = append(dst, `,"sensor":`...)
-	dst = jsonenc.AppendString(dst, o.Sensor)
-	dst = append(dst, `,"seq":`...)
-	dst = strconv.AppendUint(dst, o.Seq, 10)
-	dst = append(dst, `,"time":`...)
-	dst = o.Time.AppendJSON(dst)
-	dst = append(dst, `,"loc":`...)
-	dst, err := o.Loc.AppendJSON(dst)
-	if err != nil {
-		return dst, err
-	}
-	if len(o.Attrs) > 0 {
-		dst = append(dst, `,"attrs":`...)
-		if dst, err = o.Attrs.appendJSON(dst); err != nil {
-			return dst, err
-		}
-	}
-	return append(dst, '}'), nil
-}
-
-// MarshalJSON encodes the observation through AppendJSON.
-func (o Observation) MarshalJSON() ([]byte, error) {
-	return o.AppendJSON(make([]byte, 0, jsonSizeHint))
 }
 
 // OccTime implements Entity.

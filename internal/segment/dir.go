@@ -1,8 +1,8 @@
 package segment
 
 import (
-	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -12,6 +12,7 @@ import (
 
 	"github.com/stcps/stcps/internal/event"
 	"github.com/stcps/stcps/internal/timemodel"
+	"github.com/stcps/stcps/internal/wal"
 )
 
 // Retention bounds the cold tier. The zero value keeps every segment
@@ -283,19 +284,10 @@ func (d *Dir) Spill(firstSeq uint64, ins []event.Instance) error {
 		walSeq = d.cfg.Stamp()
 	}
 	final := filepath.Join(d.cfg.Dir, wantSegmentName(firstSeq))
-	tmp := final + ".tmp"
-	if err := d.writeFile(tmp, firstSeq, walSeq, ins); err != nil {
-		_ = os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		_ = os.Remove(tmp)
+	if err := wal.WriteFileAtomic(final, !d.cfg.NoSync, func(w io.Writer) error {
+		return writeTo(w, firstSeq, walSeq, d.cfg.CellSize, d.cfg.BlockSize, ins)
+	}); err != nil {
 		return fmt.Errorf("segment: %w", err)
-	}
-	if !d.cfg.NoSync {
-		if err := syncDir(d.cfg.Dir); err != nil {
-			return err
-		}
 	}
 	seg, err := open(final)
 	if err != nil {
@@ -322,51 +314,6 @@ func (d *Dir) Spill(firstSeq uint64, ins []event.Instance) error {
 	d.spills.Add(1)
 	d.spilledInstances.Add(uint64(len(ins)))
 	d.gcLocked()
-	return nil
-}
-
-// writeFile writes and (unless NoSync) fsyncs one complete segment
-// file at path.
-func (d *Dir) writeFile(path string, firstSeq, walSeq uint64, ins []event.Instance) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("segment: %w", err)
-	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	if err := writeTo(bw, firstSeq, walSeq, d.cfg.CellSize, d.cfg.BlockSize, ins); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("segment: %w", err)
-	}
-	if !d.cfg.NoSync {
-		if err := f.Sync(); err != nil {
-			_ = f.Close()
-			return fmt.Errorf("segment: %w", err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("segment: %w", err)
-	}
-	return nil
-}
-
-// syncDir fsyncs a directory so a rename within it is durable.
-func syncDir(dir string) error {
-	df, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("segment: %w", err)
-	}
-	serr := df.Sync()
-	cerr := df.Close()
-	if serr != nil {
-		return fmt.Errorf("segment: sync dir: %w", serr)
-	}
-	if cerr != nil {
-		return fmt.Errorf("segment: %w", cerr)
-	}
 	return nil
 }
 

@@ -226,6 +226,7 @@ func writeTo(w io.Writer, firstSeq, walSeq uint64, cellSize float64, blockSize i
 		blocks  []blockMeta
 		payload []byte
 		scratch []byte
+		enc     event.WireEncoder
 		lenBuf  [binary.MaxVarintLen64]byte
 	)
 	for bi := 0; bi < len(ins); bi += blockSize {
@@ -246,7 +247,7 @@ func writeTo(w io.Writer, firstSeq, walSeq uint64, cellSize float64, blockSize i
 		payload = payload[:0]
 		for i := range run {
 			in := &run[i]
-			rec, err := event.AppendInstanceWire(scratch[:0], in)
+			rec, err := enc.AppendInstance(scratch[:0], in)
 			if err != nil {
 				return fmt.Errorf("segment: encode seq %d: %w", m.firstSeq+uint64(i), err)
 			}

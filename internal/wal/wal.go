@@ -220,9 +220,8 @@ type Log struct {
 	// later fsync succeeding does NOT mean the lost pages were written.
 	syncFailures uint64 //stcps:guardedby mu
 	firstErr     error  //stcps:guardedby mu
-	// buf holds the frame being appended and enc encodes its entity,
-	// one encoder per kind so each keeps its attribute schema cached:
-	// a steady-state append allocates nothing.
+	// buf holds the frame being appended; enc keeps one encoder (and
+	// attribute schema) per kind, so a steady append allocates nothing.
 	buf []byte                          //stcps:guardedby mu
 	enc [KindEmit + 1]event.WireEncoder //stcps:guardedby mu
 
@@ -243,12 +242,6 @@ const (
 	// would brick the log (sealed segment) or silently truncate an
 	// acknowledged record (torn-tail handling) at the next open.
 	maxPayloadBytes = 64 << 20
-	// boundsFreeBytes is the payload size below which no string or count
-	// in the entity can exceed the wire codec's decode bounds (64 KiB
-	// strings and inputs, 4096 attrs of at least 9 bytes each); a larger
-	// payload is decoded once before it is written, so Append never
-	// accepts a record Replay would refuse.
-	boundsFreeBytes = 32 << 10
 	// maxBufBytes caps the append buffer kept between appends.
 	maxBufBytes = 64 << 10
 )
@@ -461,8 +454,8 @@ func (m *segMeta) noteIngest(kind Kind, now timemodel.Tick) {
 }
 
 // uvarint reads a minimally encoded uvarint and its width (0 when
-// truncated or padded): as in the entity codec, every value has exactly
-// one encoding, so decode and encode are inverse.
+// truncated or padded), so that, as in the entity codec, decoding and
+// encoding are inverse.
 func uvarint(p []byte) (uint64, int) {
 	v, n := binary.Uvarint(p)
 	if n <= 0 || (n > 1 && p[n-1] == 0) {
@@ -501,8 +494,7 @@ func appendPayload(dst []byte, enc *event.WireEncoder, rec *Record) ([]byte, err
 	return enc.AppendInstance(dst, rec.Instance)
 }
 
-// decodePayload parses a payload into rec (all but Seq), sharing
-// repeated strings through it (which may be nil).
+// decodePayload parses p into rec (all but Seq), sharing strings via it (may be nil).
 func decodePayload(p []byte, rec *Record, it *event.Interner) error {
 	kind, now, off, err := header(p)
 	if err != nil {
@@ -528,11 +520,10 @@ func decodePayload(p []byte, rec *Record, it *event.Interner) error {
 	return event.DecodeInstanceWire(p[off:], rec.Instance, it)
 }
 
-// finite reports whether every float the record carries is finite: the
-// v1 JSON payload could not hold NaN or ±Inf, nor can the db.Snapshot
-// NDJSON, so the binary payload keeps refusing them. v-v is 0 for a
-// finite v and NaN otherwise; a location's bounds are non-finite iff
-// one of its coordinates is.
+// finite reports whether every float in the record is finite: like the
+// v1 JSON payload and the db.Snapshot NDJSON, the WAL refuses NaN and
+// ±Inf. v-v is NaN for a non-finite v; a location's bounds are finite
+// iff its coordinates are.
 func finite(rec *Record) bool {
 	sum := rec.Conf - rec.Conf
 	add := func(l spatial.Location, a event.Attrs) {
@@ -584,19 +575,63 @@ func (l *Log) syncDir() error {
 	if l.opts.Fsync == FsyncOff {
 		return nil
 	}
-	d, err := os.Open(l.opts.Dir)
-	if err != nil {
+	if err := fsyncDir(l.opts.Dir); err != nil {
 		return fmt.Errorf("wal: sync dir: %w", err)
 	}
-	serr := d.Sync()
-	cerr := d.Close()
-	if serr != nil {
-		return fmt.Errorf("wal: sync dir: %w", serr)
+	return nil
+}
+
+// fsyncDir fsyncs a directory, making file creations, renames and
+// removals in it durable.
+func fsyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
 	}
-	if cerr != nil {
-		return fmt.Errorf("wal: sync dir: %w", cerr)
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// WriteFileAtomic makes path hold exactly what write produces, or leaves
+// it as it was, through path+".tmp" and a rename; with sync the file and
+// the directory are fsynced, so the rename is durable when it returns. A
+// crash can leave the ".tmp" file behind for the directory's opener.
+func WriteFileAtomic(path string, sync bool, write func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	err := writeFile(tmp, sync, write)
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp)
+		return err
+	}
+	if sync {
+		return fsyncDir(filepath.Dir(path))
 	}
 	return nil
+}
+
+// writeFile creates (or truncates) path and fills it through a buffer.
+func writeFile(path string, sync bool, write func(io.Writer) error) error {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriterSize(f, 64<<10)
+	if err = write(bw); err == nil {
+		err = bw.Flush()
+	}
+	if err == nil && sync {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // syncLoop is the FsyncInterval timer.
@@ -650,7 +685,7 @@ func (l *Log) Append(rec Record) (uint64, error) {
 	if len(payload) > maxPayloadBytes {
 		return 0, fmt.Errorf("%w: payload is %d bytes (max %d)", ErrBadRecord, len(payload), maxPayloadBytes)
 	}
-	if len(payload) > boundsFreeBytes {
+	if len(payload) > event.WireBoundsFreeBytes { // so Replay never refuses what Append wrote
 		if err := decodePayload(payload, new(Record), nil); err != nil {
 			return 0, fmt.Errorf("%w: %w", ErrBadRecord, err)
 		}
@@ -767,11 +802,10 @@ func (l *Log) Complete() bool {
 }
 
 // Replay streams the live records of the given kinds, in sequence
-// order, to fn. Only their payloads are decoded: a record of any other
-// kind costs its CRC check and nothing more. Strings repeated across
-// records (sources, motes, sensors, attribute names) are shared. Replay
-// reads the segment files from disk, so it must run before appends
-// start (recovery time); fn must not call back into the log.
+// order, to fn, decoding only their payloads (any other record costs its
+// CRC check) and sharing strings repeated across records. It reads the
+// segment files from disk, so it must run before appends start
+// (recovery time); fn must not call back into the log.
 //
 //stcps:replay
 func (l *Log) Replay(kinds []Kind, fn func(Record) error) error {
@@ -839,39 +873,10 @@ func (l *Log) Snapshot(write func(io.Writer) error, horizon timemodel.Tick) erro
 		return err
 	}
 	seq := l.seq
-
-	tmp, err := os.CreateTemp(l.opts.Dir, "snapshot-*.tmp")
-	if err != nil {
+	// The rename is durable BEFORE compaction unlinks the segments it
+	// covers, or a crash could lose both copies of the data.
+	if err := WriteFileAtomic(filepath.Join(l.opts.Dir, snapName(seq)), l.opts.Fsync != FsyncOff, write); err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	bw := bufio.NewWriter(tmp)
-	if err := write(bw); err != nil {
-		tmp.Close()
-		return fmt.Errorf("wal: snapshot: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("wal: snapshot: %w", err)
-	}
-	if l.opts.Fsync != FsyncOff {
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			return fmt.Errorf("wal: snapshot: %w", err)
-		}
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("wal: snapshot: %w", err)
-	}
-	final := filepath.Join(l.opts.Dir, snapName(seq))
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		return fmt.Errorf("wal: snapshot: %w", err)
-	}
-	// The rename must be durable BEFORE compaction unlinks the segments
-	// it covers — persisted unlinks with an unpersisted rename would
-	// lose both copies of the data.
-	if err := l.syncDir(); err != nil {
-		return err
 	}
 	prev := l.snapSeq
 	l.snapSeq = seq

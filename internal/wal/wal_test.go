@@ -738,3 +738,37 @@ func FuzzWALPayload(f *testing.F) {
 		}
 	})
 }
+
+// TestWriteFileAtomic: the snapshot and the cold tier's segment spills
+// share this write. A failed write leaves the old file and no ".tmp";
+// a successful one replaces the file.
+func TestWriteFileAtomic(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "f")
+	put := func(s string, err error) error {
+		return WriteFileAtomic(path, true, func(w io.Writer) error {
+			if _, werr := io.WriteString(w, s); werr != nil {
+				return werr
+			}
+			return err
+		})
+	}
+	if err := put("old", nil); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	if err := put("partial", boom); !errors.Is(err, boom) {
+		t.Fatalf("failed write returned %v", err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("failed write left its temporary file: %v", err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "old" {
+		t.Fatalf("failed write changed the file to %q", got)
+	}
+	if err := put("new", nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "new" {
+		t.Fatalf("file holds %q, want new", got)
+	}
+}

@@ -18,6 +18,7 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -54,7 +55,7 @@ func main() {
 	w := bufio.NewWriter(os.Stdout)
 	defer w.Flush()
 	for i := *start; i < *start+*n; i++ {
-		line, err := event.EncodeObservation(obs(i))
+		line, err := json.Marshal(obs(i))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "genclusterfeed:", err)
 			os.Exit(1)
