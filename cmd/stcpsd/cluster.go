@@ -12,6 +12,7 @@ import (
 	"github.com/stcps/stcps"
 	"github.com/stcps/stcps/internal/cluster"
 	"github.com/stcps/stcps/internal/db"
+	"github.com/stcps/stcps/internal/jsonenc"
 )
 
 // clusterRuntime bundles the daemon's cluster-mode state for the HTTP
@@ -32,7 +33,8 @@ func newClusterRuntime(node *cluster.Node) *clusterRuntime {
 }
 
 // partitionPageResponse is the JSON form of one partition page —
-// what /v1/query?partition=N serves to peer gateways. Seqs, stamps and
+// what /v1/query?partition=N serves to peer gateways (rendered by
+// appendPartitionPage, decoded by the gather fetcher). Seqs, stamps and
 // the frontier are decimal strings: they are uint64 and JSON numbers
 // lose precision past 2^53.
 type partitionPageResponse struct {
@@ -42,18 +44,6 @@ type partitionPageResponse struct {
 	Stamps    []string         `json:"stamps"`
 	More      bool             `json:"more"`
 	Frontier  string           `json:"frontier"`
-}
-
-// gatherResponse is one merged scatter-gather /v1/query page.
-type gatherResponse struct {
-	Count      int              `json:"count"`
-	Instances  []stcps.Instance `json:"instances"`
-	Stamps     []string         `json:"stamps"`
-	NextCursor string           `json:"nextCursor,omitempty"`
-	// Staleness bounds, in ticks, how far the laggiest consulted
-	// partition's applied frontier trails the gateway's clock.
-	Staleness  int64 `json:"staleness"`
-	Partitions int   `json:"partitions"`
 }
 
 // predicateParams are the spatio-temporal predicate parameters a
@@ -143,22 +133,20 @@ func (c *clusterRuntime) partitionPage(w http.ResponseWriter, spec stcps.QuerySp
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	out := partitionPageResponse{
-		Count:     len(resp.Instances),
-		Instances: resp.Instances,
-		Seqs:      make([]string, len(resp.Seqs)),
-		Stamps:    make([]string, len(resp.Stamps)),
-		More:      resp.More,
-		Frontier:  strconv.FormatUint(resp.Frontier, 10),
+	respond(w, http.StatusOK, func(dst []byte) ([]byte, error) { return appendPartitionPage(dst, &resp) })
+}
+
+// appendPartitionPage renders one partitionPageResponse.
+func appendPartitionPage(dst []byte, resp *cluster.PageResp) ([]byte, error) {
+	dst, err := appendPage(dst, resp.Instances, false)
+	if err != nil {
+		return dst, err
 	}
-	if out.Instances == nil {
-		out.Instances = []stcps.Instance{}
-	}
-	for i := range resp.Seqs {
-		out.Seqs[i] = strconv.FormatUint(resp.Seqs[i], 10)
-		out.Stamps[i] = strconv.FormatUint(resp.Stamps[i], 10)
-	}
-	writeJSON(w, http.StatusOK, out)
+	dst = appendDecimals(dst, `,"seqs":[`, resp.Seqs)
+	dst = appendDecimals(dst, `,"stamps":[`, resp.Stamps)
+	dst = strconv.AppendBool(append(dst, `,"more":`...), resp.More)
+	dst = strconv.AppendUint(append(dst, `,"frontier":"`...), resp.Frontier, 10)
+	return append(dst, `"}`...), nil
 }
 
 // gather serves the clustered GET /v1/query: scatter the spec to every
@@ -178,21 +166,24 @@ func (c *clusterRuntime) gather(w http.ResponseWriter, base url.Values, spec stc
 		httpErrorCode(w, http.StatusServiceUnavailable, "unavailable", "%v", err)
 		return
 	}
-	out := gatherResponse{
-		Count:      len(res.Instances),
-		Instances:  res.Instances,
-		Stamps:     make([]string, len(res.Stamps)),
-		NextCursor: res.NextCursor,
-		Staleness:  int64(res.Staleness),
-		Partitions: res.Partitions,
+	respond(w, http.StatusOK, func(dst []byte) ([]byte, error) { return appendGatherPage(dst, &res) })
+}
+
+// appendGatherPage renders one merged scatter-gather /v1/query page.
+// staleness bounds, in ticks, how far the laggiest consulted
+// partition's applied frontier trails the gateway's clock.
+func appendGatherPage(dst []byte, res *cluster.Result) ([]byte, error) {
+	dst, err := appendPage(dst, res.Instances, false)
+	if err != nil {
+		return dst, err
 	}
-	if out.Instances == nil {
-		out.Instances = []stcps.Instance{}
+	dst = appendDecimals(dst, `,"stamps":[`, res.Stamps)
+	if res.NextCursor != "" {
+		dst = jsonenc.AppendString(append(dst, `,"nextCursor":`...), res.NextCursor)
 	}
-	for i := range res.Stamps {
-		out.Stamps[i] = strconv.FormatUint(uint64(res.Stamps[i]), 10)
-	}
-	writeJSON(w, http.StatusOK, out)
+	dst = strconv.AppendInt(append(dst, `,"staleness":`...), int64(res.Staleness), 10)
+	dst = strconv.AppendInt(append(dst, `,"partitions":`...), int64(res.Partitions), 10)
+	return append(dst, '}'), nil
 }
 
 // clusterNodeView is one member's /stats row.

@@ -8,10 +8,12 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"github.com/stcps/stcps"
 	"github.com/stcps/stcps/internal/db"
+	"github.com/stcps/stcps/internal/jsonenc"
 )
 
 // api serves the spatio-temporal query endpoints from the daemon's live
@@ -111,18 +113,6 @@ func (a *api) stats(w http.ResponseWriter, _ *http.Request) {
 		Wire:          wv,
 		Cluster:       cv,
 	})
-}
-
-// queryResponse is one /query page.
-type queryResponse struct {
-	Count      int              `json:"count"`
-	Instances  []stcps.Instance `json:"instances"`
-	NextCursor string           `json:"nextCursor,omitempty"`
-	Index      string           `json:"index"`
-	Scanned    int              `json:"scanned"`
-	// Cold reports the segment-tier portion of the page (present when
-	// the query touched cold storage).
-	Cold *db.ColdScan `json:"cold,omitempty"`
 }
 
 // stPredicates is the event/region/window parameter triple shared by
@@ -253,18 +243,65 @@ func (a *api) query(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	out := queryResponse{
-		Count:      len(res.Instances),
-		Instances:  res.Instances,
-		NextCursor: res.NextCursor,
-		Index:      res.Index,
-		Scanned:    res.Scanned,
+	respond(w, http.StatusOK, func(dst []byte) ([]byte, error) { return appendQueryPage(dst, &res) })
+}
+
+// appendQueryPage renders one single-node /v1/query page: instances
+// (null when none matched), nextCursor when more remain, and the cold
+// section, under its Go field names, when segments were read.
+func appendQueryPage(dst []byte, res *stcps.QueryResult) ([]byte, error) {
+	dst, err := appendPage(dst, res.Instances, true)
+	if err != nil {
+		return dst, err
 	}
-	if res.Cold.Segments > 0 {
-		cold := res.Cold
-		out.Cold = &cold
+	if res.NextCursor != "" {
+		dst = jsonenc.AppendString(append(dst, `,"nextCursor":`...), res.NextCursor)
 	}
-	writeJSON(w, http.StatusOK, out)
+	dst = jsonenc.AppendString(append(dst, `,"index":`...), res.Index)
+	dst = strconv.AppendInt(append(dst, `,"scanned":`...), int64(res.Scanned), 10)
+	if c := res.Cold; c.Segments > 0 {
+		dst = strconv.AppendInt(append(dst, `,"cold":{"Segments":`...), int64(c.Segments), 10)
+		dst = strconv.AppendInt(append(dst, `,"BlocksRead":`...), int64(c.BlocksRead), 10)
+		dst = strconv.AppendInt(append(dst, `,"BlocksPruned":`...), int64(c.BlocksPruned), 10)
+		dst = append(strconv.AppendInt(append(dst, `,"Records":`...), int64(c.Records), 10), '}')
+	}
+	return append(dst, '}'), nil
+}
+
+// appendPage opens all three page shapes: the count and the instance
+// array, each row through Instance.AppendJSON. A nil slice is null when
+// nullIfNil (the single-node page), [] on the cluster pages. On error
+// (a non-finite float) dst holds a partial page.
+func appendPage(dst []byte, ins []stcps.Instance, nullIfNil bool) ([]byte, error) {
+	dst = strconv.AppendInt(append(dst, `{"count":`...), int64(len(ins)), 10)
+	if ins == nil && nullIfNil {
+		return append(dst, `,"instances":null`...), nil
+	}
+	dst = append(dst, `,"instances":[`...)
+	for i := range ins {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		var err error
+		if dst, err = ins[i].AppendJSON(dst); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, ']'), nil
+}
+
+// appendDecimals appends key and vs as an array of decimal strings:
+// seqs and stamps are uint64, which JSON numbers hold exactly only up
+// to 2^53.
+func appendDecimals[T ~uint64](dst []byte, key string, vs []T) []byte {
+	dst = append(dst, key...)
+	for i, v := range vs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(strconv.AppendUint(append(dst, '"'), uint64(v), 10), '"')
+	}
+	return append(dst, ']')
 }
 
 // lineageResponse is the /lineage/{entity} document.
@@ -287,11 +324,44 @@ func (a *api) lineage(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, lineageResponse{Entity: entity, Chain: chain})
 }
 
+// pageBufs holds response buffers between requests. A buffer that grew
+// past maxPooledBuf (a limit=0 page) is dropped rather than pooled, so
+// one huge page cannot pin its memory.
+var pageBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBuf = 1 << 20
+
+// respond is the one way a JSON response leaves the daemon: fill
+// appends the document to a pooled buffer, and it goes out with its
+// Content-Length in a single Write. When fill fails nothing it appended
+// is sent; the client gets a 500 envelope instead.
+func respond(w http.ResponseWriter, status int, fill func([]byte) ([]byte, error)) {
+	bp := pageBufs.Get().(*[]byte)
+	body, err := fill((*bp)[:0])
+	if err == nil {
+		body = append(body, '\n')
+		h := w.Header()
+		h.Set("Content-Type", "application/json")
+		h.Set("Content-Length", strconv.Itoa(len(body)))
+		w.WriteHeader(status)
+		_, _ = w.Write(body) // a client gone mid-response has nothing to be told
+	}
+	if cap(body) <= maxPooledBuf {
+		*bp = body[:0]
+		pageBufs.Put(bp)
+	}
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "%v", err)
+	}
+}
+
+// writeJSON sends the documents that carry no instances (stats,
+// subscriptions, lineage, error envelopes) through encoding/json.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	respond(w, status, func(dst []byte) ([]byte, error) {
+		b, err := json.Marshal(v)
+		return append(dst, b...), err
+	})
 }
 
 // errorResponse is the uniform error envelope of every endpoint:

@@ -28,7 +28,7 @@ package main
 
 import (
 	"errors"
-	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -36,6 +36,7 @@ import (
 	"github.com/stcps/stcps"
 	"github.com/stcps/stcps/internal/db"
 	"github.com/stcps/stcps/internal/event"
+	"github.com/stcps/stcps/internal/jsonenc"
 	"github.com/stcps/stcps/internal/sub"
 )
 
@@ -107,6 +108,7 @@ func (a *api) subscribe(w http.ResponseWriter, r *http.Request) {
 	ping := time.NewTicker(ssePingEvery)
 	defer ping.Stop()
 	var lastDropped uint64
+	var buf []byte // this connection's frame buffer, reused by every event
 	for {
 		// Drain everything buffered, then flush once.
 		wrote := false
@@ -114,7 +116,7 @@ func (a *api) subscribe(w http.ResponseWriter, r *http.Request) {
 			d, ok, err := s.Poll()
 			if err != nil {
 				if !errors.Is(err, sub.ErrClosed) {
-					fmt.Fprintf(w, "event: error\ndata: {\"error\":%q}\n\n", err.Error())
+					_, _ = w.Write(appendSSEError(buf[:0], err.Error()))
 				}
 				fl.Flush() // deliveries drained just before the error
 				return
@@ -122,13 +124,14 @@ func (a *api) subscribe(w http.ResponseWriter, r *http.Request) {
 			if !ok {
 				break
 			}
-			if err := writeSSEInstance(w, &d); err != nil {
+			if buf, err = writeSSEInstance(w, buf, &d); err != nil {
 				return // client gone
 			}
 			wrote = true
 		}
 		if dropped := s.Stats().Dropped; dropped > lastDropped {
-			fmt.Fprintf(w, "event: gap\ndata: {\"dropped\":%d}\n\n", dropped-lastDropped)
+			buf = appendSSEGap(buf[:0], dropped-lastDropped)
+			_, _ = w.Write(buf)
 			lastDropped = dropped
 			wrote = true
 		}
@@ -142,7 +145,7 @@ func (a *api) subscribe(w http.ResponseWriter, r *http.Request) {
 			// Drain what landed before the close on the next loop; the
 			// Poll above will then report ErrClosed and return.
 		case <-ping.C:
-			if _, err := fmt.Fprint(w, ": ping\n\n"); err != nil {
+			if _, err := io.WriteString(w, ": ping\n\n"); err != nil {
 				return
 			}
 			fl.Flush()
@@ -151,19 +154,30 @@ func (a *api) subscribe(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeSSEInstance renders one delivery as an SSE instance event.
-func writeSSEInstance(w http.ResponseWriter, d *stcps.SubDelivery) error {
-	data, err := event.EncodeInstance(d.Inst)
-	if err != nil {
-		return err
-	}
+// writeSSEInstance renders one delivery as an SSE instance event into
+// buf, the connection's reused buffer, and writes it in one call. An
+// instance that fails to encode is not written.
+func writeSSEInstance(w io.Writer, buf []byte, d *stcps.SubDelivery) ([]byte, error) {
+	buf = buf[:0]
 	if d.HasCursor {
-		if _, err := fmt.Fprintf(w, "id: %d\n", d.Cursor); err != nil {
-			return err
-		}
+		buf = append(strconv.AppendUint(append(buf, "id: "...), d.Cursor, 10), '\n')
 	}
-	_, err = fmt.Fprintf(w, "event: instance\ndata: %s\n\n", data)
-	return err
+	buf, err := event.AppendInstance(append(buf, "event: instance\ndata: "...), &d.Inst)
+	if err == nil {
+		buf = append(buf, "\n\n"...)
+		_, err = w.Write(buf)
+	}
+	return buf, err
+}
+
+// appendSSEGap appends a gap event: n deliveries lost to backpressure.
+func appendSSEGap(dst []byte, n uint64) []byte {
+	return append(strconv.AppendUint(append(dst, "event: gap\ndata: {\"dropped\":"...), n, 10), "}\n\n"...)
+}
+
+// appendSSEError appends an error event, its message a JSON string.
+func appendSSEError(dst []byte, msg string) []byte {
+	return append(jsonenc.AppendString(append(dst, "event: error\ndata: {\"error\":"...), msg), "}\n\n"...)
 }
 
 // subscriptionsResponse is the GET /v1/subscriptions document.

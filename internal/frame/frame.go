@@ -18,6 +18,7 @@
 package frame
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -47,27 +48,39 @@ var (
 // be at least HeaderSize bytes.
 //
 //stcps:hotpath
-func PutHeader(hdr []byte, payload []byte) {
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-}
+func PutHeader(hdr []byte, payload []byte) { appendHeader(hdr[:0], payload) }
 
 // AppendFrame appends one complete frame (header + payload) to dst and
 // returns the extended slice.
 //
 //stcps:hotpath
 func AppendFrame(dst []byte, payload []byte) []byte {
-	var hdr [HeaderSize]byte
-	PutHeader(hdr[:], payload)
-	dst = append(dst, hdr[:]...)
+	dst = appendHeader(dst, payload)
 	return append(dst, payload...)
 }
 
-// WriteFrame writes one complete frame to w.
+// appendHeader appends the 8-byte header for payload to dst.
+//
+//stcps:hotpath
+func appendHeader(dst []byte, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+}
+
+// WriteFrame writes one complete frame to w. Through a *bufio.Writer,
+// which every hot caller passes, the header goes into the writer's free
+// buffer and a frame costs no allocation.
 func WriteFrame(w io.Writer, payload []byte) error {
-	var hdr [HeaderSize]byte
-	PutHeader(hdr[:], payload)
-	if _, err := w.Write(hdr[:]); err != nil {
+	var hdr []byte
+	if bw, ok := w.(*bufio.Writer); ok {
+		if bw.Available() < HeaderSize {
+			if err := bw.Flush(); err != nil {
+				return fmt.Errorf("frame: write header: %w", err)
+			}
+		}
+		hdr = bw.AvailableBuffer()
+	}
+	if _, err := w.Write(appendHeader(hdr, payload)); err != nil {
 		return fmt.Errorf("frame: write header: %w", err)
 	}
 	if _, err := w.Write(payload); err != nil {

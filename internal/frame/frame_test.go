@@ -1,6 +1,7 @@
 package frame
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -38,12 +39,40 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestWriteFrameMatchesAppendFrame(t *testing.T) {
 	payload := []byte("same bytes either way")
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, payload); err != nil {
-		t.Fatal(err)
+	var want []byte
+	for range 5 {
+		want = AppendFrame(want, payload)
 	}
-	if !bytes.Equal(buf.Bytes(), AppendFrame(nil, payload)) {
+	var buf bytes.Buffer
+	for range 5 {
+		if err := WriteFrame(&buf, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
 		t.Fatal("WriteFrame and AppendFrame disagree")
+	}
+	// Through a bufio.Writer, whose free space runs short of a header
+	// at some frames of the sequence.
+	buf.Reset()
+	bw := bufio.NewWriterSize(&buf, 40)
+	for range 5 {
+		if err := WriteFrame(bw, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Flush(); err != nil || !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("WriteFrame through bufio disagrees with AppendFrame (%v)", err)
+	}
+}
+
+// TestWriteFrameAllocs: through a bufio.Writer a frame costs no
+// allocation (a header array passed to an io.Writer escapes to the heap).
+func TestWriteFrameAllocs(t *testing.T) {
+	bw := bufio.NewWriter(io.Discard)
+	payload := bytes.Repeat([]byte{7}, 100)
+	if n := testing.AllocsPerRun(1000, func() { _ = WriteFrame(bw, payload) }); n != 0 {
+		t.Fatalf("WriteFrame: %v allocs per frame, want 0", n)
 	}
 }
 

@@ -446,6 +446,36 @@ func TestSeamDedup(t *testing.T) {
 	}
 }
 
+// TestCatchUpAppliesWhere: replayed rows pass the where condition the
+// live path applies, and a rejected row still advances the seam.
+func TestCatchUpAppliesWhere(t *testing.T) {
+	store, err := db.New(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMatcher(Config{})
+	var last uint64
+	for i, v := range []float64{1, 0} {
+		if last, _, err = store.LogSeq(mkInst("E", uint64(i+1), timemodel.Tick(i), 0, 0, event.Attrs{"v": v})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := m.SubscribeFrom(Spec{Event: "E", Where: "e.v > 0.5"}, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := drain(t, s)
+	if len(got) != 1 || got[0].Inst.Attrs["v"] != 1 {
+		t.Fatalf("catch-up delivered %+v, want only the v=1 row", got)
+	}
+	s.mu.Lock()
+	seam := s.seam
+	s.mu.Unlock()
+	if seam != last+1 {
+		t.Fatalf("seam = %d, want %d: the rejected row must advance it", seam, last+1)
+	}
+}
+
 // TestResumeDropsDelayedPublishAtCursor: a client resumed at cursor c
 // already holds the instance at c, so an emission hook that publishes
 // that instance only after the resume must not deliver it again.

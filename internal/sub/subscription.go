@@ -179,18 +179,8 @@ func (s *Subscription) offer(in *event.Instance, cursor uint64, hasCursor bool) 
 	if s.closed {
 		return
 	}
-	if s.cond != nil {
-		s.binding[0] = in
-		ok, err := s.cond.Eval(s.binding)
-		s.binding[0] = nil
-		if err != nil {
-			s.condErrs++
-			s.m.condErrs.Add(1)
-			return
-		}
-		if !ok {
-			return
-		}
+	if !s.matchLocked(in) {
+		return
 	}
 	s.m.matched.Add(1)
 	d := Delivery{Inst: *in, Cursor: cursor, HasCursor: hasCursor}
@@ -245,14 +235,37 @@ func (s *Subscription) pushLocked(d Delivery) {
 	}
 }
 
-// noteReplayed records one replay delivery: counters plus the seam
-// watermark the live path dedups against.
-func (s *Subscription) noteReplayed(d *Delivery) {
+// matchLocked evaluates the where condition (none matches all) on in.
+//
+//stcps:holds mu
+func (s *Subscription) matchLocked(in *event.Instance) bool {
+	if s.cond == nil {
+		return true
+	}
+	s.binding[0] = in
+	ok, err := s.cond.Eval(s.binding)
+	s.binding[0] = nil
+	if err != nil {
+		s.condErrs++
+		s.m.condErrs.Add(1)
+		return false
+	}
+	return ok
+}
+
+// noteReplayed admits one replay row through the where condition and
+// records it. A rejected row still advances the seam watermark the
+// live path dedups against: the catch-up covered it.
+func (s *Subscription) noteReplayed(d *Delivery) bool {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.seam = max(s.seam, d.Cursor+1)
+	if !s.matchLocked(&d.Inst) {
+		return false
+	}
 	s.replayed++
 	s.delivered++
-	s.seam = max(s.seam, d.Cursor+1)
-	s.mu.Unlock()
+	return true
 }
 
 // splice ends the catch-up phase: drain pending into the ring (skipping
@@ -291,8 +304,10 @@ func (s *Subscription) Poll() (Delivery, bool, error) {
 			d := rp.buf[rp.i]
 			rp.buf[rp.i] = Delivery{}
 			rp.i++
-			s.noteReplayed(&d)
-			return d, true, nil
+			if s.noteReplayed(&d) {
+				return d, true, nil
+			}
+			continue
 		}
 		if rp.done {
 			s.splice()
