@@ -94,7 +94,7 @@ func latestSnapshot(t *testing.T, dir string) string {
 	}
 	best := ""
 	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "snapshot-") && strings.HasSuffix(e.Name(), ".ndjson") {
+		if strings.HasPrefix(e.Name(), "snapshot-") && strings.HasSuffix(e.Name(), ".snap") {
 			if best == "" || e.Name() > best {
 				best = e.Name()
 			}
@@ -200,7 +200,7 @@ func TestCrashRecovery(t *testing.T) {
 	}
 
 	if gotSnap := latestSnapshot(t, crashDir); gotSnap != wantSnap {
-		t.Errorf("post-crash snapshot differs from uninterrupted run\n--- want (%d bytes) ---\n%s\n--- got (%d bytes) ---\n%s",
+		t.Errorf("post-crash snapshot differs from uninterrupted run\n--- want (%d bytes) ---\n%q\n--- got (%d bytes) ---\n%q",
 			len(wantSnap), wantSnap, len(gotSnap), gotSnap)
 	}
 }
@@ -325,7 +325,7 @@ func TestDaemonSIGTERM(t *testing.T) {
 		t.Errorf("SIGTERM did not flush the open interval: stdout %q", subOut.String())
 	}
 	// ...and the final snapshot holds it durably.
-	if snap := latestSnapshot(t, dir); !strings.Contains(snap, `"E.warm"`) {
+	if snap := latestSnapshot(t, dir); !strings.Contains(snap, "E.warm") {
 		t.Errorf("final snapshot missing flushed interval: %q", snap)
 	}
 }

@@ -239,15 +239,15 @@ func TestSSEFrames(t *testing.T) {
 			want = fmt.Sprintf("id: %d\n", d.Cursor) + want
 		}
 		var b bytes.Buffer
-		if _, err := writeSSEInstance(&b, []byte("stale"), &d); err != nil || b.String() != want {
-			t.Errorf("instance frame = %q (%v), want %q", b.String(), err, want)
+		if _, encErr, err := writeSSEInstance(&b, []byte("stale"), &d); encErr != nil || err != nil || b.String() != want {
+			t.Errorf("instance frame = %q (%v, %v), want %q", b.String(), encErr, err, want)
 		}
 	}
 	var b bytes.Buffer
 	bad := stcps.SubDelivery{Inst: in, HasCursor: true}
 	bad.Inst.Observer = ""
-	if _, err := writeSSEInstance(&b, nil, &bad); err == nil || b.Len() != 0 {
-		t.Errorf("invalid instance: wrote %q, err %v", b.String(), err)
+	if _, encErr, err := writeSSEInstance(&b, nil, &bad); encErr == nil || err != nil || b.Len() != 0 {
+		t.Errorf("invalid instance: wrote %q, errors %v, %v", b.String(), encErr, err)
 	}
 	if got, want := string(appendSSEGap(nil, 7)), "event: gap\ndata: {\"dropped\":7}\n\n"; got != want {
 		t.Errorf("gap frame = %q, want %q", got, want)

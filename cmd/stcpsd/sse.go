@@ -23,11 +23,14 @@
 // client read too slowly) — the client heals by reconnecting from its
 // last id. An `error` event (notably a mid-replay retention eviction,
 // HTTP 410 at subscribe time) means the cursor no longer resumes
-// cleanly and the client must resync from scratch.
+// cleanly and the client must resync from scratch — unless it carries
+// an id: then it stands in for the one instance at that cursor that
+// cannot be encoded (a non-finite attribute), and the stream goes on.
 package main
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -124,7 +127,15 @@ func (a *api) subscribe(w http.ResponseWriter, r *http.Request) {
 			if !ok {
 				break
 			}
-			if buf, err = writeSSEInstance(w, buf, &d); err != nil {
+			var encErr error
+			if buf, encErr, err = writeSSEInstance(w, buf, &d); encErr != nil {
+				// Name the instance and go on; the frame's id moves a
+				// resuming client past it.
+				msg := fmt.Sprintf("instance at cursor %d cannot be encoded: %v", d.Cursor, encErr)
+				buf = appendSSEError(appendSSEID(buf[:0], &d), msg)
+				_, err = w.Write(buf)
+			}
+			if err != nil {
 				return // client gone
 			}
 			wrote = true
@@ -156,18 +167,24 @@ func (a *api) subscribe(w http.ResponseWriter, r *http.Request) {
 
 // writeSSEInstance renders one delivery as an SSE instance event into
 // buf, the connection's reused buffer, and writes it in one call. An
-// instance that fails to encode is not written.
-func writeSSEInstance(w io.Writer, buf []byte, d *stcps.SubDelivery) ([]byte, error) {
-	buf = buf[:0]
-	if d.HasCursor {
-		buf = append(strconv.AppendUint(append(buf, "id: "...), d.Cursor, 10), '\n')
-	}
-	buf, err := event.AppendInstance(append(buf, "event: instance\ndata: "...), &d.Inst)
-	if err == nil {
+// instance that fails to encode is not written: encErr reports it, apart
+// from err, a failed write.
+func writeSSEInstance(w io.Writer, buf []byte, d *stcps.SubDelivery) (_ []byte, encErr, err error) {
+	buf, encErr = event.AppendInstance(append(appendSSEID(buf[:0], d), "event: instance\ndata: "...), &d.Inst)
+	if encErr == nil {
 		buf = append(buf, "\n\n"...)
 		_, err = w.Write(buf)
 	}
-	return buf, err
+	return buf, encErr, err
+}
+
+// appendSSEID appends the delivery's id line, its store cursor, if it
+// has one.
+func appendSSEID(dst []byte, d *stcps.SubDelivery) []byte {
+	if !d.HasCursor {
+		return dst
+	}
+	return append(strconv.AppendUint(append(dst, "id: "...), d.Cursor, 10), '\n')
 }
 
 // appendSSEGap appends a gap event: n deliveries lost to backpressure.

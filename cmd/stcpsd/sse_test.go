@@ -7,10 +7,14 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/stcps/stcps/internal/event"
+	"github.com/stcps/stcps/internal/spatial"
 	"github.com/stcps/stcps/internal/timemodel"
 )
 
@@ -294,6 +298,80 @@ func TestDaemonSlowClientTimeouts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("daemon: %v (stderr: %s)", err, errw.String())
 		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon never exited")
+	}
+}
+
+// TestDaemonSSESurvivesUnencodable: two finite temperatures of 1.5e308
+// average to +Inf in a two-role detector, and that instance cannot be
+// encoded. The subscriber gets an error frame naming its cursor, under
+// that cursor's id, and the stream goes on with the next instance.
+func TestDaemonSSESurvivesUnencodable(t *testing.T) {
+	spec := `[{"id": "E.pair", "layer": "cyber",
+	  "roles": [{"name": "x", "source": "S.a", "window": 1}, {"name": "y", "source": "S.b", "window": 1}],
+	  "when": "x.temp > 0 and y.temp > 0"}]`
+	events := filepath.Join(t.TempDir(), "events.json")
+	if err := os.WriteFile(events, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	line := func(ev string, tick timemodel.Tick, temp float64) string {
+		b, err := event.EncodeInstance(event.Instance{
+			Layer: event.LayerSensor, Observer: "MT1", Event: ev, Seq: uint64(tick), Gen: tick,
+			GenLoc: spatial.AtPoint(0, 0), Occ: timemodel.At(tick), Loc: spatial.AtPoint(0, 0),
+			Attrs: event.Attrs{"temp": temp}, Confidence: 0.9,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b) + "\n"
+	}
+	pr, pw := io.Pipe()
+	addrCh := make(chan string, 1)
+	httpReady = func(addr string) { addrCh <- addr }
+	defer func() { httpReady = nil }()
+	var out, errw strings.Builder
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-events", events, "-http", "127.0.0.1:0"}, pr, &out, &errw)
+	}()
+	var addr string
+	select {
+	case addr = <-addrCh:
+	case <-time.After(10 * time.Second):
+		t.Fatal("query API never came up")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	r, closeSub := sseClient(t, ctx, "http://"+addr+"/v1/subscribe?event=E.pair")
+	defer closeSub()
+
+	feed := line("S.a", 10, 1.5e308) + line("S.b", 11, 1.5e308) + line("S.a", 20, 1)
+	if _, err := io.WriteString(pw, feed); err != nil {
+		t.Fatal(err)
+	}
+	bad, err := readSSE(r)
+	if err != nil {
+		t.Fatalf("first frame: %v (stderr: %s)", err, errw.String())
+	}
+	if bad.event != "error" || bad.id == "" || !strings.Contains(bad.data, "cursor "+bad.id) {
+		t.Fatalf("first frame = %+v, want an error naming its cursor", bad)
+	}
+	next, err := readSSE(r)
+	if err != nil {
+		t.Fatalf("frame after the error: %v (stderr: %s)", err, errw.String())
+	}
+	if next.event != "instance" || next.id <= bad.id {
+		t.Fatalf("frame after the error = %+v, want the next instance", next)
+	}
+	if in := mustInstance(t, next.data); in.Event != "E.pair" || in.Gen != 20 {
+		t.Fatalf("next instance = %+v, want E.pair at tick 20", in)
+	}
+
+	closeSub()
+	pw.Close()
+	select {
+	case <-done: // stdout refused the +Inf instance too; the exit status is not under test
 	case <-time.After(10 * time.Second):
 		t.Fatal("daemon never exited")
 	}

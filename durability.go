@@ -3,7 +3,6 @@ package stcps
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -26,11 +25,11 @@ var (
 
 // DurabilityConfig makes an engine's database server survive crashes: a
 // write-ahead log of every ingested entity and emitted instance, plus
-// periodic snapshots in the db.Snapshot NDJSON format. On Start the
-// engine loads the latest snapshot, replays the WAL tail through the
-// store, and re-offers the logged (still window-relevant) entities to
-// the detectors — so both the instance history and half-bound detection
-// windows survive a restart.
+// periodic snapshots of the store as WAL emit records. On Start the
+// engine replays the latest snapshot and the WAL tail's emissions into
+// the store, and re-offers the logged (still window-relevant) entities
+// to the detectors — so both the instance history and half-bound
+// detection windows survive a restart.
 type DurabilityConfig struct {
 	// Dir is the WAL directory; empty disables durability.
 	Dir string
@@ -57,7 +56,8 @@ type DurabilityStats struct {
 	// Enabled reports whether the engine runs with a WAL.
 	Enabled bool `json:"enabled"`
 	WALStats
-	// ReplayedRecords counts WAL records read during recovery.
+	// ReplayedRecords counts WAL segment records read during recovery;
+	// the snapshot's records are not among them.
 	ReplayedRecords uint64 `json:"replayedRecords"`
 	// ReofferedEntities counts ingested entities re-offered to the
 	// detectors during recovery.
@@ -267,10 +267,10 @@ func (e *Engine) replayEmission(in event.Instance) {
 }
 
 // recover replays the durable state into the engine: the latest
-// snapshot into the store, the WAL's emitted instances into the store,
-// and the WAL's ingested entities back into the detectors (with
-// re-derived emissions deduplicated by content), then seeds the
-// detectors' sequence counters past every recovered instance.
+// snapshot and the WAL's emitted instances into the store, and the WAL's
+// ingested entities back into the detectors (with re-derived emissions
+// deduplicated by content), then seeds the detectors' sequence counters
+// past every recovered instance.
 //
 //stcps:replay
 func (e *Engine) recover() error {
@@ -288,34 +288,15 @@ func (e *Engine) recover() error {
 	d.replayNew = nil
 	d.replayMu.Unlock()
 
-	// 1. Latest snapshot -> store.
-	if r, _, err := d.log.LatestSnapshot(); err != nil {
-		return err
-	} else if r != nil {
-		err := e.store.Load(r)
-		r.Close()
-		if err != nil {
-			return err
-		}
-	}
+	// 1. Scan the snapshot's records, then the WAL's emit records:
+	// remember every known emission, and restore the snapshot plus the
+	// emitted-instance tail the snapshot does not cover (Seq 0 marks a
+	// snapshot record). Only emit payloads are decoded; the scan
+	// streams, so recovery memory scales with the emission count (one
+	// known-key per emission), not with the full ingest history.
 	snapSeq := d.log.Stats().SnapshotSeq
-
-	// 2. Scan the WAL's emit records: restore the emitted-instance tail
-	// and remember every known emission. Only emit payloads are decoded;
-	// the scan streams, so recovery memory scales with the emission
-	// count (one known-key per emission), not with the full ingest
-	// history.
 	d.known = make(map[string]struct{})
 	maxSeq := make(map[string]uint64)
-	for _, in := range e.store.All() {
-		if in.Observer != e.cfg.Observer {
-			continue
-		}
-		d.known[in.ContentKey()] = struct{}{}
-		if in.Seq > maxSeq[in.Event] {
-			maxSeq[in.Event] = in.Seq
-		}
-	}
 	// Emitted instances land in the store through the batched write path,
 	// a page at a time; per-batch retention enforcement converges on the
 	// same live set as per-instance, so replay is equivalent but cheaper.
@@ -330,13 +311,15 @@ func (e *Engine) recover() error {
 		return err
 	}
 	err := d.log.Replay([]wal.Kind{wal.KindEmit}, func(rec wal.Record) error {
-		d.replayedRecords.Add(1)
+		if rec.Seq > 0 {
+			d.replayedRecords.Add(1)
+		}
 		in := rec.Instance
 		d.known[in.ContentKey()] = struct{}{} //stcps:ignore guardedby synchronous replay callback; workers have not started yet
 		if in.Seq > maxSeq[in.Event] {
 			maxSeq[in.Event] = in.Seq
 		}
-		if rec.Seq > snapSeq {
+		if rec.Seq == 0 || rec.Seq > snapSeq {
 			page = append(page, *in)
 			if len(page) >= replayBatch {
 				return flush()
@@ -353,7 +336,7 @@ func (e *Engine) recover() error {
 	d.recoveredInstances.Store(uint64(e.store.Len()))
 	d.replayComplete = d.log.Complete()
 
-	// 3. Second streaming pass, decoding only the ingest records:
+	// 2. Second streaming pass, decoding only the ingest records:
 	// re-offer the logged entities in their original order so the
 	// detector windows (and any open interval state) rebuild exactly;
 	// re-derived emissions route through replayEmission, which buffers
@@ -389,7 +372,7 @@ func (e *Engine) recover() error {
 		return err
 	}
 
-	// 4. Emissions the crash outran are now in the store; land them in
+	// 3. Emissions the crash outran are now in the store; land them in
 	// the WAL too so a second crash cannot lose them, and deliver them
 	// to OnInstance — the WAL's Log-before-Emit hook ordering proves an
 	// emission absent from the WAL was never delivered, so this is the
@@ -416,7 +399,7 @@ func (e *Engine) recover() error {
 		}
 	}
 
-	// 5. Seed the sequence counters: when compaction has dropped ingest
+	// 4. Seed the sequence counters: when compaction has dropped ingest
 	// history, the replay alone may leave a counter short of instances
 	// already on durable storage; never reissue their entity ids.
 	for ev, seq := range maxSeq {
@@ -462,7 +445,7 @@ func (e *Engine) snapshotNow() error {
 		return err
 	}
 	d.recordsSinceSnap.Store(0)
-	return d.log.Snapshot(func(w io.Writer) error { return e.store.Snapshot(w) }, d.horizon())
+	return d.log.Snapshot(e.store.Snapshot, d.horizon())
 }
 
 // Shutdown flushes open interval detections at virtual time now (like

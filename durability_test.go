@@ -438,7 +438,7 @@ func TestFailedSnapshotDoesNotReapplyRedelivery(t *testing.T) {
 	eng := durEngine(t, dir, 0, 1)
 	// Every snapshot fails: its rename target is a directory.
 	for seq := 1; seq <= 4; seq++ {
-		if err := os.Mkdir(filepath.Join(dir, fmt.Sprintf("snapshot-%016d.ndjson", seq)), 0o755); err != nil {
+		if err := os.Mkdir(filepath.Join(dir, fmt.Sprintf("snapshot-%016d.snap", seq)), 0o755); err != nil {
 			t.Fatal(err)
 		}
 	}

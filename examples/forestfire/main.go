@@ -10,18 +10,21 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	stcps "github.com/stcps/stcps"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+// run builds and runs the seeded system and writes its report to w.
+func run(w io.Writer) error {
 	sys, err := stcps.NewSystem(stcps.Config{
 		Seed:  3,
 		Radio: stcps.Radio{Range: 60, HopDelay: 2},
@@ -115,26 +118,26 @@ func run() error {
 		return err
 	}
 
-	fmt.Println("=== forest fire: field event detection and suppression ===")
-	fmt.Print(report.Summary())
+	fmt.Fprintln(w, "=== forest fire: field event detection and suppression ===")
+	fmt.Fprint(w, report.Summary())
 
 	fronts := report.OfEvent("CP.fireFront")
 	if len(fronts) == 0 {
 		return fmt.Errorf("fire front never detected")
 	}
 	first := fronts[0]
-	fmt.Printf("\nfirst fire-front instance: %s\n", first.EntityID())
-	fmt.Printf("  spatial class: %s (estimated extent %s)\n",
+	fmt.Fprintf(w, "\nfirst fire-front instance: %s\n", first.EntityID())
+	fmt.Fprintf(w, "  spatial class: %s (estimated extent %s)\n",
 		first.SpatialClass(), first.OccLoc())
-	fmt.Printf("  t^g=%d  ρ=%.3f  inputs=%d motes\n",
+	fmt.Fprintf(w, "  t^g=%d  ρ=%.3f  inputs=%d motes\n",
 		first.Gen, first.Confidence, len(first.Inputs))
 
 	alarms := report.OfEvent("E.fireAlarm")
 	if len(alarms) > 0 {
-		fmt.Printf("\nfire alarm raised at t=%d (fire ignited at 300, EDL=%d ticks)\n",
+		fmt.Fprintf(w, "\nfire alarm raised at t=%d (fire ignited at 300, EDL=%d ticks)\n",
 			alarms[0].Gen, alarms[0].Gen-300)
 	}
-	fmt.Printf("fire burning at end of run: %v (radius frozen at %.1f)\n",
+	fmt.Fprintf(w, "fire burning at end of run: %v (radius frozen at %.1f)\n",
 		fire.Burning(report.Horizon), fire.Radius(report.Horizon))
 	if fire.Burning(report.Horizon) {
 		return fmt.Errorf("suppression failed")

@@ -8,18 +8,21 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	stcps "github.com/stcps/stcps"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+// run builds and runs the seeded system and writes its report to w.
+func run(w io.Writer) error {
 	sys, err := stcps.NewSystem(stcps.Config{
 		Seed:  5,
 		Radio: stcps.Radio{Range: 50, HopDelay: 2},
@@ -124,16 +127,16 @@ func run() error {
 		return err
 	}
 
-	fmt.Println("=== intrusion: the paper's S1 spatio-temporal sequence ===")
-	fmt.Print(report.Summary())
+	fmt.Fprintln(w, "=== intrusion: the paper's S1 spatio-temporal sequence ===")
+	fmt.Fprint(w, report.Summary())
 
 	breakins := report.OfEvent("CP.breakin")
-	fmt.Printf("\nbreak-in detections: %d\n", len(breakins))
+	fmt.Fprintf(w, "\nbreak-in detections: %d\n", len(breakins))
 	if len(breakins) == 0 {
 		return fmt.Errorf("intruder not detected")
 	}
 	first := breakins[0]
-	fmt.Printf("  first: %s  t^eo=%v  inputs=%v\n", first.EntityID(), first.Occ, first.Inputs)
+	fmt.Fprintf(w, "  first: %s  t^eo=%v  inputs=%v\n", first.EntityID(), first.Occ, first.Inputs)
 	// Sanity: detection happens around the intruder's run (t ~1000-1150),
 	// not during the guard's patrol.
 	if first.Occ.Start() < 950 {
@@ -143,7 +146,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("siren on: %v\n", siren.Attrs["on"] == 1)
+	fmt.Fprintf(w, "siren on: %v\n", siren.Attrs["on"] == 1)
 	if siren.Attrs["on"] != 1 {
 		return fmt.Errorf("siren was not triggered")
 	}

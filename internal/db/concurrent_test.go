@@ -3,7 +3,6 @@ package db
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -439,7 +438,7 @@ func TestStoreRaceStress(t *testing.T) {
 					_ = s.Len()
 					_ = s.Stats()
 				case 5:
-					if err := s.Snapshot(io.Discard); err != nil {
+					if err := s.Snapshot(func(*event.Instance) error { return nil }); err != nil {
 						t.Errorf("Snapshot: %v", err)
 						return
 					}

@@ -1,75 +1,42 @@
 package db
 
 import (
-	"bufio"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
 	"sort"
 
 	"github.com/stcps/stcps/internal/event"
 )
 
-// snapshotRecord is one line of the newline-delimited JSON snapshot
-// format. Exactly one of Instance/Observation is set.
-type snapshotRecord struct {
-	Instance    *event.Instance    `json:"instance,omitempty"`
-	Observation *event.Observation `json:"observation,omitempty"`
-}
-
-// Snapshot writes the store's full contents (instances, then
-// observations) as newline-delimited JSON. The format is stable and
-// reloadable with Load — the durable half of the paper's "database server
-// for later retrieval".
+// Snapshot calls fn with every live instance in the canonical snapshot
+// order and stops at fn's first error. It is the store's half of the
+// durable snapshot: the WAL frames and writes what fn is handed (see
+// wal.Log.Snapshot), and recovery replays those records back through
+// LogBatch.
 //
-// Snapshots are reproducible byte-for-byte across runs: instances are
-// written in (generation time, occurrence, event, observer, sequence)
-// order rather than arrival order, because arrival order through the
-// sharded engine's worker goroutines is nondeterministic run to run.
+// The walk is reproducible run to run: instances are visited in
+// (generation time, occurrence, event, observer, sequence) order rather
+// than arrival order, because arrival order through the sharded
+// engine's worker goroutines is nondeterministic.
 //
-// The reader lock is held only long enough to pair the published view
-// with a copy of the observation map; sorting and encoding — the bulk
-// of the work — run against the immutable chunks without blocking
-// ingest.
-func (s *Store) Snapshot(w io.Writer) error {
+// The reader lock is held only long enough to take the published view;
+// sorting and fn — the bulk of the work — run against the immutable
+// chunks without blocking ingest. The instance handed to fn must not be
+// modified or retained.
+func (s *Store) Snapshot(fn func(*event.Instance) error) error {
 	s.mu.RLock()
 	v := s.loadView()
-	obs := make(map[string]event.Observation, len(s.obs))
-	for id, o := range s.obs {
-		obs[id] = o
-	}
 	s.mu.RUnlock()
 
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
 	order := make([]uint64, 0, v.live())
 	for seq := v.base; seq < v.frontier; seq++ {
 		order = append(order, seq)
 	}
-	sort.SliceStable(order, func(i, j int) bool {
+	sort.Slice(order, func(i, j int) bool {
 		return instanceLess(v.at(order[i]), v.at(order[j]))
 	})
 	for _, seq := range order {
-		if err := enc.Encode(snapshotRecord{Instance: v.at(seq)}); err != nil {
-			return fmt.Errorf("db: snapshot: %w", err)
+		if err := fn(v.at(seq)); err != nil {
+			return err
 		}
-	}
-	// Map iteration order is not deterministic; sort by id so snapshots
-	// are reproducible byte-for-byte.
-	ids := make([]string, 0, len(obs))
-	for id := range obs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		o := obs[id]
-		if err := enc.Encode(snapshotRecord{Observation: &o}); err != nil {
-			return fmt.Errorf("db: snapshot: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("db: snapshot: %w", err)
 	}
 	return nil
 }
@@ -94,48 +61,4 @@ func instanceLess(a, b *event.Instance) bool {
 		return a.Observer < b.Observer
 	}
 	return a.Seq < b.Seq
-}
-
-// loadBatch is the page size Load accumulates before handing instances
-// to LogBatch — one lock acquisition and retention pass per page.
-const loadBatch = 512
-
-// Load replays a snapshot into the store. Existing contents are kept;
-// duplicate instances are ignored (logging is idempotent). Instances
-// stream through the batched write path, so a large snapshot costs one
-// lock acquisition per loadBatch lines rather than per line.
-func (s *Store) Load(r io.Reader) error {
-	dec := json.NewDecoder(r)
-	batch := make([]event.Instance, 0, loadBatch)
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		_, _, err := s.LogBatch(batch)
-		batch = batch[:0]
-		return err
-	}
-	for {
-		var rec snapshotRecord
-		if err := dec.Decode(&rec); err != nil {
-			if errors.Is(err, io.EOF) {
-				if err := flush(); err != nil {
-					return fmt.Errorf("db: load: %w", err)
-				}
-				return nil
-			}
-			return fmt.Errorf("db: load: %w", err)
-		}
-		switch {
-		case rec.Instance != nil:
-			batch = append(batch, *rec.Instance)
-			if len(batch) >= loadBatch {
-				if err := flush(); err != nil {
-					return fmt.Errorf("db: load: %w", err)
-				}
-			}
-		case rec.Observation != nil:
-			s.LogObservation(*rec.Observation)
-		}
-	}
 }

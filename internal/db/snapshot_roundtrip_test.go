@@ -2,12 +2,16 @@ package db
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/stcps/stcps/internal/event"
 	"github.com/stcps/stcps/internal/spatial"
 	"github.com/stcps/stcps/internal/timemodel"
+	"github.com/stcps/stcps/internal/wal"
 )
 
 // buildStore populates a store pseudo-randomly from seed: n instances
@@ -61,31 +65,85 @@ func buildStore(t testing.TB, seed int64, n int, ret Retention) *Store {
 	return s
 }
 
-// checkRoundTrip asserts the property: Load(Snapshot(s)) into a fresh
-// store reproduces the snapshot byte-for-byte.
+// snapshotFile writes s's snapshot through a fresh WAL in its own
+// directory, as a durable engine does, and returns the directory and
+// the snapshot file's bytes.
+func snapshotFile(t testing.TB, s *Store) (string, []byte) {
+	t.Helper()
+	dir := t.TempDir()
+	l, err := wal.Open(wal.Options{Dir: dir, Fsync: wal.FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A snapshot covers the log's records, so the log needs one.
+	o := event.Observation{Mote: "M", Sensor: "S", Seq: 1, Time: timemodel.At(0), Loc: spatial.AtPoint(0, 0)}
+	if _, err := l.Append(wal.Record{Kind: wal.KindObservation, Observation: &o}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Snapshot(s.Snapshot, math.MinInt64); err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	paths, err := filepath.Glob(filepath.Join(dir, "snapshot-*"))
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("snapshot files = %v, %v; want one", paths, err)
+	}
+	b, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dir, b
+}
+
+// recoverInto replays the snapshot in dir into dst the way a durable
+// engine's recovery does: Open the log, then hand Replay's emit records
+// to LogBatch a page at a time.
+func recoverInto(dir string, dst *Store) error {
+	l, err := wal.Open(wal.Options{Dir: dir, Fsync: wal.FsyncOff})
+	if err != nil {
+		return err
+	}
+	defer l.Close()
+	page := make([]event.Instance, 0, 512)
+	flush := func() error {
+		_, _, err := dst.LogBatch(page)
+		page = page[:0]
+		return err
+	}
+	err = l.Replay([]wal.Kind{wal.KindEmit}, func(rec wal.Record) error {
+		if page = append(page, *rec.Instance); len(page) == cap(page) {
+			return flush()
+		}
+		return nil
+	})
+	if err == nil && len(page) > 0 {
+		err = flush()
+	}
+	return err
+}
+
+// checkRoundTrip asserts the property: a snapshot written through the
+// WAL, replayed into a fresh store and snapshotted again, reproduces
+// the first snapshot file byte for byte.
 func checkRoundTrip(t testing.TB, src *Store, label string) {
 	t.Helper()
-	var first bytes.Buffer
-	if err := src.Snapshot(&first); err != nil {
-		t.Fatalf("%s: snapshot: %v", label, err)
-	}
+	dir, first := snapshotFile(t, src)
 	dst, err := New(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.Load(bytes.NewReader(first.Bytes())); err != nil {
-		t.Fatalf("%s: load: %v", label, err)
+	if err := recoverInto(dir, dst); err != nil {
+		t.Fatalf("%s: recover: %v", label, err)
 	}
-	var second bytes.Buffer
-	if err := dst.Snapshot(&second); err != nil {
-		t.Fatalf("%s: re-snapshot: %v", label, err)
-	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
-		t.Fatalf("%s: round trip is not byte-identical\n--- first ---\n%s\n--- second ---\n%s",
-			label, first.String(), second.String())
+	_, second := snapshotFile(t, dst)
+	if !bytes.Equal(first, second) {
+		t.Fatalf("%s: round trip is not byte-identical\n--- first ---\n%x\n--- second ---\n%x",
+			label, first, second)
 	}
 	if dst.Len() != src.Len() {
-		t.Fatalf("%s: loaded %d instances, source has %d", label, dst.Len(), src.Len())
+		t.Fatalf("%s: recovered %d instances, source has %d", label, dst.Len(), src.Len())
 	}
 }
 

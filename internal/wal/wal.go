@@ -33,11 +33,15 @@
 //
 // Segments are named after the sequence number of their first record
 // (%016d.wal) and rotate at Options.SegmentBytes. A snapshot file
-// (snapshot-%016d.ndjson, the db.Snapshot NDJSON format) covers every
-// record up to the sequence number in its name; sealed segments fully
-// covered by the snapshot — and whose ingested entities have all aged
-// past the caller-provided horizon, so no window can still need them —
-// are deleted by compaction.
+// (snapshot-%016d.snap) holds the store's live instances as KindEmit
+// records in the same framing and payload, and covers every record up
+// to the sequence number in its name; Replay hands its records to the
+// callback first, with Seq 0. Sealed segments fully covered by the
+// snapshot — and whose ingested entities have all aged past the
+// caller-provided horizon, so no window can still need them — are
+// deleted by compaction. A directory holding a JSON snapshot
+// (snapshot-%016d.ndjson, the format before v2 snapshots) is refused
+// with ErrVersion before Open changes anything in it.
 package wal
 
 import (
@@ -70,8 +74,9 @@ var (
 	ErrCorrupt = errors.New("wal: corrupt segment")
 	// ErrBadRecord is returned for records that cannot be encoded.
 	ErrBadRecord = errors.New("wal: bad record")
-	// ErrVersion is returned by Open for a segment written in a record
-	// format this build does not read (the v1 JSON payload).
+	// ErrVersion is returned by Open for a segment or snapshot written in
+	// a format this build does not read (the v1 JSON payload, the NDJSON
+	// snapshot).
 	ErrVersion = errors.New("wal: unsupported record format")
 )
 
@@ -139,7 +144,7 @@ const (
 
 // Record is one WAL entry. Seq is assigned by position: the i-th record
 // ever appended has Seq i (1-based), so sequence numbers survive
-// restarts without being stored.
+// restarts without being stored. A snapshot's records have Seq 0.
 type Record struct {
 	Seq  uint64
 	Kind Kind
@@ -213,6 +218,7 @@ type Log struct {
 	lastSync  time.Time //stcps:guardedby mu
 	torn      uint64    //stcps:guardedby mu
 	snapSeq   uint64    //stcps:guardedby mu
+	snapRecs  uint64    //stcps:guardedby mu -- records in the snapshot file
 	snapshots uint64    //stcps:guardedby mu
 	compacted uint64    //stcps:guardedby mu
 	// syncFailures / firstErr record fsync failures — the interval
@@ -220,8 +226,9 @@ type Log struct {
 	// later fsync succeeding does NOT mean the lost pages were written.
 	syncFailures uint64 //stcps:guardedby mu
 	firstErr     error  //stcps:guardedby mu
-	// buf holds the frame being appended; enc keeps one encoder (and
-	// attribute schema) per kind, so a steady append allocates nothing.
+	// buf holds the frame being appended or snapshotted; enc keeps one
+	// encoder (and attribute schema) per kind, so a steady append
+	// allocates nothing.
 	buf []byte                          //stcps:guardedby mu
 	enc [KindEmit + 1]event.WireEncoder //stcps:guardedby mu
 
@@ -236,7 +243,7 @@ type Log struct {
 const (
 	segSuffix  = ".wal"
 	snapPrefix = "snapshot-"
-	snapSuffix = ".ndjson"
+	snapSuffix = ".snap"
 	// maxPayloadBytes bounds one record. Append and the segment readers
 	// must agree: a payload Append accepted but the frame reader rejects
 	// would brick the log (sealed segment) or silently truncate an
@@ -307,6 +314,14 @@ func Open(opts Options) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
+	// A directory from a build that wrote NDJSON snapshots is refused
+	// before anything below sweeps, deletes or truncates a file in it.
+	if i := slices.IndexFunc(entries, func(e os.DirEntry) bool {
+		_, ok := parseSeqName(e.Name(), snapPrefix, ".ndjson")
+		return ok
+	}); i >= 0 {
+		return nil, fmt.Errorf("%w: %s is a JSON snapshot; this build reads v2 snapshots only", ErrVersion, entries[i].Name())
+	}
 	var segFirsts []uint64
 	for _, e := range entries {
 		if first, ok := parseSeqName(e.Name(), "", segSuffix); ok {
@@ -320,6 +335,15 @@ func Open(opts Options) (*Log, error) {
 		if strings.HasPrefix(e.Name(), snapPrefix) && strings.HasSuffix(e.Name(), ".tmp") {
 			_ = os.Remove(filepath.Join(opts.Dir, e.Name()))
 		}
+	}
+	if l.snapSeq > 0 {
+		// Check the snapshot's frames now, so a damaged snapshot fails the
+		// open instead of a recovery that has loaded half of it.
+		meta, err := l.scanSegment(filepath.Join(opts.Dir, snapName(l.snapSeq)), 1, false)
+		if err != nil {
+			return nil, err
+		}
+		l.snapRecs = meta.last
 	}
 	sort.Slice(segFirsts, func(i, j int) bool { return segFirsts[i] < segFirsts[j] })
 
@@ -521,9 +545,9 @@ func decodePayload(p []byte, rec *Record, it *event.Interner) error {
 }
 
 // finite reports whether every float in the record is finite: like the
-// v1 JSON payload and the db.Snapshot NDJSON, the WAL refuses NaN and
-// ±Inf. v-v is NaN for a non-finite v; a location's bounds are finite
-// iff its coordinates are.
+// v1 JSON payload it replaced, the WAL refuses NaN and ±Inf, in segments
+// and snapshots alike. v-v is NaN for a non-finite v; a location's
+// bounds are finite iff its coordinates are.
 func finite(rec *Record) bool {
 	sum := rec.Conf - rec.Conf
 	add := func(l spatial.Location, a event.Attrs) {
@@ -649,48 +673,61 @@ func (l *Log) syncLoop() {
 	}
 }
 
-// Append writes one record and returns its sequence number. Under
-// FsyncAlways the record is on stable storage when Append returns.
-func (l *Log) Append(rec Record) (uint64, error) {
+// encodeLocked frames rec into l.buf, which it returns. It refuses, with
+// ErrBadRecord, every record Replay would refuse: an unknown kind, a
+// missing entity, a non-finite float, an oversized payload, or a field
+// over the decoder's bounds. Append and Snapshot both write through it.
+//
+//stcps:holds mu
+func (l *Log) encodeLocked(rec *Record) ([]byte, error) {
 	switch rec.Kind {
 	case KindObservation:
 		if rec.Observation == nil {
-			return 0, fmt.Errorf("%w: observation record without observation", ErrBadRecord)
+			return nil, fmt.Errorf("%w: observation record without observation", ErrBadRecord)
 		}
 	case KindIngest, KindEmit:
 		if rec.Instance == nil {
-			return 0, fmt.Errorf("%w: instance record without instance", ErrBadRecord)
+			return nil, fmt.Errorf("%w: instance record without instance", ErrBadRecord)
 		}
 	default:
-		return 0, fmt.Errorf("%w: unknown kind %d", ErrBadRecord, rec.Kind)
+		return nil, fmt.Errorf("%w: unknown kind %d", ErrBadRecord, rec.Kind)
 	}
-	if !finite(&rec) {
-		return 0, fmt.Errorf("%w: NaN or infinite float", ErrBadRecord)
+	if !finite(rec) {
+		return nil, fmt.Errorf("%w: NaN or infinite float", ErrBadRecord)
 	}
+	var hdr [frame.HeaderSize]byte
+	buf, err := appendPayload(append(l.buf[:0], hdr[:]...), &l.enc[rec.Kind], rec)
+	if cap(buf) <= maxBufBytes {
+		l.buf = buf
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadRecord, err)
+	}
+	payload := buf[frame.HeaderSize:]
+	if len(payload) > maxPayloadBytes {
+		return nil, fmt.Errorf("%w: payload is %d bytes (max %d)", ErrBadRecord, len(payload), maxPayloadBytes)
+	}
+	if len(payload) > event.WireBoundsFreeBytes {
+		if err := decodePayload(payload, new(Record), nil); err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrBadRecord, err)
+		}
+	}
+	frame.PutHeader(buf[:frame.HeaderSize], payload)
+	return buf, nil
+}
 
+// Append writes one record and returns its sequence number. Under
+// FsyncAlways the record is on stable storage when Append returns.
+func (l *Log) Append(rec Record) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return 0, ErrClosed
 	}
-	var hdr [frame.HeaderSize]byte
-	buf, err := appendPayload(append(l.buf[:0], hdr[:]...), &l.enc[rec.Kind], &rec)
-	if cap(buf) <= maxBufBytes {
-		l.buf = buf
-	}
+	buf, err := l.encodeLocked(&rec)
 	if err != nil {
-		return 0, fmt.Errorf("%w: %w", ErrBadRecord, err)
+		return 0, err
 	}
-	payload := buf[frame.HeaderSize:]
-	if len(payload) > maxPayloadBytes {
-		return 0, fmt.Errorf("%w: payload is %d bytes (max %d)", ErrBadRecord, len(payload), maxPayloadBytes)
-	}
-	if len(payload) > event.WireBoundsFreeBytes { // so Replay never refuses what Append wrote
-		if err := decodePayload(payload, new(Record), nil); err != nil {
-			return 0, fmt.Errorf("%w: %w", ErrBadRecord, err)
-		}
-	}
-	frame.PutHeader(buf[:frame.HeaderSize], payload)
 	if _, err := l.w.Write(buf); err != nil {
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
@@ -801,23 +838,34 @@ func (l *Log) Complete() bool {
 	return len(l.segs) > 0 && l.segs[0].first == 1
 }
 
-// Replay streams the live records of the given kinds, in sequence
-// order, to fn, decoding only their payloads (any other record costs its
-// CRC check) and sharing strings repeated across records. It reads the
-// segment files from disk, so it must run before appends start
-// (recovery time); fn must not call back into the log.
+// Replay streams the live records of the given kinds to fn: the
+// snapshot's records first (Seq 0), then the segments' in sequence
+// order. It decodes only the wanted payloads (any other record costs its
+// CRC check) and shares strings repeated across records. It reads the
+// files from disk, so it must run before appends start (recovery time);
+// fn must not call back into the log.
 //
 //stcps:replay
 func (l *Log) Replay(kinds []Kind, fn func(Record) error) error {
 	l.mu.Lock()
 	err := l.w.Flush() // the reads below go through the file system
 	segs := append([]segMeta(nil), l.segs...)
+	snap := segMeta{path: filepath.Join(l.opts.Dir, snapName(l.snapSeq)), first: 1, last: l.snapRecs}
 	l.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 
 	it := event.NewInterner()
+	if slices.Contains(kinds, KindEmit) { // a snapshot holds emit records only
+		fromSnap := func(rec Record) error {
+			rec.Seq = 0
+			return fn(rec)
+		}
+		if err := replaySegment(snap, kinds, it, fromSnap); err != nil {
+			return err
+		}
+	}
 	for _, seg := range segs {
 		if err := replaySegment(seg, kinds, it, fn); err != nil {
 			return err
@@ -826,8 +874,12 @@ func (l *Log) Replay(kinds []Kind, fn func(Record) error) error {
 	return nil
 }
 
-// replaySegment is Replay over one segment.
+// replaySegment is Replay over one segment, or over the snapshot, whose
+// meta counts its records from 1. A file without records is not opened.
 func replaySegment(seg segMeta, kinds []Kind, it *event.Interner, fn func(Record) error) error {
+	if seg.last < seg.first {
+		return nil
+	}
 	f, err := os.Open(seg.path)
 	if err != nil {
 		return fmt.Errorf("wal: replay: %w", err)
@@ -854,14 +906,17 @@ func replaySegment(seg segMeta, kinds []Kind, it *event.Interner, fn func(Record
 	return nil
 }
 
-// Snapshot writes a snapshot covering every record appended so far:
-// write is handed an io.Writer for the db.Snapshot NDJSON body, the file
-// lands atomically (tmp + rename), older snapshot files are removed, and
-// sealed segments fully covered by the snapshot are compacted away —
-// unless they still carry ingest records at or after horizon, which a
-// detection window may need for replay. Pass horizon math.MinInt64 to
-// keep all ingest history, math.MaxInt64 to discard any covered segment.
-func (l *Log) Snapshot(write func(io.Writer) error, horizon timemodel.Tick) error {
+// Snapshot writes a snapshot covering every record appended so far: walk
+// hands it the instances to keep, which it frames as KindEmit records
+// exactly as Append would (so Replay reads back everything it wrote);
+// the file lands atomically (tmp + rename), older snapshot files are
+// removed, and sealed segments fully covered by the snapshot are
+// compacted away — unless they still carry ingest records at or after
+// horizon, which a detection window may need for replay. Pass horizon
+// math.MinInt64 to keep all ingest history, math.MaxInt64 to discard any
+// covered segment. Snapshot holds the log's lock throughout, so walk
+// must not call back into the log.
+func (l *Log) Snapshot(walk func(func(*event.Instance) error) error, horizon timemodel.Tick) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -873,6 +928,17 @@ func (l *Log) Snapshot(write func(io.Writer) error, horizon timemodel.Tick) erro
 		return err
 	}
 	seq := l.seq
+	var n uint64
+	write := func(w io.Writer) error {
+		return walk(func(in *event.Instance) error {
+			buf, err := l.encodeLocked(&Record{Kind: KindEmit, Instance: in})
+			if err == nil {
+				_, err = w.Write(buf)
+				n++
+			}
+			return err
+		})
+	}
 	// The rename is durable BEFORE compaction unlinks the segments it
 	// covers, or a crash could lose both copies of the data.
 	if err := WriteFileAtomic(filepath.Join(l.opts.Dir, snapName(seq)), l.opts.Fsync != FsyncOff, write); err != nil {
@@ -880,8 +946,9 @@ func (l *Log) Snapshot(write func(io.Writer) error, horizon timemodel.Tick) erro
 	}
 	prev := l.snapSeq
 	l.snapSeq = seq
+	l.snapRecs = n
 	l.snapshots++
-	if prev > 0 && prev != seq {
+	if prev != seq {
 		_ = os.Remove(filepath.Join(l.opts.Dir, snapName(prev)))
 	}
 	l.compactLocked(horizon)
@@ -912,23 +979,6 @@ func (l *Log) compactLocked(horizon timemodel.Tick) {
 		cut = i + 1
 	}
 	l.segs = append(l.segs[:0], l.segs[cut:]...)
-}
-
-// LatestSnapshot opens the newest snapshot file. It returns a nil reader
-// (and seq 0) when no snapshot exists.
-func (l *Log) LatestSnapshot() (io.ReadCloser, uint64, error) {
-	l.mu.Lock()
-	seq := l.snapSeq
-	dir := l.opts.Dir
-	l.mu.Unlock()
-	if seq == 0 {
-		return nil, 0, nil
-	}
-	f, err := os.Open(filepath.Join(dir, snapName(seq)))
-	if err != nil {
-		return nil, 0, fmt.Errorf("wal: snapshot: %w", err)
-	}
-	return f, seq, nil
 }
 
 // Stats returns the log's counters.

@@ -288,15 +288,27 @@ func TestCorruptMiddleSegmentFailsOpen(t *testing.T) {
 	}
 }
 
+// none is a snapshot walk over an empty store.
+func none(func(*event.Instance) error) error { return nil }
+
+// walkOf is a snapshot walk over ins.
+func walkOf(ins ...*event.Instance) func(func(*event.Instance) error) error {
+	return func(fn func(*event.Instance) error) error {
+		for _, in := range ins {
+			if err := fn(in); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
 func TestSnapshotAndCompaction(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, Options{Dir: dir, Fsync: FsyncOff, SegmentBytes: 512})
 	appendN(t, l, 40, 0) // several sealed segments, ticks 0..39
-	body := []byte("snapshot-body\n")
-	if err := l.Snapshot(func(w io.Writer) error {
-		_, err := w.Write(body)
-		return err
-	}, math.MaxInt64); err != nil {
+	kept := []*event.Instance{inst(7, 3), inst(8, 4)}
+	if err := l.Snapshot(walkOf(kept...), math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 	st := l.Stats()
@@ -310,22 +322,21 @@ func TestSnapshotAndCompaction(t *testing.T) {
 		t.Errorf("segments after full compaction = %d, want 1 (the active one)", st.Segments)
 	}
 
-	r, seq, err := l.LatestSnapshot()
-	if err != nil || seq != 40 {
-		t.Fatalf("LatestSnapshot = (%v, %d), want seq 40", err, seq)
-	}
-	got, _ := io.ReadAll(r)
-	r.Close()
-	if !bytes.Equal(got, body) {
-		t.Errorf("snapshot body = %q", got)
-	}
-
-	// New appends after the snapshot replay alongside whatever the active
+	// New appends after the snapshot replay behind the snapshot's
+	// records (Seq 0, in walk order) alongside whatever the active
 	// (never-compacted) segment still holds.
 	appendN(t, l, 5, 100)
+	var snap []*event.Instance
 	fresh := 0
 	lastSeq := uint64(0)
 	_ = l.Replay(allKinds, func(r Record) error {
+		if r.Seq == 0 {
+			if lastSeq != 0 || r.Kind != KindEmit {
+				t.Fatalf("snapshot record %+v after seq %d", r, lastSeq)
+			}
+			snap = append(snap, r.Instance)
+			return nil
+		}
 		if r.Seq <= lastSeq {
 			t.Fatalf("replay out of order: %d after %d", r.Seq, lastSeq)
 		}
@@ -335,6 +346,9 @@ func TestSnapshotAndCompaction(t *testing.T) {
 		}
 		return nil
 	})
+	if !reflect.DeepEqual(snap, kept) {
+		t.Fatalf("snapshot replay = %+v, want %+v", snap, kept)
+	}
 	if fresh != 5 {
 		t.Fatalf("tail replay = %d post-snapshot records, want 5", fresh)
 	}
@@ -350,6 +364,107 @@ func TestSnapshotAndCompaction(t *testing.T) {
 	if st := l2.Stats(); st.SnapshotSeq != 40 {
 		t.Errorf("reopened snapshotSeq = %d, want 40", st.SnapshotSeq)
 	}
+	n := 0
+	if err := l2.Replay([]Kind{KindEmit}, func(r Record) error {
+		if r.Seq != 0 || n >= len(kept) || !reflect.DeepEqual(r.Instance, kept[n]) {
+			t.Fatalf("reopened snapshot record %d = %+v", n, r)
+		}
+		n++
+		return nil
+	}); err != nil || n != len(kept) {
+		t.Fatalf("reopened snapshot replay = %d records, %v; want %d", n, err, len(kept))
+	}
+}
+
+// TestSnapshotRefusesUnreadable: a snapshot is written through Append's
+// encoder and its checks, so one instance Replay would refuse fails the
+// whole snapshot and leaves the previous one in place.
+func TestSnapshotRefusesUnreadable(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, Options{Dir: dir, Fsync: FsyncOff})
+	defer l.Close()
+	appendN(t, l, 3, 0)
+	if err := l.Snapshot(walkOf(inst(1, 1)), math.MinInt64); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 3, 10)
+	bad := inst(2, 2)
+	bad.Attrs["v"] = math.Inf(1)
+	if err := l.Snapshot(walkOf(inst(1, 1), bad), math.MinInt64); !errors.Is(err, ErrBadRecord) {
+		t.Fatalf("snapshot with +Inf = %v, want ErrBadRecord", err)
+	}
+	if st := l.Stats(); st.SnapshotSeq != 3 || st.Snapshots != 1 {
+		t.Fatalf("after a refused snapshot: %+v, want snapshot 3 kept", st)
+	}
+	if _, err := os.Stat(filepath.Join(dir, snapName(6))); !os.IsNotExist(err) {
+		t.Fatalf("refused snapshot left a file: %v", err)
+	}
+}
+
+// TestOpenRefusesJSONSnapshot: a directory left by a build that wrote
+// NDJSON snapshots is refused with ErrVersion before Open changes any
+// file: the tmp debris, the disconnected segment and the torn tail that
+// Open would otherwise sweep, delete or truncate all survive unchanged.
+func TestOpenRefusesJSONSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, Options{Dir: dir, Fsync: FsyncOff, SegmentBytes: 512})
+	appendN(t, l, 40, 0)
+	if err := l.Snapshot(none, math.MaxInt64); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 3, 100)
+	_ = l.Close()
+	segs, _ := filepath.Glob(filepath.Join(dir, "*"+segSuffix))
+	active := segs[len(segs)-1] // zero-padded names sort by first seq
+	// Turn it into an old directory: a JSON snapshot in place of the v2
+	// one, a resurrected disconnected segment, a snapshot tmp file and a
+	// torn tail on the active segment.
+	if err := os.Rename(filepath.Join(dir, snapName(40)), filepath.Join(dir, fmt.Sprintf("snapshot-%016d.ndjson", 40))); err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string]string{
+		segName(1): "stale",
+		fmt.Sprintf("snapshot-%016d.ndjson.tmp", 41): `{"instance":`,
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err := os.OpenFile(active, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = f.Write([]byte{9, 0, 0})
+	_ = f.Close()
+
+	before := readDir(t, dir)
+	if _, err := Open(Options{Dir: dir, Fsync: FsyncOff, SegmentBytes: 512}); !errors.Is(err, ErrVersion) {
+		t.Fatalf("open over a JSON snapshot = %v, want ErrVersion", err)
+	}
+	after := readDir(t, dir)
+	for name, b := range before {
+		if !bytes.Equal(after[name], b) {
+			t.Errorf("%s changed: %d bytes before, %d after", name, len(b), len(after[name]))
+		}
+	}
+}
+
+// readDir maps every file in dir to its bytes.
+func readDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = b
+	}
+	return out
 }
 
 // TestCompactionHorizon: segments holding ingest records newer than the
@@ -361,14 +476,14 @@ func TestCompactionHorizon(t *testing.T) {
 	appendN(t, l, 40, 0) // ticks 0..39
 	before := l.Stats().Segments
 	// Horizon 0: every ingest record (ticks >= 0) is still needed.
-	if err := l.Snapshot(func(w io.Writer) error { return nil }, 0); err != nil {
+	if err := l.Snapshot(none, 0); err != nil {
 		t.Fatal(err)
 	}
 	if st := l.Stats(); st.Segments != before || st.CompactedSegments != 0 {
 		t.Errorf("horizon 0 compacted segments: %+v (had %d)", st, before)
 	}
 	// Horizon 20: segments whose newest ingest tick < 20 go.
-	if err := l.Snapshot(func(w io.Writer) error { return nil }, 20); err != nil {
+	if err := l.Snapshot(none, 20); err != nil {
 		t.Fatal(err)
 	}
 	st := l.Stats()
@@ -408,7 +523,7 @@ func TestOpenSweepsCrashDebris(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Snapshot(func(w io.Writer) error { return nil }, math.MaxInt64); err != nil {
+	if err := l.Snapshot(none, math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(firstSeg); !os.IsNotExist(err) {
@@ -453,12 +568,15 @@ func TestSnapshotReplacesOlder(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, Options{Dir: dir, Fsync: FsyncOff})
 	defer l.Close()
-	appendN(t, l, 3, 0)
-	if err := l.Snapshot(func(w io.Writer) error { return nil }, math.MinInt64); err != nil {
-		t.Fatal(err)
+	// A snapshot of the empty log (seq 0) is replaced like any other.
+	for _, n := range []int{0, 3} {
+		appendN(t, l, n, 0)
+		if err := l.Snapshot(none, math.MinInt64); err != nil {
+			t.Fatal(err)
+		}
 	}
 	appendN(t, l, 3, 10)
-	if err := l.Snapshot(func(w io.Writer) error { return nil }, math.MinInt64); err != nil {
+	if err := l.Snapshot(none, math.MinInt64); err != nil {
 		t.Fatal(err)
 	}
 	entries, _ := os.ReadDir(dir)
@@ -471,9 +589,8 @@ func TestSnapshotReplacesOlder(t *testing.T) {
 	if snaps != 1 {
 		t.Errorf("%d snapshot files on disk, want 1", snaps)
 	}
-	_, seq, err := l.LatestSnapshot()
-	if err != nil || seq != 6 {
-		t.Errorf("latest snapshot seq = %d (%v), want 6", seq, err)
+	if seq := l.Stats().SnapshotSeq; seq != 6 {
+		t.Errorf("latest snapshot seq = %d, want 6", seq)
 	}
 }
 

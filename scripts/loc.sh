@@ -5,7 +5,7 @@
 # raising it needs a reason in CHANGES.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-budget=26894
+budget=26865
 lines=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 | xargs -0 cat | wc -l)
 echo "non-test Go lines (excluding bench/): $lines (budget $budget)"
 echo "packages: $(go list ./... | wc -l)"

@@ -23,7 +23,8 @@ package stcps
 import (
 	"errors"
 	"fmt"
-	"io"
+	"maps"
+	"slices"
 	"sort"
 
 	"github.com/stcps/stcps/internal/db"
@@ -31,7 +32,6 @@ import (
 	"github.com/stcps/stcps/internal/node"
 	"github.com/stcps/stcps/internal/phys"
 	"github.com/stcps/stcps/internal/sim"
-	"github.com/stcps/stcps/internal/timemodel"
 	"github.com/stcps/stcps/internal/wsn"
 )
 
@@ -153,15 +153,6 @@ func (s *System) World() *phys.World { return s.world }
 
 // Store exposes the database server.
 func (s *System) Store() *db.Store { return s.store }
-
-// Snapshot writes the database server's contents in the canonical
-// NDJSON snapshot format — byte-reproducible across runs and reloadable
-// with LoadSnapshot (or by a durable Engine's recovery path).
-func (s *System) Snapshot(w io.Writer) error { return s.store.Snapshot(w) }
-
-// LoadSnapshot replays a snapshot into the database server, keeping
-// existing contents (duplicates are ignored).
-func (s *System) LoadSnapshot(r io.Reader) error { return s.store.Load(r) }
 
 // Now returns the current virtual time.
 func (s *System) Now() Tick { return s.sched.Now() }
@@ -340,8 +331,11 @@ func (s *System) Run(until Tick) (*Report, error) {
 	if err := s.world.Start(); err != nil {
 		return nil, err
 	}
-	for _, m := range s.motes {
-		if err := m.Start(); err != nil {
+	// Nodes start and flush in id order: events scheduled for the same
+	// tick run in the order they were queued, so a map-ordered walk would
+	// make a seeded run differ from the next.
+	for _, id := range slices.Sorted(maps.Keys(s.motes)) {
+		if err := s.motes[id].Start(); err != nil {
 			return nil, err
 		}
 	}
@@ -349,20 +343,18 @@ func (s *System) Run(until Tick) (*Report, error) {
 
 	// Close open intervals bottom-up so flushed sensor events can still
 	// complete cyber-physical and cyber detections during the drain.
-	for _, m := range s.motes {
-		m.FlushIntervals()
+	for _, id := range slices.Sorted(maps.Keys(s.motes)) {
+		s.motes[id].FlushIntervals()
 	}
 	s.sched.Run(until + s.drainSlack()/2)
-	for _, sk := range s.sinks {
-		sk.FlushIntervals()
+	for _, id := range slices.Sorted(maps.Keys(s.sinks)) {
+		s.sinks[id].FlushIntervals()
 	}
-	for _, c := range s.ccus {
-		c.FlushIntervals()
+	for _, id := range slices.Sorted(maps.Keys(s.ccus)) {
+		s.ccus[id].FlushIntervals()
 	}
 	s.world.Finish()
 	s.sched.Run(until + s.drainSlack())
 
 	return s.buildReport(), nil
 }
-
-var _ = timemodel.Tick(0) // keep the import anchored for the aliases
