@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"flag"
+	"os"
 	"strings"
 	"testing"
 )
@@ -75,5 +78,41 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	}
 	if render() != render() {
 		t.Fatal("same seed produced different reports")
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from this run")
+
+// TestRunGolden compares both seeded scenarios byte for byte with the
+// reports committed under testdata, so a change to detection,
+// scheduling or emission order cannot move them unnoticed. Regenerate
+// the files with -update only when a change means to move them.
+func TestRunGolden(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"building.golden", []string{"-scenario", "building", "-lineage"}},
+		{"forestfire.golden", []string{"-scenario", "forestfire", "-ticks", "3000", "-lineage"}},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			var got bytes.Buffer
+			if err := run(tc.args, &got); err != nil {
+				t.Fatal(err)
+			}
+			path := "testdata/" + tc.golden
+			if *update {
+				if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Fatalf("report differs from %s\n--- want ---\n%s\n--- got ---\n%s", path, want, got.String())
+			}
+		})
 	}
 }

@@ -74,7 +74,7 @@ type DurabilityStats struct {
 	// unverifiable (possibly spurious products of approximate windows).
 	ReplaySuppressed uint64 `json:"replaySuppressed"`
 	// WALErrors counts durability failures no call could return: WAL
-	// appends from emission hooks, Flush's syncs, and the periodic
+	// appends from logRound, Flush's syncs, and the periodic
 	// snapshots Ingest runs after logging an entity.
 	WALErrors uint64 `json:"walErrors"`
 	// LastTick is the newest virtual time the engine has seen (ingested
@@ -103,7 +103,7 @@ type durability struct {
 	maxRoleAge Tick
 
 	// recordsSinceSnap counts WAL appends since the last snapshot;
-	// emission hooks bump it from worker goroutines.
+	// logRound bumps it from worker goroutines.
 	recordsSinceSnap atomic.Uint64
 
 	// Replay-time emission dedup: known holds a content key for every

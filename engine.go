@@ -144,9 +144,9 @@ type Engine struct {
 	cold    *segment.Dir
 	subs    *sub.Matcher
 	dur     *durability
-	// replaying marks the recovery re-offer phase, during which the
-	// emission hooks dedup against durable storage instead of appending
-	// to the WAL or invoking OnInstance.
+	// replaying marks the recovery re-offer phase, during which logRound
+	// dedups against durable storage instead of appending to the WAL or
+	// invoking OnInstance.
 	replaying atomic.Bool
 }
 
@@ -163,8 +163,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	}
 	e := &Engine{cfg: cfg}
 	e.subs = sub.NewMatcher(sub.Config{Buffer: cfg.Subscriptions.Buffer})
-	var logHook engine.BatchFunc
-	var tapHook engine.EmitFunc
 	if cfg.WithStore {
 		store, err := db.New(cfg.DBCell)
 		if err != nil {
@@ -172,17 +170,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		}
 		store.SetRetention(cfg.DBRetention)
 		e.store = store
-		// Emission rounds land in the store through the batched write
-		// path — one lock acquisition and retention pass per round.
-		// Subscriptions are published right after the batch assigns the
-		// sequence numbers each delivery carries as its resume cursor.
-		logHook = func(ins []event.Instance) {
-			e.storeBatch(ins)
-		}
-	} else {
-		// Store-less engines still push live matches; deliveries carry
-		// no cursor and catch-up is unavailable.
-		tapHook = func(in event.Instance) { e.subs.Publish(&in, 0, false) }
 	}
 	if cfg.Durability.Dir != "" {
 		d, err := newDurability(cfg.Durability)
@@ -190,18 +177,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 			return nil, err
 		}
 		e.dur = d
-		logHook = func(ins []event.Instance) {
-			if e.replaying.Load() {
-				for i := range ins {
-					e.replayEmission(ins[i])
-				}
-				return
-			}
-			for i := range ins {
-				e.appendEmit(ins[i]) // write-ahead of the store
-			}
-			e.storeBatch(ins)
-		}
 	}
 	if cfg.Spill.Dir != "" {
 		scfg := segment.Config{
@@ -242,22 +217,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		}
 		e.cold = cold
 	}
-	var emit engine.EmitFunc
-	if cfg.OnInstance != nil {
-		emit = func(in event.Instance) {
-			if e.replaying.Load() {
-				return
-			}
-			e.cfg.OnInstance(in)
-		}
-	}
-	ecfg := engine.Config{
-		Observer: cfg.Observer,
-		Loc:      cfg.Loc,
-		LogBatch: logHook,
-		Emit:     emit,
-		Tap:      tapHook,
-	}
+	ecfg := engine.Config{Observer: cfg.Observer, Loc: cfg.Loc, LogBatch: e.logRound}
 	if cfg.Workers > 1 {
 		sh, err := engine.NewSharded(ecfg, cfg.Workers)
 		if err != nil {
@@ -272,6 +232,38 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	}
 	e.bank = b
 	return e, nil
+}
+
+// logRound is the engine's one emission hook, run once per round in
+// write-ahead order: the WAL (when durable), then the store and the
+// subscribers, then OnInstance. While recovery re-offers the WAL it
+// only dedups the re-derived emissions against durable storage.
+func (e *Engine) logRound(ins []event.Instance) {
+	if e.replaying.Load() {
+		for i := range ins {
+			e.replayEmission(ins[i])
+		}
+		return
+	}
+	if e.dur != nil {
+		for i := range ins {
+			e.appendEmit(ins[i])
+		}
+	}
+	if e.store != nil {
+		e.storeBatch(ins)
+	} else {
+		// Store-less engines still push live matches; deliveries carry
+		// no cursor and catch-up is unavailable.
+		for i := range ins {
+			e.subs.Publish(&ins[i], 0, false)
+		}
+	}
+	if e.cfg.OnInstance != nil {
+		for i := range ins {
+			e.cfg.OnInstance(ins[i])
+		}
+	}
 }
 
 // storeBatch logs one emission round through the store's batched write

@@ -9,18 +9,21 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	stcps "github.com/stcps/stcps"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+// run builds and runs the seeded system and writes its report to w.
+func run(w io.Writer) error {
 	sys, err := stcps.NewSystem(stcps.Config{
 		Seed:  7,
 		Radio: stcps.Radio{Range: 40, HopDelay: 2},
@@ -140,42 +143,42 @@ func run() error {
 	// The condition compiler decides per event how its condition will be
 	// evaluated; printing the plans makes the example double as a
 	// planner smoke test.
-	fmt.Println("=== compiled detection plans ===")
+	fmt.Fprintln(w, "=== compiled detection plans ===")
 	for _, p := range sys.PlanDescriptions() {
-		fmt.Println("  " + p)
+		fmt.Fprintln(w, "  "+p)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	report, err := sys.Run(1000)
 	if err != nil {
 		return err
 	}
 
-	fmt.Println("=== building monitor: \"user A is nearby window B\" ===")
-	fmt.Print(report.Summary())
+	fmt.Fprintln(w, "=== building monitor: \"user A is nearby window B\" ===")
+	fmt.Fprint(w, report.Summary())
 
-	fmt.Println("\nground truth (interval physical events):")
+	fmt.Fprintln(w, "\nground truth (interval physical events):")
 	for _, tr := range report.Truth {
-		fmt.Printf("  %-12s occurred %v\n", tr.ID, tr.Time)
+		fmt.Fprintf(w, "  %-12s occurred %v\n", tr.ID, tr.Time)
 	}
 
-	fmt.Println("\ninterval detections (CP.nearbyStay):")
+	fmt.Fprintln(w, "\ninterval detections (CP.nearbyStay):")
 	for _, in := range report.OfEvent("CP.nearbyStay") {
-		fmt.Printf("  %s  t^eo=%v  class=%s  ρ=%.2f\n",
+		fmt.Fprintf(w, "  %s  t^eo=%v  class=%s  ρ=%.2f\n",
 			in.EntityID(), in.Occ, in.TemporalClass(), in.Confidence)
 	}
 
 	punctual := report.OfEvent("CP.nearby")
-	fmt.Printf("\npunctual detections (CP.nearby): %d instances", len(punctual))
+	fmt.Fprintf(w, "\npunctual detections (CP.nearby): %d instances", len(punctual))
 	if len(punctual) > 0 {
-		fmt.Printf(", first at t^eo=%v", punctual[0].Occ)
+		fmt.Fprintf(w, ", first at t^eo=%v", punctual[0].Occ)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	score := report.Score("P.nearby", "CP.nearbyStay", 30)
-	fmt.Printf("\ninterval detection vs ground truth: %v\n", score)
+	fmt.Fprintf(w, "\ninterval detection vs ground truth: %v\n", score)
 	edl := report.EDL("P.nearby", "CP.nearby", 30)
-	fmt.Printf("event detection latency (punctual): %s\n", edl.Summary())
+	fmt.Fprintf(w, "event detection latency (punctual): %s\n", edl.Summary())
 
 	// "Later retrieval" (Section 3): the database server answers
 	// combined region×time queries over everything the observers
@@ -188,7 +191,7 @@ func run() error {
 		Window: &stcps.TimeWindow{From: 0, To: 500},
 		Limit:  3,
 	}
-	fmt.Println("\nquery: CP.nearby joint with the window region, t^eo ∈ [0, 500]:")
+	fmt.Fprintln(w, "\nquery: CP.nearby joint with the window region, t^eo ∈ [0, 500]:")
 	queried := 0
 	var first string
 	for {
@@ -201,10 +204,10 @@ func run() error {
 				first = in.EntityID()
 			}
 			queried++
-			fmt.Printf("  %s  t^eo=%v  l^eo=%v\n", in.EntityID(), in.Occ, in.Loc)
+			fmt.Fprintf(w, "  %s  t^eo=%v  l^eo=%v\n", in.EntityID(), in.Occ, in.Loc)
 		}
 		if page.NextCursor == "" {
-			fmt.Printf("  %d instances via the %q index (%d candidates verified)\n",
+			fmt.Fprintf(w, "  %d instances via the %q index (%d candidates verified)\n",
 				queried, page.Index, page.Scanned)
 			break
 		}
@@ -218,9 +221,9 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("lineage of %s: %d entities deep\n", first, len(chain))
+		fmt.Fprintf(w, "lineage of %s: %d entities deep\n", first, len(chain))
 		for _, id := range chain {
-			fmt.Printf("  %s\n", id)
+			fmt.Fprintf(w, "  %s\n", id)
 		}
 	}
 
@@ -228,6 +231,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("light B switched on by the control loop: %v\n", light.Attrs["on"] == 1)
+	fmt.Fprintf(w, "light B switched on by the control loop: %v\n", light.Attrs["on"] == 1)
 	return nil
 }

@@ -6,18 +6,21 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	stcps "github.com/stcps/stcps"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+// run builds and runs the seeded system and writes its report to w.
+func run(w io.Writer) error {
 	sys, err := stcps.NewSystem(stcps.Config{Seed: 42})
 	if err != nil {
 		return err
@@ -72,8 +75,8 @@ func run() error {
 		return err
 	}
 
-	fmt.Println("=== quickstart: step stimulus through the event hierarchy ===")
-	fmt.Print(report.Summary())
+	fmt.Fprintln(w, "=== quickstart: step stimulus through the event hierarchy ===")
+	fmt.Fprint(w, report.Summary())
 
 	// Show the first cyber event and its full provenance chain.
 	cyber := report.OfEvent("E.overheat")
@@ -81,17 +84,17 @@ func run() error {
 		return fmt.Errorf("no cyber events detected")
 	}
 	first := cyber[0]
-	fmt.Printf("\nfirst cyber event: %s\n", first.EntityID())
-	fmt.Printf("  t^g=%d  t^eo=%v  ρ=%.2f\n", first.Gen, first.Occ, first.Confidence)
+	fmt.Fprintf(w, "\nfirst cyber event: %s\n", first.EntityID())
+	fmt.Fprintf(w, "  t^g=%d  t^eo=%v  ρ=%.2f\n", first.Gen, first.Occ, first.Confidence)
 	chain, err := report.Lineage(first.EntityID())
 	if err != nil {
 		return err
 	}
-	fmt.Println("  provenance (cyber → physical observation):")
+	fmt.Fprintln(w, "  provenance (cyber → physical observation):")
 	for _, id := range chain {
-		fmt.Printf("    %s\n", id)
+		fmt.Fprintf(w, "    %s\n", id)
 	}
-	fmt.Printf("\ndetection latency vs. ground truth step at 500: %d ticks\n",
+	fmt.Fprintf(w, "\ndetection latency vs. ground truth step at 500: %d ticks\n",
 		first.Gen-500)
 	return nil
 }

@@ -167,70 +167,46 @@ func TestRuleValidation(t *testing.T) {
 	}
 }
 
-// TestE8CompareMatrix is the headline baseline result: only the ST-CPS
-// model covers the full scenario suite, and every engine is correct on
-// the classes it can express.
+// TestE8CompareMatrix pins the whole measured E8 matrix, in report
+// order: per scenario, each engine's outcome in AllEngines order — "-"
+// when the engine refused the class as inexpressible, "D" when it
+// detected the composite, "." when it did not. Every expressible
+// outcome must also be correct.
 func TestE8CompareMatrix(t *testing.T) {
+	want := []struct{ scenario, outcomes string }{
+		{"sequence", "DDDD"},
+		{"sequence-negative", "...."},
+		{"conjunction", "DD-D"},
+		{"during", "-D-D"},
+		{"during-negative", "-.-."},
+		{"overlap", "-D-D"},
+		{"spatial", "---D"},
+		{"spatial-negative", "---."},
+		{"spatio-temporal-S1", "---D"},
+		{"spatio-temporal-S1-negative", "---."},
+	}
 	outcomes, err := Compare(StandardScenarios())
 	if err != nil {
 		t.Fatal(err)
 	}
-	correctByEngine := make(map[EngineName]int)
-	expressibleByEngine := make(map[EngineName]int)
-	total := 0
-	for _, o := range outcomes {
-		if o.Engine == EnginePoint {
-			total++
+	engines := AllEngines()
+	if len(outcomes) != len(want)*len(engines) {
+		t.Fatalf("%d outcomes, want %d", len(outcomes), len(want)*len(engines))
+	}
+	for i, o := range outcomes {
+		w := want[i/len(engines)]
+		mark := "-"
+		switch {
+		case o.Expressible && o.Detected:
+			mark = "D"
+		case o.Expressible:
+			mark = "."
 		}
-		if o.Expressible {
-			expressibleByEngine[o.Engine]++
-			if o.Correct {
-				correctByEngine[o.Engine]++
-			}
+		if o.Scenario != w.scenario || o.Engine != engines[i%len(engines)] || mark != w.outcomes[i%len(engines):i%len(engines)+1] {
+			t.Errorf("outcome %d = %s on %s: %q, want %s: %q", i, o.Engine, o.Scenario, mark, w.scenario, w.outcomes[i%len(engines)])
 		}
-	}
-	// Every engine must be correct on everything it expresses.
-	for _, eng := range AllEngines() {
-		if correctByEngine[eng] != expressibleByEngine[eng] {
-			t.Errorf("%s correct on %d of %d expressible scenarios",
-				eng, correctByEngine[eng], expressibleByEngine[eng])
-		}
-	}
-	// Coverage ordering: st-cps > interval > point >= rtl.
-	if expressibleByEngine[EngineSTCPS] != total {
-		t.Errorf("st-cps covers %d of %d scenarios, want all", expressibleByEngine[EngineSTCPS], total)
-	}
-	if expressibleByEngine[EngineInterval] >= expressibleByEngine[EngineSTCPS] {
-		t.Error("interval engine should cover strictly less than st-cps")
-	}
-	if expressibleByEngine[EnginePoint] >= expressibleByEngine[EngineInterval] {
-		t.Error("point engine should cover strictly less than interval engine")
-	}
-	if expressibleByEngine[EngineRTL] > expressibleByEngine[EnginePoint] {
-		t.Error("rtl should cover no more than the point engine")
-	}
-}
-
-func TestExpressibleMatrix(t *testing.T) {
-	tests := []struct {
-		engine EngineName
-		class  string
-		want   bool
-	}{
-		{EnginePoint, "sequence", true},
-		{EnginePoint, "during", false},
-		{EnginePoint, "spatial", false},
-		{EngineInterval, "during", true},
-		{EngineInterval, "overlap", true},
-		{EngineInterval, "spatial", false},
-		{EngineRTL, "sequence", true},
-		{EngineRTL, "conjunction", false},
-		{EngineSTCPS, "spatio-temporal", true},
-		{EngineName("nope"), "sequence", false},
-	}
-	for _, tt := range tests {
-		if got := Expressible(tt.engine, tt.class); got != tt.want {
-			t.Errorf("Expressible(%s, %s) = %v, want %v", tt.engine, tt.class, got, tt.want)
+		if o.Expressible != o.Correct {
+			t.Errorf("%s on %s: expressible %v, correct %v", o.Engine, o.Scenario, o.Expressible, o.Correct)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/stcps/stcps/internal/condition"
@@ -158,27 +159,10 @@ func AllEngines() []EngineName {
 	return []EngineName{EnginePoint, EngineInterval, EngineRTL, EngineSTCPS}
 }
 
-// Expressible reports whether an engine can express a scenario class at
-// all — the static half of the E8 comparison, mirroring the paper's
-// Section 2 critique table.
-func Expressible(e EngineName, class string) bool {
-	switch e {
-	case EnginePoint:
-		return class == "sequence" || class == "conjunction"
-	case EngineInterval:
-		switch class {
-		case "sequence", "conjunction", "during", "overlap":
-			return true
-		}
-		return false
-	case EngineRTL:
-		return class == "sequence"
-	case EngineSTCPS:
-		return true
-	default:
-		return false
-	}
-}
+// ErrInexpressible is returned by an engine asked for a scenario class
+// it has no rule for: the static half of the E8 comparison, mirroring
+// the paper's Section 2 critique table.
+var ErrInexpressible = errors.New("inexpressible class")
 
 // Outcome is one engine's result on one scenario.
 type Outcome struct {
@@ -188,7 +172,8 @@ type Outcome struct {
 	Scenario string
 	// Class is the scenario class.
 	Class string
-	// Expressible reports whether the query was expressible at all.
+	// Expressible reports whether the engine has a rule for the class
+	// at all (it did not refuse it with ErrInexpressible).
 	Expressible bool
 	// Detected reports whether the engine detected the composite.
 	Detected bool
@@ -203,17 +188,13 @@ func Compare(scenarios []Scenario) ([]Outcome, error) {
 	var out []Outcome
 	for _, sc := range scenarios {
 		for _, eng := range AllEngines() {
-			o := Outcome{
-				Engine:      eng,
-				Scenario:    sc.Name,
-				Class:       sc.Class,
-				Expressible: Expressible(eng, sc.Class),
+			o := Outcome{Engine: eng, Scenario: sc.Name, Class: sc.Class}
+			detected, err := runEngine(eng, sc)
+			if err != nil && !errors.Is(err, ErrInexpressible) {
+				return nil, fmt.Errorf("baseline: %s on %s: %w", eng, sc.Name, err)
 			}
-			if o.Expressible {
-				detected, err := runEngine(eng, sc)
-				if err != nil {
-					return nil, fmt.Errorf("baseline: %s on %s: %w", eng, sc.Name, err)
-				}
+			if err == nil {
+				o.Expressible = true
 				o.Detected = detected
 				o.Correct = detected == sc.WantDetect
 			}
@@ -224,7 +205,7 @@ func Compare(scenarios []Scenario) ([]Outcome, error) {
 }
 
 // runEngine configures the engine for the scenario's class and feeds the
-// stream.
+// stream. A class the engine has no rule for fails with ErrInexpressible.
 func runEngine(eng EngineName, sc Scenario) (bool, error) {
 	switch eng {
 	case EnginePoint:
@@ -235,7 +216,7 @@ func runEngine(eng EngineName, sc Scenario) (bool, error) {
 		case "conjunction":
 			op = PAnd
 		default:
-			return false, fmt.Errorf("inexpressible class %q", sc.Class)
+			return false, fmt.Errorf("%w %q", ErrInexpressible, sc.Class)
 		}
 		e, err := NewPointEngine(PointRule{Name: sc.Name, Op: op, A: "A", B: "B"})
 		if err != nil {
@@ -260,7 +241,7 @@ func runEngine(eng EngineName, sc Scenario) (bool, error) {
 		case "overlap":
 			op = IOverlap
 		default:
-			return false, fmt.Errorf("inexpressible class %q", sc.Class)
+			return false, fmt.Errorf("%w %q", ErrInexpressible, sc.Class)
 		}
 		e, err := NewIntervalEngine(IntervalRule{Name: sc.Name, Op: op, A: "A", B: "B"})
 		if err != nil {
@@ -274,6 +255,9 @@ func runEngine(eng EngineName, sc Scenario) (bool, error) {
 		}
 		return detected, nil
 	case EngineRTL:
+		if sc.Class != "sequence" {
+			return false, fmt.Errorf("%w %q", ErrInexpressible, sc.Class)
+		}
 		m, err := NewRTLMonitor(RTLConstraint{
 			Name: sc.Name, A: "A", B: "B", MinGap: 1, MaxGap: 1 << 30,
 		})

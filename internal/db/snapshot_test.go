@@ -111,17 +111,19 @@ func TestSnapshotOrderIndependent(t *testing.T) {
 }
 
 // TestLoadErrors: a corrupt or truncated snapshot file fails recovery
-// with wal.ErrCorrupt, at Open, before any of it is loaded.
+// with wal.ErrCorrupt, at Open, before any of it is loaded. That holds
+// also for a file cut at a record boundary, which is still a run of
+// whole, CRC-clean frames: only the record count its trailer carries
+// tells that the last record of this 10-instance IMU snapshot is gone.
 func TestLoadErrors(t *testing.T) {
-	src, _ := New(0)
-	for i := uint64(1); i <= 3; i++ {
-		_ = src.Log(inst("M", "E", i, timemodel.At(timemodel.Tick(i)), spatial.AtPoint(0, 0)))
-	}
+	const rec = 102 // one framed IMU emit record, as TestSnapshotIMUBytes pins
 	for name, damage := range map[string]func([]byte) []byte{
-		"corrupt":   func(b []byte) []byte { b[len(b)/2] ^= 0xff; return b },
-		"truncated": func(b []byte) []byte { return b[:len(b)-1] },
+		"corrupt":             func(b []byte) []byte { b[len(b)/2] ^= 0xff; return b },
+		"truncated":           func(b []byte) []byte { return b[:len(b)-1] },
+		"last record dropped": func(b []byte) []byte { return append(b[:9*rec:9*rec], b[10*rec:]...) },
+		"cut after record 9":  func(b []byte) []byte { return b[:9*rec] },
 	} {
-		dir, body := snapshotFile(t, src)
+		dir, body := snapshotFile(t, imuStore(t, 10))
 		paths, _ := filepath.Glob(filepath.Join(dir, "snapshot-*"))
 		if err := os.WriteFile(paths[0], damage(bytes.Clone(body)), 0o644); err != nil {
 			t.Fatal(err)
@@ -173,12 +175,13 @@ func imuStore(t testing.TB, n int) *Store {
 }
 
 // TestSnapshotIMUBytes pins the snapshot's size per IMU instance: a
-// framed v2 emit record is 102 B. The NDJSON snapshot it replaced wrote
-// the same instance as a 237-byte line.
+// framed v2 emit record is 102 B, and the file ends in an 11-byte
+// trailer (frame header, kind, uvarint 1000). The NDJSON snapshot it
+// replaced wrote the same instance as a 237-byte line.
 func TestSnapshotIMUBytes(t *testing.T) {
 	const n = 1000
 	_, body := snapshotFile(t, imuStore(t, n))
-	if got, want := len(body), n*102; got != want {
+	if got, want := len(body), n*102+11; got != want {
 		t.Fatalf("snapshot of %d IMU instances = %d B (%.1f B each), want %d", n, got, float64(got)/n, want)
 	}
 }

@@ -6,9 +6,12 @@
 //
 // A Bank is one observer's detector bank: detector registration,
 // topic-routed fan-out from input sources to the detectors consuming
-// them, instance emission and log hooks. It is clock-agnostic — callers
-// pass the current tick into Ingest — and single-threaded, matching the
-// paper's one-observer-one-evaluation-context model.
+// them, and instance emission. Every Ingest or Flush is one emission
+// round: the round's instances go to the LogBatch hook (the transfer to
+// the database server) and then, one by one, to the Emit hook (the
+// transport downstream). A Bank is clock-agnostic — callers pass the
+// current tick into Ingest — and single-threaded, matching the paper's
+// one-observer-one-evaluation-context model.
 //
 // Sharded runs many detectors across N worker shards, hash-partitioned
 // by detected event ID, with batched offers and pooled batch buffers —
@@ -39,10 +42,6 @@ var (
 	ErrNotStarted = errors.New("engine: not started")
 	// ErrClosed is returned when ingesting into a closed sharded engine.
 	ErrClosed = errors.New("engine: closed")
-	// ErrBothLogHooks is returned when a Config sets both Log and
-	// LogBatch — the hooks are alternative forms of the same
-	// database-transfer seam.
-	ErrBothLogHooks = errors.New("engine: config sets both Log and LogBatch")
 )
 
 // EmitFunc receives an emitted event instance.
@@ -61,33 +60,23 @@ type Config struct {
 	// Loc is the observer's generation location l^g, used by callers
 	// that do not track a per-ingest location.
 	Loc spatial.Location
-	// Log, when set, receives every emitted instance before Emit — the
+	// LogBatch, when set, receives each emission round — the
 	// database-transfer hook ("automatically transferred to the database
-	// server after a certain time", Section 3). Simulated nodes wire a
-	// TTL-delayed store append here; live engines log directly.
-	Log EmitFunc
-	// LogBatch is the batched form of Log, mutually exclusive with it:
-	// emitted instances accumulate for the duration of one ingest round
-	// (a single Ingest/Flush call on a Bank, a whole offer batch on a
-	// Sharded worker) and are delivered in one call before any
-	// per-instance Emit/Tap hook of the round runs. This preserves the
-	// write-ahead contract — a durable engine WAL-appends and logs the
-	// round's emissions before any downstream callback observes them —
-	// while amortizing the store's lock acquisition and retention pass
-	// over the round. Under Sharded it runs on worker goroutines and
-	// must be safe for concurrent use.
+	// server after a certain time", Section 3). A round is one Ingest or
+	// Flush call on a Bank, or a whole offer batch on a Sharded worker;
+	// its instances arrive in one call, in emission order, before Emit
+	// sees any of them. That is the write-ahead contract: a durable
+	// engine WAL-appends and logs a round before anything downstream
+	// observes it, and the store takes one lock and one retention pass
+	// per round. Simulated nodes schedule a TTL-delayed store append per
+	// instance; live engines log at once. Under Sharded it runs on
+	// worker goroutines and must be safe for concurrent use.
 	LogBatch BatchFunc
-	// Emit, when set, receives every emitted instance — the transport
-	// hook (WSN uplink, CPS-network publish, live alert callback).
-	// Under Sharded it is invoked from worker goroutines and must be
-	// safe for concurrent use.
+	// Emit, when set, receives every instance of a round after LogBatch
+	// ran — the transport hook (WSN uplink, CPS-network publish). Under
+	// Sharded it is invoked from worker goroutines and must be safe for
+	// concurrent use.
 	Emit EmitFunc
-	// Tap, when set, receives every emitted instance after Log and Emit
-	// ran — the observability/fan-out hook the subscription subsystem
-	// attaches to. It is shared by every shard bank of a Sharded engine;
-	// it then runs on worker goroutines and must be safe for concurrent
-	// use.
-	Tap EmitFunc
 }
 
 // Stats counts a bank's traffic and its detectors' evaluation work.
@@ -137,10 +126,10 @@ type Bank struct {
 	ingested atomic.Uint64
 	emitted  atomic.Uint64
 
-	// round accumulates emissions while a LogBatch round is open; depth
-	// tracks round nesting (a Sharded worker opens one round across a
-	// whole offer batch, and each Ingest inside it nests). Owned by the
-	// bank's single goroutine, like the rest of the bank.
+	// round accumulates emissions while a round is open; depth tracks
+	// round nesting (a Sharded worker opens one round across a whole
+	// offer batch, and each Ingest inside it nests). Owned by the bank's
+	// single goroutine, like the rest of the bank.
 	round []event.Instance
 	depth int
 }
@@ -150,13 +139,11 @@ func NewBank(cfg Config) (*Bank, error) {
 	if cfg.Observer == "" {
 		return nil, ErrNoObserver
 	}
-	if cfg.Log != nil && cfg.LogBatch != nil {
-		return nil, ErrBothLogHooks
-	}
-	return &Bank{
-		cfg:      cfg,
-		bySource: make(map[string][]*detect.Detector),
-	}, nil
+	return newBank(cfg), nil
+}
+
+func newBank(cfg Config) *Bank {
+	return &Bank{cfg: cfg, bySource: make(map[string][]*detect.Detector)}
 }
 
 // AddDetector compiles and registers a detector, indexing it under every
@@ -199,8 +186,9 @@ func (b *Bank) Sources() []string {
 
 // Ingest feeds one entity from an input stream into every detector
 // consuming that stream, at virtual time now with generation location
-// loc, and returns the instances generated. Each instance is also routed
-// through the Log, Emit and Tap hooks, in that order, as it is emitted.
+// loc, and returns the instances generated. The call is one emission
+// round: its instances reach LogBatch, then Emit, before it returns
+// (or, nested in a Sharded worker's batch, when the batch ends).
 //
 //stcps:hotpath
 func (b *Bank) Ingest(source string, ent event.Entity, conf float64, now timemodel.Tick, loc spatial.Location) []event.Instance {
@@ -208,35 +196,27 @@ func (b *Bank) Ingest(source string, ent event.Entity, conf float64, now timemod
 		b.Trace(TraceOp{Source: source, Ent: ent, Conf: conf, Now: now, Loc: loc})
 	}
 	b.ingested.Add(1)
-	if b.cfg.LogBatch != nil {
-		b.beginRound()
-	}
+	b.beginRound()
 	var out []event.Instance
 	for _, d := range b.bySource[source] {
 		out = b.deliver(out, d.Offer(source, ent, conf, now, loc))
 	}
-	if b.cfg.LogBatch != nil {
-		b.endRound()
-	}
+	b.endRound()
 	return out
 }
 
 // Flush closes every open interval detection at virtual time now,
-// emitting (and hook-routing) the resulting instances.
+// emitting the resulting instances as one round.
 func (b *Bank) Flush(now timemodel.Tick, loc spatial.Location) []event.Instance {
 	if b.Trace != nil {
 		b.Trace(TraceOp{Flush: true, Now: now, Loc: loc})
 	}
-	if b.cfg.LogBatch != nil {
-		b.beginRound()
-	}
+	b.beginRound()
 	var out []event.Instance
 	for _, d := range b.detectors {
 		out = b.deliver(out, d.Flush(now, loc))
 	}
-	if b.cfg.LogBatch != nil {
-		b.endRound()
-	}
+	b.endRound()
 	return out
 }
 
@@ -259,69 +239,45 @@ func (b *Bank) Replay(ops []TraceOp) []event.Instance {
 
 // deliver takes the instances one detector just emitted — the
 // detector's own buffer, read in place and copied out before its next
-// offer — appends them to out for the caller, and routes them through
-// the hooks: Log, Emit, then Tap. With a LogBatch hook they are
-// buffered instead — the whole round's hooks run from flushRound, with
-// the batch logged (and WAL-appended, on durable engines) before any
-// per-instance callback.
+// offer — appends them to out for the caller and to the open round.
 func (b *Bank) deliver(out, insts []event.Instance) []event.Instance {
 	if len(insts) == 0 {
 		return out
 	}
 	b.emitted.Add(uint64(len(insts)))
-	start := len(out)
-	out = append(out, insts...)
-	if b.cfg.LogBatch != nil {
-		b.round = append(b.round, insts...)
-		return out
-	}
-	// The hooks see the caller's copy: one that re-enters the bank cannot
-	// have the detector's buffer rewritten under it.
-	for i := start; i < len(out); i++ {
-		b.hooks(&out[i], b.cfg.Log)
-	}
-	return out
+	b.round = append(b.round, insts...)
+	return append(out, insts...)
 }
 
-// hooks runs the per-instance callbacks in order: log (nil in a batched
-// round, where LogBatch already ran), Emit, Tap. The hook signatures
-// take the instance by value; up to here it moves by pointer.
-func (b *Bank) hooks(inst *event.Instance, log EmitFunc) {
-	if log != nil {
-		log(*inst)
-	}
-	if b.cfg.Emit != nil {
-		b.cfg.Emit(*inst)
-	}
-	if b.cfg.Tap != nil {
-		b.cfg.Tap(*inst)
-	}
-}
-
-// beginRound opens (or nests into) a batched emission round. Sharded
-// workers call it once around a whole offer batch; Ingest and Flush
-// nest inside. Only meaningful when cfg.LogBatch is set.
+// beginRound opens (or nests into) an emission round. Ingest and Flush
+// each open one; a Sharded worker opens one around a whole offer batch,
+// and the Ingest calls inside it nest.
 func (b *Bank) beginRound() { b.depth++ }
 
-// endRound closes one nesting level and, on the outermost close,
-// flushes the buffered emissions through the hooks.
+// endRound closes one nesting level of a round and,
+// on the outermost close, delivers the buffered instances: LogBatch
+// first (the database transfer, write-ahead of everything downstream),
+// then Emit for each instance in emission order. The buffer is detached
+// while the hooks run, so a hook that re-enters the bank opens and
+// delivers a round of its own instead of re-delivering this one.
 func (b *Bank) endRound() {
 	b.depth--
-	if b.depth == 0 && len(b.round) > 0 {
-		b.flushRound()
+	if b.depth > 0 || len(b.round) == 0 {
+		return
 	}
-}
-
-// flushRound delivers the buffered round: the batch hook first (the
-// database transfer, write-ahead of everything downstream), then the
-// per-instance Emit and Tap in emission order.
-func (b *Bank) flushRound() {
 	insts := b.round
-	b.cfg.LogBatch(insts)
-	for i := range insts {
-		b.hooks(&insts[i], nil)
+	b.round = nil
+	if b.cfg.LogBatch != nil {
+		b.cfg.LogBatch(insts)
 	}
-	b.round = insts[:0]
+	if b.cfg.Emit != nil {
+		for i := range insts {
+			b.cfg.Emit(insts[i])
+		}
+	}
+	if b.round == nil {
+		b.round = insts[:0]
+	}
 }
 
 // Stats returns the traffic counters plus the detectors' aggregated

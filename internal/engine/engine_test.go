@@ -46,12 +46,15 @@ func TestBankValidation(t *testing.T) {
 }
 
 func TestBankFanOutAndHooks(t *testing.T) {
-	var logged, emitted, tapped []string
+	var logged, emitted []string
 	b, err := NewBank(Config{
 		Observer: "OB",
-		Log:      func(in event.Instance) { logged = append(logged, in.EntityID()) },
-		Emit:     func(in event.Instance) { emitted = append(emitted, in.EntityID()) },
-		Tap:      func(in event.Instance) { tapped = append(tapped, in.EntityID()) },
+		LogBatch: func(ins []event.Instance) {
+			for _, in := range ins {
+				logged = append(logged, in.EntityID())
+			}
+		},
+		Emit: func(in event.Instance) { emitted = append(emitted, in.EntityID()) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -87,8 +90,8 @@ func TestBankFanOutAndHooks(t *testing.T) {
 		t.Errorf("unknown source emitted %v", out)
 	}
 
-	if len(logged) != 3 || len(emitted) != 3 || len(tapped) != 3 {
-		t.Fatalf("hooks saw %d/%d/%d instances, want 3 each", len(logged), len(emitted), len(tapped))
+	if len(logged) != 3 || fmt.Sprint(emitted) != fmt.Sprint(logged) {
+		t.Fatalf("LogBatch saw %v, Emit saw %v: want the same 3 instances", logged, emitted)
 	}
 	st := b.Stats()
 	if st.Ingested != 3 || st.Emitted != 3 {
@@ -173,24 +176,67 @@ func TestBankTraceReplay(t *testing.T) {
 	}
 }
 
+// TestBankHookOrder pins the one emission order: LogBatch sees the
+// whole round, then Emit sees each of its instances.
 func TestBankHookOrder(t *testing.T) {
 	var order []string
 	b, err := NewBank(Config{
 		Observer: "OB",
-		Log:      func(event.Instance) { order = append(order, "log") },
+		LogBatch: func(ins []event.Instance) { order = append(order, fmt.Sprintf("log %d", len(ins))) },
 		Emit:     func(event.Instance) { order = append(order, "emit") },
-		Tap:      func(event.Instance) { order = append(order, "tap") },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.AddDetector(punctualSpec("E", "s")); err != nil {
+	for _, id := range []string{"E1", "E2"} {
+		if _, err := b.AddDetector(punctualSpec(id, "s")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loc := spatial.AtPoint(0, 0)
+	b.Ingest("s", obsAt("s", 1, 0, 1), 1, 0, loc)
+	b.Ingest("s", obsAt("s", 2, 1, 0), 1, 1, loc) // emits nothing: no round
+	want := fmt.Sprint([]string{"log 2", "emit", "emit"})
+	if fmt.Sprint(order) != want {
+		t.Fatalf("hook order = %v, want %v", order, want)
+	}
+}
+
+// TestBankReentrantEmit feeds the bank from its own Emit hook: the
+// nested Ingest is a round of its own, and the outer round's instances
+// are delivered once each.
+func TestBankReentrantEmit(t *testing.T) {
+	var b *Bank
+	var logged, emitted []string
+	b, err := NewBank(Config{
+		Observer: "OB",
+		LogBatch: func(ins []event.Instance) {
+			for _, in := range ins {
+				logged = append(logged, in.Event)
+			}
+		},
+		Emit: func(in event.Instance) {
+			emitted = append(emitted, in.Event)
+			if in.Event == "E.a" {
+				b.Ingest("E.a", in, 1, 1, spatial.AtPoint(0, 0))
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.AddDetector(punctualSpec("E.a", "s")); err != nil {
+		t.Fatal(err)
+	}
+	spec := punctualSpec("E.b", "E.a")
+	spec.Layer = event.LayerCyberPhysical
+	spec.Cond = condition.MustParse("true")
+	if _, err := b.AddDetector(spec); err != nil {
 		t.Fatal(err)
 	}
 	b.Ingest("s", obsAt("s", 1, 0, 1), 1, 0, spatial.AtPoint(0, 0))
-	want := fmt.Sprint([]string{"log", "emit", "tap"})
-	if fmt.Sprint(order) != want {
-		t.Fatalf("hook order = %v, want %v", order, want)
+	if got, want := fmt.Sprint(logged, emitted), fmt.Sprint([]string{"E.a", "E.b"}, []string{"E.a", "E.b"}); got != want {
+		t.Fatalf("logged, emitted = %s, want %s", got, want)
 	}
 }
 

@@ -11,8 +11,7 @@ import (
 	"github.com/stcps/stcps/internal/timemodel"
 )
 
-// DefaultBatch is the per-shard offer batch size when Sharded.Batch is
-// zero.
+// DefaultBatch is the per-shard offer batch size.
 const DefaultBatch = 32
 
 // shardChanCap is the per-shard queue capacity, in batches.
@@ -44,8 +43,8 @@ const (
 // wait for quiescence; Close to stop the workers and flush open
 // intervals. Close may be called from any goroutine — including
 // concurrently with Ingest, which then returns ErrClosed — and is
-// idempotent. The Config Emit/Log hooks run on worker goroutines and
-// must be safe for concurrent use.
+// idempotent. The Config LogBatch and Emit hooks run on worker
+// goroutines and must be safe for concurrent use.
 type Sharded struct {
 	cfg   Config
 	banks []*Bank
@@ -57,8 +56,9 @@ type Sharded struct {
 	// pmu.
 	pending []*[]offerMsg //stcps:guardedby pmu
 
-	// Batch overrides the offer batch size when set before Start.
-	Batch int
+	// batch is the offer batch size, DefaultBatch unless a test sets it
+	// before Start.
+	batch int
 
 	pool     sync.Pool
 	wg       sync.WaitGroup
@@ -94,11 +94,7 @@ func NewSharded(cfg Config, shards int) (*Sharded, error) {
 	}
 	s.idle = sync.NewCond(&s.mu)
 	for i := 0; i < shards; i++ {
-		b, err := NewBank(cfg)
-		if err != nil {
-			return nil, err
-		}
-		s.banks = append(s.banks, b)
+		s.banks = append(s.banks, newBank(cfg))
 	}
 	return s, nil
 }
@@ -165,11 +161,10 @@ func (s *Sharded) Start() error {
 	if s.state.Load() != stateNew {
 		return ErrStarted
 	}
-	batch := s.Batch
-	if batch <= 0 {
-		batch = DefaultBatch
+	if s.batch <= 0 {
+		s.batch = DefaultBatch
 	}
-	s.Batch = batch
+	batch := s.batch
 	s.pool.New = func() any {
 		buf := make([]offerMsg, 0, batch)
 		return &buf
@@ -185,25 +180,20 @@ func (s *Sharded) Start() error {
 	return nil
 }
 
-// worker drains one shard's batch queue into its bank. With a batched
-// log hook, each queued offer batch becomes one emission round: every
-// instance the batch's offers emit is logged in a single LogBatch call,
-// amortizing the store's lock acquisition over the whole batch.
+// worker drains one shard's batch queue into its bank. Each queued
+// offer batch is one emission round: every instance the batch's offers
+// emit is logged in a single LogBatch call, amortizing the store's lock
+// acquisition over the whole batch.
 func (s *Sharded) worker(i int) {
 	defer s.wg.Done()
 	bank := s.banks[i]
-	batched := bank.cfg.LogBatch != nil
 	for bp := range s.in[i] {
 		buf := *bp
-		if batched {
-			bank.beginRound()
-		}
+		bank.beginRound()
 		for _, m := range buf {
 			bank.Ingest(m.source, m.ent, m.conf, m.now, m.loc)
 		}
-		if batched {
-			bank.endRound()
-		}
+		bank.endRound()
 		s.mu.Lock()
 		s.inflight -= int64(len(buf))
 		if s.inflight == 0 {
@@ -240,7 +230,7 @@ func (s *Sharded) Ingest(source string, ent event.Entity, conf float64, now time
 			s.pending[shard] = bp
 		}
 		*bp = append(*bp, m)
-		if len(*bp) >= s.Batch {
+		if len(*bp) >= s.batch {
 			s.dispatch(shard)
 		}
 	}

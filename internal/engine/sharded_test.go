@@ -146,7 +146,7 @@ func TestShardedIngestCloseRace(t *testing.T) {
 	loc := spatial.AtPoint(0, 0)
 	for round := 0; round < 20; round++ {
 		s := shardedFixture(t, 4, 8, nil)
-		s.Batch = 2 // small batches force frequent channel sends
+		s.batch = 2 // small batches force frequent channel sends
 		if err := s.Start(); err != nil {
 			t.Fatal(err)
 		}

@@ -87,7 +87,7 @@ func NewCCU(sched *sim.Scheduler, bus network.Bus, store *db.Store, id string, p
 	bank, err := engine.NewBank(engine.Config{
 		Observer: id,
 		Loc:      spatial.AtPt(pos),
-		Log:      logAfter(sched, store, logTTL),
+		LogBatch: logAfter(sched, store, logTTL),
 		Emit:     c.publish,
 	})
 	if err != nil {

@@ -31,16 +31,19 @@ import (
 	"github.com/stcps/stcps/internal/wsn"
 )
 
-// logAfter builds the engine log hook shared by all observer nodes: the
-// paper's "automatically transferred to the database server after a
-// certain time" — each emitted instance is appended to the store ttl
-// ticks after its generation. A nil store disables logging.
-func logAfter(sched *sim.Scheduler, store *db.Store, ttl timemodel.Tick) engine.EmitFunc {
+// logAfter builds the engine LogBatch hook shared by all observer
+// nodes: the paper's "automatically transferred to the database server
+// after a certain time" — each instance of an emission round is
+// appended to the store ttl ticks after its generation. A nil store
+// disables logging.
+func logAfter(sched *sim.Scheduler, store *db.Store, ttl timemodel.Tick) engine.BatchFunc {
 	if store == nil {
 		return nil
 	}
-	return func(in event.Instance) {
-		sched.After(ttl, func() { _ = store.Log(in) })
+	return func(ins []event.Instance) {
+		for _, in := range ins {
+			sched.After(ttl, func() { _ = store.Log(in) })
+		}
 	}
 }
 
@@ -150,7 +153,7 @@ func NewMoteNode(sched *sim.Scheduler, world *phys.World, net *wsn.Network, mote
 	mn.bank, err = engine.NewBank(engine.Config{
 		Observer: moteID,
 		Loc:      spatial.AtPt(m.Pos),
-		Log:      logAfter(sched, store, logTTL),
+		LogBatch: logAfter(sched, store, logTTL),
 		Emit:     mn.send,
 	})
 	if err != nil {
@@ -245,7 +248,7 @@ func (m *MoteNode) measure(sc SensorConfig) (float64, bool) {
 }
 
 // send is the bank's emit hook: sensor event instances go up the WSN
-// (logging already happened via the bank's log hook).
+// (the bank's LogBatch hook already scheduled the round's logging).
 func (m *MoteNode) send(inst event.Instance) {
 	m.Sent++
 	// Radio loss is part of the model; routing errors are programming

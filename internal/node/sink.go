@@ -51,7 +51,7 @@ func NewSinkNode(sched *sim.Scheduler, net *wsn.Network, bus network.Bus, store 
 	bank, err := engine.NewBank(engine.Config{
 		Observer: id,
 		Loc:      spatial.AtPt(pos),
-		Log:      logAfter(sched, store, logTTL),
+		LogBatch: logAfter(sched, store, logTTL),
 		Emit:     s.publish,
 	})
 	if err != nil {
@@ -98,7 +98,8 @@ func (s *SinkNode) handle(from string, payload any) {
 }
 
 // publish is the bank's emit hook: cyber-physical instances go onto the
-// CPS network (logging already happened via the bank's log hook).
+// CPS network (the bank's LogBatch hook already scheduled the round's
+// logging).
 func (s *SinkNode) publish(inst event.Instance) {
 	s.Published++
 	// Topic is the event id; subscription errors are configuration

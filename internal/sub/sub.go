@@ -198,7 +198,7 @@ type bucket struct {
 }
 
 // Matcher is the subscription index. Publish may be called concurrently
-// (the emission hooks of a sharded engine run on worker goroutines);
+// (a sharded engine publishes from its worker goroutines);
 // Subscribe/Unsubscribe may be called at any time.
 type Matcher struct {
 	cfg Config

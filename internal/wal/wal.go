@@ -34,9 +34,12 @@
 // Segments are named after the sequence number of their first record
 // (%016d.wal) and rotate at Options.SegmentBytes. A snapshot file
 // (snapshot-%016d.snap) holds the store's live instances as KindEmit
-// records in the same framing and payload, and covers every record up
-// to the sequence number in its name; Replay hands its records to the
-// callback first, with Seq 0. Sealed segments fully covered by the
+// records in the same framing and payload, closed by a trailer frame
+// (kind 0, then the uvarint count of the records before it), and covers
+// every record up to the sequence number in its name; Replay hands its
+// records to the callback first, with Seq 0. A snapshot whose trailer is
+// missing or miscounts, such as one cut at a record boundary, fails the
+// open with ErrCorrupt. Sealed segments fully covered by the
 // snapshot — and whose ingested entities have all aged past the
 // caller-provided horizon, so no window can still need them — are
 // deleted by compaction. A directory holding a JSON snapshot
@@ -140,6 +143,8 @@ const (
 	KindIngest Kind = 2
 	// KindEmit is an instance the engine emitted.
 	KindEmit Kind = 3
+	// kindTrailer closes a snapshot file; no segment holds one.
+	kindTrailer Kind = 0
 )
 
 // Record is one WAL entry. Seq is assigned by position: the i-th record
@@ -339,11 +344,9 @@ func Open(opts Options) (*Log, error) {
 	if l.snapSeq > 0 {
 		// Check the snapshot's frames now, so a damaged snapshot fails the
 		// open instead of a recovery that has loaded half of it.
-		meta, err := l.scanSegment(filepath.Join(opts.Dir, snapName(l.snapSeq)), 1, false)
-		if err != nil {
+		if l.snapRecs, err = scanSnapshot(filepath.Join(opts.Dir, snapName(l.snapSeq))); err != nil {
 			return nil, err
 		}
-		l.snapRecs = meta.last
 	}
 	sort.Slice(segFirsts, func(i, j int) bool { return segFirsts[i] < segFirsts[j] })
 
@@ -464,6 +467,41 @@ func (l *Log) scanSegment(path string, first uint64, isLast bool) (segMeta, erro
 	}
 	meta.bytes = off
 	return meta, nil
+}
+
+// scanSnapshot checks every frame of a snapshot file and returns its
+// record count. The file must end in a trailer that carries the count:
+// a snapshot missing records at its end is still a run of whole frames,
+// and without the count it would recover a shorter store.
+//
+//stcps:replay
+func scanSnapshot(path string) (uint64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, fmt.Errorf("wal: %w", err)
+	}
+	defer f.Close()
+	name := filepath.Base(path)
+	fr := frame.NewReader(bufio.NewReader(f), maxPayloadBytes)
+	for n := uint64(0); ; n++ {
+		payload, _, err := fr.Next()
+		if errors.Is(err, io.EOF) {
+			return 0, fmt.Errorf("%w: %s ends after %d records without a trailer", ErrCorrupt, name, n)
+		}
+		if err == nil && Kind(payload[0]) == kindTrailer {
+			count, w := uvarint(payload[1:])
+			if _, _, err := fr.Next(); w == 0 || 1+w != len(payload) || count != n || !errors.Is(err, io.EOF) {
+				return 0, fmt.Errorf("%w: %s holds %d records, which its trailer does not close", ErrCorrupt, name, n)
+			}
+			return n, nil
+		}
+		if err == nil {
+			_, _, _, err = header(payload)
+		}
+		if err != nil {
+			return 0, fmt.Errorf("%w: %s record %d: %w", ErrCorrupt, name, n+1, err)
+		}
+	}
 }
 
 // noteIngest folds one record into the segment's compaction metadata.
@@ -930,7 +968,7 @@ func (l *Log) Snapshot(walk func(func(*event.Instance) error) error, horizon tim
 	seq := l.seq
 	var n uint64
 	write := func(w io.Writer) error {
-		return walk(func(in *event.Instance) error {
+		err := walk(func(in *event.Instance) error {
 			buf, err := l.encodeLocked(&Record{Kind: KindEmit, Instance: in})
 			if err == nil {
 				_, err = w.Write(buf)
@@ -938,6 +976,10 @@ func (l *Log) Snapshot(walk func(func(*event.Instance) error) error, horizon tim
 			}
 			return err
 		})
+		if err == nil {
+			_, err = w.Write(frame.AppendFrame(nil, binary.AppendUvarint([]byte{byte(kindTrailer)}, n)))
+		}
+		return err
 	}
 	// The rename is durable BEFORE compaction unlinks the segments it
 	// covers, or a crash could lose both copies of the data.
