@@ -15,7 +15,7 @@
 //	edlbench -exp E8    # baseline expressiveness/correctness matrix
 //	edlbench -exp E11   # condition evaluation placement
 //	edlbench -runs 32   # more runs per configuration
-//	edlbench -json BENCH_1.json   # also write the E1–E3 rows as JSON
+//	edlbench -json BENCH_1.json   # also write the E1–E3 and E11 rows as JSON
 package main
 
 import (
@@ -61,18 +61,28 @@ type lossRow struct {
 	MeasMax  float64 `json:"measMax"`
 }
 
-// artifact is the machine-readable E1–E3 output.
+// placeRow is one placement of the E11 sweep.
+type placeRow struct {
+	Place      string `json:"place"`
+	WSNMsgs    uint64 `json:"wsnMsgs"`
+	BusMsgs    uint64 `json:"busMsgs"`
+	Detections int    `json:"detections"`
+	FirstEDL   int64  `json:"firstEDL"`
+}
+
+// artifact is the machine-readable E1–E3 and E11 output.
 type artifact struct {
-	Schema    string    `json:"schema"`
-	Generated string    `json:"generated"`
-	GoVersion string    `json:"goVersion"`
-	GOOS      string    `json:"goos"`
-	GOARCH    string    `json:"goarch"`
-	CPUs      int       `json:"cpus"`
-	Runs      int       `json:"runs"`
-	E1        []edlRow  `json:"e1,omitempty"`
-	E2        []edlRow  `json:"e2,omitempty"`
-	E3        []lossRow `json:"e3,omitempty"`
+	Schema    string     `json:"schema"`
+	Generated string     `json:"generated"`
+	GoVersion string     `json:"goVersion"`
+	GOOS      string     `json:"goos"`
+	GOARCH    string     `json:"goarch"`
+	CPUs      int        `json:"cpus"`
+	Runs      int        `json:"runs"`
+	E1        []edlRow   `json:"e1,omitempty"`
+	E2        []edlRow   `json:"e2,omitempty"`
+	E3        []lossRow  `json:"e3,omitempty"`
+	E11       []placeRow `json:"e11,omitempty"`
 }
 
 func run(args []string, out io.Writer) error {
@@ -126,9 +136,11 @@ func run(args []string, out io.Writer) error {
 	}
 	if which == "ALL" || which == "E11" {
 		any = true
-		if err := e11(out); err != nil {
+		rows, err := e11(out)
+		if err != nil {
 			return err
 		}
+		art.E11 = rows
 	}
 	if !any {
 		return fmt.Errorf("unknown experiment %q", *exp)
@@ -280,7 +292,7 @@ func e8(out io.Writer) error {
 
 // e11 compares condition evaluation placements (mote / sink / CCU) — the
 // paper's third future-work item.
-func e11(out io.Writer) error {
+func e11(out io.Writer) ([]placeRow, error) {
 	fmt.Fprintln(out, "=== E11: condition evaluation placement (sampling=10, hop=2, bus=3) ===")
 	fmt.Fprintln(out, "place\twsnMsgs\tbusMsgs\tdetections\tfirstEDL")
 	results, err := placement.Sweep(placement.Config{
@@ -292,12 +304,15 @@ func e11(out io.Writer) error {
 		Seed:           5,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	for _, r := range results {
+	rows := make([]placeRow, len(results))
+	for i, r := range results {
 		fmt.Fprintf(out, "%s\t%d\t%d\t%d\t%d\n",
 			r.Placement, r.WSNSent, r.BusPublished, r.Detections, r.FirstEDL)
+		rows[i] = placeRow{Place: r.Placement.String(), WSNMsgs: r.WSNSent, BusMsgs: r.BusPublished,
+			Detections: r.Detections, FirstEDL: int64(r.FirstEDL)}
 	}
 	fmt.Fprintln(out)
-	return nil
+	return rows, nil
 }

@@ -68,7 +68,7 @@ func TestRunJSONArtifact(t *testing.T) {
 	if art.E3[0].Recall < art.E3[len(art.E3)-1].Recall {
 		t.Errorf("recall should not improve with loss: %v", art.E3)
 	}
-	// The artifact carries the paper's E1–E3 rows and nothing else.
+	// An -exp E3 artifact carries the E3 rows and nothing else.
 	var sections map[string]json.RawMessage
 	if err := json.Unmarshal(data, &sections); err != nil {
 		t.Fatal(err)

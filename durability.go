@@ -394,7 +394,7 @@ func (e *Engine) recover() error {
 		}
 		// Subscribers registered before Start see the crash-outran
 		// emissions too — like OnInstance, this is their first delivery.
-		if seq, ok := e.store.SeqOf(fresh[i].EntityID()); ok {
+		if seq, ok := e.store.SeqOf(&fresh[i]); ok {
 			e.subs.Publish(&fresh[i], seq, true)
 		}
 	}

@@ -445,7 +445,7 @@ func TestFailedSnapshotDoesNotReapplyRedelivery(t *testing.T) {
 	node, err := cluster.New(cluster.Config{Nodes: []cluster.NodeSpec{{Wire: "n0", HTTP: "h0"}}}, nil, cluster.Hooks{
 		Guard: func(fn func() error) (bool, error) { return true, fn() },
 		Apply: eng.Ingest,
-		SeqOf: func(string) (uint64, bool) { return 0, false },
+		SeqOf: func(*event.Instance) (uint64, bool) { return 0, false },
 	})
 	if err != nil {
 		t.Fatal(err)

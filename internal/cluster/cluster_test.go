@@ -184,7 +184,7 @@ func TestFailedApplyIsRetried(t *testing.T) {
 			applied++
 			return nil, nil
 		},
-		SeqOf: func(string) (uint64, bool) { return 0, false },
+		SeqOf: func(*event.Instance) (uint64, bool) { return 0, false },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -29,7 +29,7 @@ type Hooks struct {
 	// SeqOf resolves an emitted instance's store sequence number, for
 	// the stamp sidecar. Called only inside Guard, right after the
 	// Apply that emitted the instance.
-	SeqOf func(entityID string) (uint64, bool)
+	SeqOf func(in *event.Instance) (uint64, bool)
 	// Query pages the local store (engine QueryST). Required on nodes
 	// that serve partition pages; LocalPage fails without it.
 	Query func(spec db.QuerySpec) (db.Result, error)
@@ -281,7 +281,7 @@ func (co *Coordinator) applyLocal(items []localItem) ([]replOp, error) {
 			co.stats.applied.Add(1)
 			co.noteApplied(hlc.Stamp(it.f.Stamp))
 			for j := range outs {
-				if seq, ok := co.hooks.SeqOf(outs[j].EntityID()); ok {
+				if seq, ok := co.hooks.SeqOf(&outs[j]); ok {
 					co.stamps.Record(seq, hlc.Stamp(it.f.Stamp), it.p)
 				}
 			}

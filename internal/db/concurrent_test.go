@@ -68,8 +68,8 @@ func checkStoreInvariants(t *testing.T, s *Store) {
 	}
 	for seq := s.base; seq < s.frontier; seq++ {
 		id := s.at(seq).EntityID()
-		if got, ok := s.byEntity[id]; !ok || got != seq {
-			t.Fatalf("byEntity[%s] = %d, want %d", id, got, seq)
+		if got, ok := s.resolveLocked(id); !ok || got != seq {
+			t.Fatalf("byEntity resolves %s to %d, want %d", id, got, seq)
 		}
 	}
 }
@@ -545,7 +545,7 @@ func TestLogBatchMatchesLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range dup {
-		want, ok := batched.SeqOf(dup[i].EntityID())
+		want, ok := batched.SeqOf(&dup[i])
 		if !ok || seqs[i] != want || fresh[i] {
 			t.Fatalf("dup %d: seq=%d fresh=%v want seq=%d fresh=false", i, seqs[i], fresh[i], want)
 		}

@@ -45,10 +45,10 @@ func TestLogSeqAndSeqOf(t *testing.T) {
 	if err != nil || !fresh || seq2 != 1 {
 		t.Fatalf("second LogSeq = (%d, %v, %v), want (1, true, nil)", seq2, fresh, err)
 	}
-	if got, ok := s.SeqOf(in.EntityID()); !ok || got != 0 {
+	if got, ok := s.SeqOf(&in); !ok || got != 0 {
 		t.Fatalf("SeqOf = (%d, %v), want (0, true)", got, ok)
 	}
-	if _, ok := s.SeqOf("E(OB,missing,9)"); ok {
+	if _, ok := s.SeqOf(&event.Instance{Observer: "OB", Event: "missing", Seq: 9}); ok {
 		t.Fatal("SeqOf resolved an unknown entity")
 	}
 }
@@ -144,7 +144,7 @@ func TestQuerySTSeqsParallelInstances(t *testing.T) {
 		t.Fatalf("Seqs length %d != Instances length %d", len(res.Seqs), len(res.Instances))
 	}
 	for i, seq := range res.Seqs {
-		if want, ok := s.SeqOf(res.Instances[i].EntityID()); !ok || want != seq {
+		if want, ok := s.SeqOf(&res.Instances[i]); !ok || want != seq {
 			t.Fatalf("Seqs[%d] = %d, store says %d (resolved %v)", i, seq, want, ok)
 		}
 	}

@@ -446,7 +446,7 @@ func (s *Store) collectTimeLocked(q QuerySpec, minSeq, base uint64, scanned *int
 //
 //stcps:holds mu
 func (s *Store) collectRegionLocked(q QuerySpec, minSeq uint64, scanned *int) []uint64 {
-	seqs := s.grid.QueryRegion(nil, *q.Region)
+	seqs := s.grid.QueryRegion(nil, *q.Region, s.locOf)
 	*scanned += len(seqs)
 	first, _ := slices.BinarySearch(seqs, minSeq)
 	return seqs[first:]

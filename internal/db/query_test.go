@@ -441,7 +441,7 @@ func TestRetentionMaxAge(t *testing.T) {
 	if s.Len() != 6 {
 		t.Fatalf("Len = %d, want 6", s.Len())
 	}
-	if _, ok := s.SeqOf("E(M,E,1)"); ok {
+	if _, ok := s.SeqOf(&event.Instance{Observer: "M", Event: "E", Seq: 1}); ok {
 		t.Error("evicted instance still resolvable")
 	}
 	if got := hotTime(t, s, "E", 0, 1000); len(got) != 6 {

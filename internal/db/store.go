@@ -35,6 +35,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -190,12 +192,14 @@ type Store struct {
 	cold    *segment.Dir //stcps:guardedby mu -- write side; readers use the view's copy
 	spilled uint64       //stcps:guardedby mu
 
-	byEvent  map[string][]uint64          //stcps:guardedby mu -- event id -> seqs, Occ.Start-ordered, may contain stale (< base) entries
-	liveEv   map[string]int               //stcps:guardedby mu -- event id -> live instance count
-	byEntity map[string]uint64            //stcps:guardedby mu -- entity id -> seq (live only)
-	idBuf    []byte                       //stcps:guardedby mu -- scratch for rendering an entity id as a transient byEntity key
-	grid     *spatial.Grid                //stcps:guardedby mu -- keyed by seq
-	obs      map[string]event.Observation //stcps:guardedby mu -- logged observations by id
+	byEvent  map[string][]uint64               //stcps:guardedby mu -- event id -> seqs, Occ.Start-ordered, may contain stale (< base) entries
+	liveEv   map[string]int                    //stcps:guardedby mu -- event id -> live instance count
+	byEntity map[entityKey]uint64              //stcps:guardedby mu -- entity -> seq (live only)
+	sources  map[string]uint32                 //stcps:guardedby mu -- interned "observer,event" -> source id, grow-only
+	srcBuf   []byte                            //stcps:guardedby mu -- scratch for rendering a source as a transient sources key
+	grid     *spatial.Grid                     //stcps:guardedby mu -- keyed by seq, resolved through locOf
+	locOf    func(seq uint64) spatial.Location // the grid's resolver, s.locAt
+	obs      map[string]event.Observation      //stcps:guardedby mu -- logged observations by id
 	ret      Retention
 	evicted  uint64 //stcps:guardedby mu
 	// stale counts byEvent entries pointing below base: eviction only
@@ -218,6 +222,16 @@ type Store struct {
 	spillErrs    atomic.Uint64
 }
 
+// entityKey is an instance's byEntity key: its interned source and its
+// instance Seq. Two instances share a key exactly when their entity ids
+// E(observer,event,seq) are equal strings, because the source interns
+// the id's "observer,event" text. The key holds no pointer, so the GC
+// does not scan the map.
+type entityKey struct {
+	src uint32
+	seq uint64
+}
+
 // DefaultGridCell is the spatial index cell size.
 const DefaultGridCell = 16.0
 
@@ -233,11 +247,13 @@ func New(cellSize float64) (*Store, error) {
 	s := &Store{
 		byEvent:  make(map[string][]uint64),
 		liveEv:   make(map[string]int),
-		byEntity: make(map[string]uint64),
+		byEntity: make(map[entityKey]uint64),
+		sources:  make(map[string]uint32),
 		grid:     g,
 		obs:      make(map[string]event.Observation),
 		maxDur:   make(map[string]timemodel.Tick),
 	}
+	s.locOf = s.locAt
 	s.pub.Store(&view{})
 	return s, nil
 }
@@ -266,6 +282,56 @@ func (s *Store) publishLocked() {
 //stcps:holds mu
 func (s *Store) at(seq uint64) *event.Instance {
 	return &s.chunks[(seq-s.firstSeq)>>chunkBits].data[seq&chunkMask]
+}
+
+// locAt resolves a grid key to the location its instance was indexed
+// at: the grid's resolver, bound once in New.
+//
+//stcps:holds mu
+func (s *Store) locAt(seq uint64) spatial.Location { return s.at(seq).Loc }
+
+// appendSource appends an instance's source as its entity id renders
+// it: "observer,event".
+func appendSource(dst []byte, observer, event string) []byte {
+	dst = append(dst, observer...)
+	dst = append(dst, ',')
+	return append(dst, event...)
+}
+
+// keyLocked returns the instance's byEntity key, interning its source
+// on first sight. Only the first instance of a source allocates.
+//
+//stcps:holds mu
+func (s *Store) keyLocked(in *event.Instance) entityKey {
+	s.srcBuf = appendSource(s.srcBuf[:0], in.Observer, in.Event)
+	src, ok := s.sources[string(s.srcBuf)]
+	if !ok {
+		src = uint32(len(s.sources))
+		s.sources[string(s.srcBuf)] = src
+	}
+	return entityKey{src: src, seq: in.Seq}
+}
+
+// resolveLocked resolves an entity id string to a live instance's
+// sequence number. It answers as string equality with the rendered id
+// would: the id must read E(<source>,<seq>) with seq in canonical
+// decimal.
+//
+//stcps:holds mu
+func (s *Store) resolveLocked(id string) (uint64, bool) {
+	body, isE := strings.CutPrefix(id, "E(")
+	body, closed := strings.CutSuffix(body, ")")
+	i := strings.LastIndexByte(body, ',')
+	if !isE || !closed || i < 0 || len(body) > i+2 && body[i+1] == '0' {
+		return 0, false
+	}
+	seq, err := strconv.ParseUint(body[i+1:], 10, 64)
+	src, ok := s.sources[body[:i]]
+	if err != nil || !ok {
+		return 0, false
+	}
+	at, ok := s.byEntity[entityKey{src: src, seq: seq}]
+	return at, ok
 }
 
 // SetRetention installs (or replaces) the eviction policy and enforces
@@ -376,11 +442,8 @@ func (s *Store) LogBatch(ins []event.Instance) (seqs []uint64, fresh []bool, err
 //
 //stcps:holds mu
 func (s *Store) logOneLocked(in *event.Instance) (seq uint64, fresh bool) {
-	// The id is rendered once, into scratch: a duplicate is answered
-	// without allocating, a fresh instance pays for one string — its
-	// byEntity key.
-	s.idBuf = in.AppendEntityID(s.idBuf[:0])
-	if prev, dup := s.byEntity[string(s.idBuf)]; dup {
+	key := s.keyLocked(in)
+	if prev, dup := s.byEntity[key]; dup {
 		return prev, false
 	}
 	seq = s.frontier
@@ -390,7 +453,7 @@ func (s *Store) logOneLocked(in *event.Instance) (seq uint64, fresh bool) {
 	}
 	s.chunks[ci].data[seq&chunkMask] = *in
 	s.frontier = seq + 1
-	s.byEntity[string(s.idBuf)] = seq
+	s.byEntity[key] = seq
 	s.liveEv[in.Event]++
 
 	lst := s.byEvent[in.Event]
@@ -417,12 +480,19 @@ func (s *Store) logOneLocked(in *event.Instance) (seq uint64, fresh bool) {
 	return seq, true
 }
 
-// SeqOf resolves an entity id to its global sequence number, reporting
-// false when the entity is not live (never logged, or evicted).
-func (s *Store) SeqOf(entityID string) (uint64, bool) {
+// SeqOf resolves an instance's entity id to its global sequence number,
+// reporting false when the entity is not live (never logged, or
+// evicted). It renders no id string.
+func (s *Store) SeqOf(in *event.Instance) (uint64, bool) {
+	var buf [64]byte
+	key := appendSource(buf[:0], in.Observer, in.Event)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	seq, ok := s.byEntity[entityID]
+	src, ok := s.sources[string(key)]
+	if !ok {
+		return 0, false
+	}
+	seq, ok := s.byEntity[entityKey{src: src, seq: in.Seq}]
 	return seq, ok
 }
 
@@ -457,9 +527,8 @@ func (s *Store) enforceRetentionLocked() {
 //stcps:holds mu
 func (s *Store) evictFrontLocked() {
 	in := s.at(s.base)
-	s.idBuf = in.AppendEntityID(s.idBuf[:0])
-	delete(s.byEntity, string(s.idBuf))
-	s.grid.Remove(s.base)
+	delete(s.byEntity, s.keyLocked(in))
+	s.grid.Remove(s.base, in.Loc)
 	if n := s.liveEv[in.Event] - 1; n == 0 {
 		s.stale -= len(s.byEvent[in.Event]) - 1
 		delete(s.byEvent, in.Event)
@@ -698,7 +767,7 @@ func (s *Store) ScanRegion(region spatial.Location) []event.Instance {
 func (s *Store) Lineage(entityID string) ([]string, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if _, ok := s.byEntity[entityID]; !ok {
+	if _, ok := s.resolveLocked(entityID); !ok {
 		if _, ok := s.obs[entityID]; !ok {
 			return nil, fmt.Errorf("%q: %w", entityID, ErrNotFound)
 		}
@@ -712,7 +781,7 @@ func (s *Store) Lineage(entityID string) ([]string, error) {
 		}
 		seen[id] = true
 		out = append(out, id)
-		if seq, ok := s.byEntity[id]; ok { //stcps:ignore guardedby synchronous closure; the enclosing query holds mu
+		if seq, ok := s.resolveLocked(id); ok {
 			for _, inp := range s.at(seq).Inputs {
 				walk(inp)
 			}

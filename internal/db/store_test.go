@@ -70,14 +70,14 @@ func TestLogAndSeqOf(t *testing.T) {
 	if err := s.Log(in); err != nil {
 		t.Fatal(err)
 	}
-	seq, ok := s.SeqOf(in.EntityID())
+	seq, ok := s.SeqOf(&in)
 	if !ok {
 		t.Fatal("logged instance does not resolve")
 	}
 	if got := s.All(); len(got) != 1 || got[0].EntityID() != in.EntityID() || seq != 0 {
 		t.Errorf("SeqOf = %d, All = %v", seq, orderedIDs(got))
 	}
-	if _, ok := s.SeqOf("E(x,y,9)"); ok {
+	if _, ok := s.SeqOf(&event.Instance{Observer: "x", Event: "y", Seq: 9}); ok {
 		t.Error("unknown entity id resolved")
 	}
 	if s.Len() != 1 {

@@ -370,7 +370,7 @@ func TestTieredReattach(t *testing.T) {
 	if err := s2.Log(extra); err != nil {
 		t.Fatal(err)
 	}
-	seq, ok := s2.SeqOf(extra.EntityID())
+	seq, ok := s2.SeqOf(&extra)
 	if !ok || seq != spilled {
 		t.Fatalf("first post-reattach seq = %d (ok=%v), want %d", seq, ok, spilled)
 	}

@@ -60,6 +60,7 @@ type roleBuf struct {
 	indexed bool      // maintain timeIdx
 	timeIdx []timeKey // passing entries sorted by (start, seq)
 	grid    *spatial.Grid
+	locOf   func(seq uint64) spatial.Location // the grid's resolver, rb.locAt
 }
 
 // prune evicts age-expired entries and recomputes the exact minEnd.
@@ -109,8 +110,14 @@ func (rb *roleBuf) unindex(e *entry) {
 		rb.timeIdxRemove(e.ent.OccTime().Start(), e.seq)
 	}
 	if rb.grid != nil {
-		rb.grid.Remove(e.seq)
+		rb.grid.Remove(e.seq, e.ent.OccLoc())
 	}
+}
+
+// locAt resolves a grid key, an indexed entry's arrival seq, to the
+// entry's occurrence location.
+func (rb *roleBuf) locAt(seq uint64) spatial.Location {
+	return rb.entries[rb.entryIndex(seq)].ent.OccLoc()
 }
 
 // timeIdxSearch returns the first index whose key is >= (start, seq).

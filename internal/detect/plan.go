@@ -145,7 +145,8 @@ func (d *Detector) buildPlan() {
 				cell = 1
 			}
 			if g, err := spatial.NewGrid(cell); err == nil {
-				d.bufs[s].grid = g
+				rb := d.bufs[s]
+				rb.grid, rb.locOf = g, rb.locAt
 			}
 		}
 	}
@@ -438,7 +439,7 @@ func (p *plan) step(d *Detector, st *joinState, depth int) {
 			if timeProbe && timeHi-timeLo <= rb.grid.EstimateRegion(region) {
 				break // the time range is already at least as selective
 			}
-			st.probe[depth] = rb.grid.QueryRegion(st.probe[depth][:0], region)
+			st.probe[depth] = rb.grid.QueryRegion(st.probe[depth][:0], region, rb.locOf)
 			gridProbe = true
 			timeProbe = false
 			break
@@ -535,9 +536,6 @@ func probeRegion(loc spatial.Location, radius float64) (spatial.Location, bool) 
 	}
 	minX, minY, maxX, maxY := loc.Bounds()
 	r := radius + 1e-3
-	f, err := spatial.Rect(minX-r, minY-r, maxX+r, maxY+r)
-	if err != nil {
-		return spatial.Location{}, false
-	}
-	return spatial.InField(f), true
+	region, err := spatial.RectLocation(minX-r, minY-r, maxX+r, maxY+r)
+	return region, err == nil
 }

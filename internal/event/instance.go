@@ -90,14 +90,6 @@ func (in Instance) EntityID() string {
 	return entityID('E', in.Observer, in.Event, in.Seq)
 }
 
-// AppendEntityID appends EntityID's rendering to dst — for callers that
-// only need the id as a transient map key.
-//
-//stcps:hotpath
-func (in *Instance) AppendEntityID(dst []byte) []byte {
-	return appendEntityID(dst, 'E', in.Observer, in.Event, in.Seq)
-}
-
 // AppendJSON appends the instance's JSON wire form, byte-identical to
 // encoding/json's rendering of the struct tags above. It is the one
 // instance encoder: EncodeInstance and MarshalJSON (hence stdout, SSE,

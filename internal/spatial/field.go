@@ -63,7 +63,13 @@ func NewField(ring []Point) (Field, error) {
 	}
 	own := make([]Point, len(ring))
 	copy(own, ring)
-	f := Field{ring: own, bbox: boundsOf(own)}
+	return ownField(own)
+}
+
+// ownField validates a ring of at least three vertices and builds the
+// field on it without copying.
+func ownField(ring []Point) (Field, error) {
+	f := Field{ring: ring, bbox: boundsOf(ring)}
 	if f.selfIntersects() {
 		return Field{}, ErrSelfIntersecting
 	}
@@ -85,15 +91,31 @@ func MustField(ring ...Point) Field {
 
 // Rect returns the rectangular field with opposite corners (x1,y1), (x2,y2).
 func Rect(x1, y1, x2, y2 float64) (Field, error) {
+	loc, err := RectLocation(x1, y1, x2, y2)
+	f, _ := loc.Field()
+	return f, err
+}
+
+// RectLocation returns InField of Rect(x1, y1, x2, y2) in one allocation,
+// which the field and its four vertices share: the detection planner
+// builds one per spatial probe.
+func RectLocation(x1, y1, x2, y2 float64) (Location, error) {
 	if x1 > x2 {
 		x1, x2 = x2, x1
 	}
 	if y1 > y2 {
 		y1, y2 = y2, y1
 	}
-	return NewField([]Point{
-		{X: x1, Y: y1}, {X: x2, Y: y1}, {X: x2, Y: y2}, {X: x1, Y: y2},
-	})
+	b := &struct {
+		f    Field
+		ring [4]Point
+	}{ring: [4]Point{{X: x1, Y: y1}, {X: x2, Y: y1}, {X: x2, Y: y2}, {X: x1, Y: y2}}}
+	f, err := ownField(b.ring[:])
+	if err != nil {
+		return Location{}, err
+	}
+	b.f = f
+	return Location{kind: KindField, field: &b.f}, nil
 }
 
 // Circle returns a regular n-gon approximation of the circle with the given

@@ -11,13 +11,17 @@ import (
 // detection planner for spatial window probes, and the subscription
 // matcher to find the subscriptions whose region an instance touches.
 //
-// Entries are keyed by a caller-owned uint64 — every user already has
-// one: the store's log sequence number, the detector window's arrival
-// sequence, the subscription id. Each cell keeps its keys in insertion
-// order and removal preserves that order, so a caller that retires its
-// oldest entry first (retention, a sliding window) always removes a
-// cell's front key, in O(1); removing from the middle of a cell costs
-// the cell's length.
+// The grid keeps keys only. Entries are keyed by a caller-owned uint64
+// that every user already has and that is unique among its live
+// entries: the store's log sequence number, the detector window's
+// arrival sequence, the subscription id. The caller keeps the location
+// too: Remove takes the location the id was inserted with, and
+// QueryRegion resolves candidates through the caller's resolver (the
+// store's chunk slot, the window entry, the subscription's region).
+// Each cell keeps its keys in insertion order and removal preserves
+// that order, so a caller that retires its oldest entry first
+// (retention, a sliding window) always removes a cell's front key, in
+// O(1); removing from the middle of a cell costs the cell's length.
 //
 // Cell coordinates are clamped (ClampCell), so a far-out location shares
 // an edge cell instead of wrapping. An entry whose bounding box spans
@@ -33,7 +37,7 @@ type Grid struct {
 	cell  float64
 	cells map[cellKey][]uint64
 	wide  []uint64 // keys of wide entries, in insertion order
-	locs  map[uint64]Location
+	n     int      // indexed entries
 	// ext is the cell extent ever populated, grow-only (removals do not
 	// shrink it). Queries clamp their rect to it, so an arbitrarily large
 	// query region costs at most the populated extent — never
@@ -89,23 +93,16 @@ func NewGrid(cellSize float64) (*Grid, error) {
 	if cellSize <= 0 {
 		return nil, fmt.Errorf("spatial: grid cell size %g must be positive", cellSize)
 	}
-	return &Grid{
-		cell:  cellSize,
-		cells: make(map[cellKey][]uint64),
-		locs:  make(map[uint64]Location),
-	}, nil
+	return &Grid{cell: cellSize, cells: make(map[cellKey][]uint64)}, nil
 }
 
 // Len returns the number of indexed entries.
-func (g *Grid) Len() int { return len(g.locs) }
+func (g *Grid) Len() int { return g.n }
 
-// Insert indexes the location under id, replacing any previous entry for
-// the same id.
+// Insert indexes the location under id. The id must not be indexed
+// already: the grid does not look for an earlier entry to replace.
 func (g *Grid) Insert(id uint64, loc Location) {
-	if _, ok := g.locs[id]; ok {
-		g.Remove(id)
-	}
-	g.locs[id] = loc
+	g.n++
 	e := g.extentOf(bboxOf(&loc))
 	if e.wide() {
 		g.wide = append(g.wide, id)
@@ -128,54 +125,56 @@ func (g *Grid) Insert(id uint64, loc Location) {
 	}
 }
 
-// Remove drops the entry for id. Removing an unknown id is a no-op.
-func (g *Grid) Remove(id uint64) {
-	loc, ok := g.locs[id]
-	if !ok {
-		return
-	}
-	delete(g.locs, id)
-	e := g.extentOf(bboxOf(&loc))
-	if e.wide() {
-		g.wide = without(g.wide, id)
-		return
-	}
-	for cx := e.x0; cx <= e.x1; cx++ {
-		for cy := e.y0; cy <= e.y1; cy++ {
-			k := cellKey{cx: cx, cy: cy}
-			if bucket := without(g.cells[k], id); len(bucket) > 0 {
-				g.cells[k] = bucket
-			} else {
-				delete(g.cells, k)
+// Remove drops the entry for id, which must have been inserted with loc.
+// Removing an id that is not indexed is a no-op.
+func (g *Grid) Remove(id uint64, loc Location) {
+	var found bool
+	if e := g.extentOf(bboxOf(&loc)); e.wide() {
+		g.wide, found = without(g.wide, id)
+	} else {
+		for cx := e.x0; cx <= e.x1; cx++ {
+			for cy := e.y0; cy <= e.y1; cy++ {
+				k := cellKey{cx: cx, cy: cy}
+				bucket, ok := without(g.cells[k], id)
+				found = found || ok
+				if len(bucket) > 0 {
+					g.cells[k] = bucket
+				} else {
+					delete(g.cells, k)
+				}
 			}
 		}
 	}
+	if found {
+		g.n--
+	}
 }
 
-// without removes id from a key list, preserving order. Popping the
-// front only moves the slice header; the next append that outgrows the
-// tail reallocates and frees the popped prefix, so a list holds at most
-// twice its keys.
-func without(keys []uint64, id uint64) []uint64 {
+// without removes id from a key list, preserving order, and reports
+// whether it was there. Popping the front only moves the slice header;
+// the next append that outgrows the tail reallocates and frees the
+// popped prefix, so a list holds at most twice its keys.
+func without(keys []uint64, id uint64) ([]uint64, bool) {
 	switch i := slices.Index(keys, id); {
 	case i < 0:
-		return keys
+		return keys, false
 	case i == 0:
-		return keys[1:]
+		return keys[1:], true
 	default:
-		return slices.Delete(keys, i, i+1)
+		return slices.Delete(keys, i, i+1), true
 	}
 }
 
 // QueryRegion appends to dst the ids of all entries whose location is
-// Joint with the query region and returns the extended slice. Results
+// Joint with the query region and returns the extended slice. locOf
+// resolves an indexed id to the location it was inserted with. Results
 // are exact (candidates from the grid are verified with the Joint
 // operator), ascending and free of duplicates.
-func (g *Grid) QueryRegion(dst []uint64, region Location) []uint64 {
+func (g *Grid) QueryRegion(dst []uint64, region Location, locOf func(id uint64) Location) []uint64 {
 	base := len(dst)
 	g.eachBucket(bboxOf(&region), func(bucket []uint64) {
 		for _, id := range bucket {
-			if OpJoint.Apply(g.locs[id], region) {
+			if OpJoint.Apply(locOf(id), region) {
 				dst = append(dst, id)
 			}
 		}

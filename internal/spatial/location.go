@@ -37,11 +37,13 @@ func (k Kind) String() string {
 var ErrUnknownLocationKind = errors.New("spatial: unknown location kind")
 
 // Location is an event occurrence location: either a point or a field.
-// The zero value is the point (0, 0).
+// The zero value is the point (0, 0). A field location keeps its polygon
+// behind a pointer, so a Location is 32 bytes: Fields are immutable once
+// built, and copies of a Location share one.
 type Location struct {
 	kind  Kind
 	point Point
-	field Field
+	field *Field
 }
 
 // AtPoint returns the point location (x, y).
@@ -56,7 +58,7 @@ func AtPt(p Point) Location {
 
 // InField returns the field location for f.
 func InField(f Field) Location {
-	return Location{kind: KindField, field: f}
+	return Location{kind: KindField, field: &f}
 }
 
 // Kind returns the spatial classification of the location. The zero
@@ -87,7 +89,7 @@ func (l Location) Point() Point {
 // for point locations.
 func (l Location) Field() (Field, bool) {
 	if l.IsField() {
-		return l.field, true
+		return *l.field, true
 	}
 	return Field{}, false
 }

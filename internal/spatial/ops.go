@@ -79,7 +79,7 @@ func inside(a, b Location) bool {
 	case a.IsField() && b.IsPoint():
 		return false // a field can never fit inside a point
 	default:
-		return b.field.ContainsField(a.field)
+		return b.field.ContainsField(*a.field)
 	}
 }
 
@@ -93,7 +93,7 @@ func joint(a, b Location) bool {
 	case a.IsField() && b.IsPoint():
 		return a.field.ContainsPoint(b.point)
 	default:
-		return a.field.IntersectsField(b.field)
+		return a.field.IntersectsField(*b.field)
 	}
 }
 
@@ -103,7 +103,7 @@ func equalLoc(a, b Location) bool {
 	case a.IsPoint() && b.IsPoint():
 		return a.point.Equal(b.point)
 	case a.IsField() && b.IsField():
-		return a.field.Equal(b.field)
+		return a.field.Equal(*b.field)
 	default:
 		return false
 	}
@@ -121,7 +121,7 @@ func Dist(a, b Location) float64 {
 	case a.IsField() && b.IsPoint():
 		return a.field.DistToPoint(b.point)
 	default:
-		return a.field.DistToField(b.field)
+		return a.field.DistToField(*b.field)
 	}
 }
 

@@ -219,17 +219,29 @@ type Matcher struct {
 	// retired accumulates the delivery counters of closed subscriptions
 	// so Stats stays monotonic across unsubscribes.
 	retired Stats //stcps:guardedby mu
+
+	// regionOf is the bucket grids' resolver, m.regionAt, bound once so
+	// a probe allocates nothing.
+	regionOf func(id uint64) spatial.Location
 }
 
 // NewMatcher creates an empty subscription matcher.
 func NewMatcher(cfg Config) *Matcher {
 	cfg.normalize()
-	return &Matcher{
+	m := &Matcher{
 		cfg:     cfg,
 		subs:    make(map[uint64]*Subscription),
 		byEvent: make(map[string]*bucket),
 	}
+	m.regionOf = m.regionAt
+	return m
 }
+
+// regionAt resolves a grid key, a subscription id, to the subscription's
+// region.
+//
+//stcps:holds mu
+func (m *Matcher) regionAt(id uint64) spatial.Location { return *m.subs[id].spec.Region }
 
 // compileWhere compiles a Spec's condition against the single CondRole
 // slot. Empty text compiles to nil.
@@ -336,7 +348,7 @@ func (m *Matcher) removeLocked(s *Subscription) {
 		if s.spec.Region == nil {
 			b.unregioned = removeSub(b.unregioned, s)
 		} else {
-			b.grid.Remove(s.id)
+			b.grid.Remove(s.id, *s.spec.Region)
 		}
 		if len(b.unregioned) == 0 && b.grid.Len() == 0 {
 			delete(m.byEvent, s.spec.Event)
@@ -398,7 +410,7 @@ func (m *Matcher) matchBucket(b *bucket, in *event.Instance, cursor uint64, hasC
 		return
 	}
 	var buf [16]uint64
-	for _, id := range b.grid.QueryRegion(buf[:0], in.Loc) {
+	for _, id := range b.grid.QueryRegion(buf[:0], in.Loc, m.regionOf) {
 		m.subs[id].offer(in, cursor, hasCursor)
 	}
 }

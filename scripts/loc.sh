@@ -8,8 +8,8 @@
 # count; raising one needs a reason in CHANGES.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-budget=26839
-ignore_budget=35
+budget=26955
+ignore_budget=34
 files() { find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0; }
 lines=$(files | xargs -0 cat | wc -l)
 echo "non-test Go lines (excluding bench/): $lines (budget $budget)"
