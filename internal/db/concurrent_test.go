@@ -74,12 +74,12 @@ func checkStoreInvariants(t *testing.T, s *Store) {
 	}
 }
 
-// TestQuerySTLockedMatchesQueryST pins the lock-free read plane to the
-// retained monolithic-lock reference: on a quiesced store every page —
-// instances, seqs, cursor, index choice, scan count, frontier — must be
-// byte-identical across both paths, for every retention variant and
-// with pagination.
-func TestQuerySTLockedMatchesQueryST(t *testing.T) {
+// TestQuerySTPagesMatchOracle walks every cursor chain of random
+// queries, paged and unpaged, for every retention variant: the chain
+// must hold exactly the ScanTime∩ScanRegion oracle's instances, in
+// strictly ascending sequence order, each page within its limit and
+// below its frontier, with a cursor on every page but the last.
+func TestQuerySTPagesMatchOracle(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		ret  Retention
@@ -96,27 +96,42 @@ func TestQuerySTLockedMatchesQueryST(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					q.Limit = 1 + rng.Intn(20)
 				}
-				for page := 0; page < 50; page++ {
-					free, errFree := s.QueryST(q)
-					locked, errLocked := s.QuerySTLocked(q)
-					if (errFree == nil) != (errLocked == nil) {
-						t.Fatalf("trial %d: error mismatch: %v vs %v", trial, errFree, errLocked)
-					}
-					if errFree != nil {
-						break
-					}
-					if !reflect.DeepEqual(free, locked) {
-						t.Fatalf("trial %d page %d (%+v): lock-free result diverges from locked reference:\nfree:   %+v\nlocked: %+v",
-							trial, page, q, free, locked)
-					}
-					if free.NextCursor == "" {
-						break
-					}
-					q.Cursor = free.NextCursor
+				if got, want := pagedIDs(t, s, q), oracleST(s, q); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("trial %d (%+v): paged QueryST %v != oracle %v", trial, q, got, want)
 				}
-				q.Cursor = ""
 			}
 		})
+	}
+}
+
+// pagedIDs follows q's cursor chain to its end, checks each page's
+// shape, and returns the sorted entity ids of every page.
+func pagedIDs(t *testing.T, s *Store, q QuerySpec) []string {
+	t.Helper()
+	var all []event.Instance
+	var prev uint64
+	for page := 0; ; page++ {
+		res, err := s.QueryST(q)
+		if err != nil {
+			t.Fatalf("page %d (%+v): %v", page, q, err)
+		}
+		if q.Limit > 0 && len(res.Instances) > q.Limit {
+			t.Fatalf("page %d holds %d > limit %d", page, len(res.Instances), q.Limit)
+		}
+		for i, seq := range res.Seqs {
+			if seq >= res.Frontier || (len(all)+i > 0 && seq <= prev) {
+				t.Fatalf("page %d: seq %d breaks order (previous %d, frontier %d)", page, seq, prev, res.Frontier)
+			}
+			prev = seq
+		}
+		all = append(all, res.Instances...)
+		if res.NextCursor == "" {
+			return entityIDs(all)
+		}
+		if q.Limit == 0 || len(res.Instances) != q.Limit {
+			t.Fatalf("page %d: cursor %q on a page of %d (limit %d)", page, res.NextCursor, len(res.Instances), q.Limit)
+		}
+		q.Cursor = res.NextCursor
 	}
 }
 
@@ -344,9 +359,10 @@ func TestQuerySTConsistentUnderIngest(t *testing.T) {
 }
 
 // TestStoreRaceStress drives every concurrent entry point at once —
-// single and batched writes, lock-free and locked queries, retention
-// flips, snapshots, scans — so the race detector can see any unsafe
-// interleaving between the read plane and the write plane.
+// single and batched writes, single pages and whole cursor chains,
+// retention flips, snapshots, scans — so the race detector can see any
+// unsafe interleaving between the read plane and the write plane; once
+// the writers stop, the same query shapes must match the oracle.
 func TestStoreRaceStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	s, err := New(8)
@@ -426,9 +442,19 @@ func TestStoreRaceStress(t *testing.T) {
 						replay.Cursor = ""
 					}
 				case 2:
-					if _, err := s.QuerySTLocked(q); err != nil {
-						t.Errorf("QuerySTLocked: %v", err)
-						return
+					// The whole chain of q's pages, walked mid-ingest;
+					// the oracle check runs once the writers stop.
+					chain := q
+					for {
+						res, err := s.QueryST(chain)
+						if err != nil {
+							t.Errorf("QueryST chain: %v", err)
+							return
+						}
+						if res.NextCursor == "" {
+							break
+						}
+						chain.Cursor = res.NextCursor
 					}
 				case 3:
 					_ = s.ScanTime("E2", 100, 400)
@@ -485,6 +511,15 @@ func TestStoreRaceStress(t *testing.T) {
 	wg.Wait()
 	s.SetRetention(Retention{MaxInstances: 1500})
 	checkStoreInvariants(t, s)
+	for _, q := range []QuerySpec{
+		{Event: "E1", Region: &region, Window: &TimeWindow{From: 0, To: 800}, Limit: 64, Tier: TierHot},
+		{Event: "E2", Window: &TimeWindow{From: 100, To: 400}, Limit: 64, Tier: TierHot},
+		{Region: &region, Limit: 64, Tier: TierHot},
+	} {
+		if got, want := pagedIDs(t, s, q), oracleST(s, q); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%+v: paged QueryST %d ids != oracle %d ids", q, len(got), len(want))
+		}
+	}
 }
 
 // TestLogBatchMatchesLog pins the batched write path to the

@@ -109,7 +109,8 @@ type ColdScan struct {
 	// the footer index.
 	BlocksRead   int
 	BlocksPruned int
-	// Records is the number of cold records decoded and examined.
+	// Records is the number of cold records examined; only the matches
+	// among them are decoded.
 	Records int
 }
 
@@ -144,33 +145,6 @@ type Result struct {
 	Frontier uint64
 }
 
-// QueryST retrieves instances matching every predicate of spec, in
-// arrival order. With both a region and a time window it picks the
-// cheaper index for the hot portion from cardinality estimates
-// (per-event time index vs. spatial grid) and verifies candidates with
-// the other predicate, so cost tracks the more selective dimension
-// rather than the store size.
-//
-// With a cold tier attached (and Tier != TierHot), the page merges
-// three ascending sequence ranges under one cursor space: segment
-// history below the spill boundary (read via the per-block footer
-// indexes, skipping blocks that cannot match), the evicted-but-
-// unspilled chunk range, and the live hot window. The cold and
-// sequential portions run entirely without the store lock; a hot index
-// probe (when an indexed predicate applies) is a short critical
-// section that copies candidate sequence numbers out.
-func (s *Store) QueryST(spec QuerySpec) (Result, error) {
-	return s.queryST(spec, false)
-}
-
-// QuerySTLocked is QueryST with the hot portion under the store's
-// reader lock for its entire run — the pre-chunked monolithic read
-// path, retained as the differential reference: its pages are
-// byte-identical to QueryST's on any quiesced store.
-func (s *Store) QuerySTLocked(spec QuerySpec) (Result, error) {
-	return s.queryST(spec, true)
-}
-
 // page accumulates one result page across tiers in ascending sequence
 // order. need is Limit+1 (one extra match proves more remain), or 0
 // for unlimited.
@@ -187,7 +161,22 @@ func (p *page) add(seq uint64, in *event.Instance) {
 	p.ins = append(p.ins, *in)
 }
 
-func (s *Store) queryST(q QuerySpec, monolithic bool) (Result, error) {
+// QueryST retrieves instances matching every predicate of spec, in
+// arrival order. With both a region and a time window it picks the
+// cheaper index for the hot portion from cardinality estimates
+// (per-event time index vs. spatial grid) and verifies candidates with
+// the other predicate, so cost tracks the more selective dimension
+// rather than the store size.
+//
+// With a cold tier attached (and Tier != TierHot), the page merges
+// three ascending sequence ranges under one cursor space: segment
+// history below the spill boundary (read via the per-block footer
+// indexes, skipping blocks that cannot match), the evicted-but-
+// unspilled chunk range, and the live hot window. The cold and
+// sequential portions run entirely without the store lock; a hot index
+// probe (when an indexed predicate applies) is a short critical
+// section that copies candidate sequence numbers out.
+func (s *Store) QueryST(q QuerySpec) (Result, error) {
 	var after uint64
 	hasAfter := false
 	if q.Cursor != "" {
@@ -198,17 +187,9 @@ func (s *Store) queryST(q QuerySpec, monolithic bool) (Result, error) {
 		after, hasAfter = v, true
 	}
 
-	// The reference path holds the reader lock across the whole run, so
-	// its view load, index probes and materialization are one atomic
-	// read. The lock-free path instead works from an immutable published
-	// view and bounds the page by that view's frontier.
-	if monolithic {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		s.lockedReads.Add(1)
-	} else {
-		s.reads.Add(1)
-	}
+	// The page works from an immutable published view and is bounded by
+	// that view's frontier.
+	s.reads.Add(1)
 	v := s.loadView()
 	res := Result{Frontier: v.frontier}
 	p := &page{}
@@ -268,9 +249,7 @@ func (s *Store) queryST(q QuerySpec, monolithic bool) (Result, error) {
 				BlocksPruned: info.BlocksPruned,
 				Records:      info.Records,
 			}
-			if !monolithic {
-				s.coldReads.Add(1)
-			}
+			s.coldReads.Add(1)
 			if info.End > info.Base {
 				oldest = info.Base
 			}
@@ -280,7 +259,7 @@ func (s *Store) queryST(q QuerySpec, monolithic bool) (Result, error) {
 		}
 	}
 
-	s.queryResident(q, v, max(minSeq, floor), upper, p, &res, monolithic)
+	s.queryResident(q, v, max(minSeq, floor), upper, p, &res)
 
 	if p.need > 0 && len(p.seqs) > q.Limit {
 		p.seqs = p.seqs[:q.Limit]
@@ -292,9 +271,7 @@ func (s *Store) queryST(q QuerySpec, monolithic bool) (Result, error) {
 	}
 	res.Instances = p.ins
 	res.Seqs = p.seqs
-	if !monolithic {
-		s.materialized.Add(uint64(len(p.seqs)))
-	}
+	s.materialized.Add(uint64(len(p.seqs)))
 	return res, nil
 }
 
@@ -312,9 +289,9 @@ func (s *Store) queryST(q QuerySpec, monolithic bool) (Result, error) {
 // spatial grid, the per-event time index and the same sequential walk
 // the cardinality estimates make cheapest. Only an index probe needs
 // the store lock — a short critical section that copies the candidate
-// sequence numbers out (QuerySTLocked's caller already holds it for the
-// whole run); verification and materialization need only the view.
-func (s *Store) queryResident(q QuerySpec, v *view, lo, upper uint64, p *page, res *Result, monolithic bool) {
+// sequence numbers out; verification and materialization need only the
+// view.
+func (s *Store) queryResident(q QuerySpec, v *view, lo, upper uint64, p *page, res *Result) {
 	res.Index = "log"
 	if q.Event != "" {
 		res.Index = "time"
@@ -325,10 +302,8 @@ func (s *Store) queryResident(q QuerySpec, v *view, lo, upper uint64, p *page, r
 	var cands []uint64
 	verify := q // the predicates the chosen index leaves unchecked
 	if (q.Event != "" || q.Region != nil) && upper > v.base && lo < upper && !p.full() {
-		if !monolithic {
-			s.mu.RLock()
-			s.readLocks.Add(1)
-		}
+		s.mu.RLock()
+		s.readLocks.Add(1)
 		switch {
 		case q.Region != nil && s.regionEstimateLocked(q) < s.timeEstimateLocked(q):
 			res.Index = "region"
@@ -341,9 +316,7 @@ func (s *Store) queryResident(q QuerySpec, v *view, lo, upper uint64, p *page, r
 		}
 		// Otherwise: a region no more selective than the live window
 		// itself, which the sequential walk serves without sorting.
-		if !monolithic {
-			s.mu.RUnlock()
-		}
+		s.mu.RUnlock()
 	}
 
 	for seq := lo; seq < b && !p.full(); seq++ {
@@ -353,21 +326,43 @@ func (s *Store) queryResident(q QuerySpec, v *view, lo, upper uint64, p *page, r
 		}
 	}
 
-	// Live candidates: bound by upper (the probe ran after the view
-	// load and may have seen newer instances), verified off-lock, and
-	// put back in arrival order.
-	seqs := cands[:0]
-	for _, seq := range cands {
-		if seq >= b && seq < upper && verify.matches(v.at(seq)) {
-			seqs = append(seqs, seq)
-		}
+	// Live candidates come back in arrival order off a min-heap built in
+	// place, and are verified off-lock as they are popped, so the page
+	// touches only the candidates it might take. They are bounded by
+	// upper: the probe ran after the view load and may have seen newer
+	// instances.
+	for i := len(cands)/2 - 1; i >= 0; i-- {
+		siftDown(cands, i)
 	}
-	sortSeqs(seqs)
-	for _, seq := range seqs {
-		if p.full() {
+	for n := len(cands) - 1; n >= 0 && !p.full(); n-- {
+		seq := cands[0]
+		cands[0] = cands[n]
+		siftDown(cands[:n], 0)
+		if seq >= upper {
 			break
 		}
-		p.add(seq, v.at(seq))
+		if in := v.at(seq); seq >= b && verify.matches(in) {
+			p.add(seq, in)
+		}
+	}
+}
+
+// siftDown moves h[i] down the binary min-heap h until neither child
+// is smaller.
+func siftDown(h []uint64, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1] < h[c] {
+			c++
+		}
+		if h[i] <= h[c] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
 }
 
@@ -384,10 +379,6 @@ func (q *QuerySpec) matches(in *event.Instance) bool {
 	}
 	return true
 }
-
-// sortSeqs orders a candidate list ascending — arrival order, since
-// sequence numbers are assigned monotonically.
-func sortSeqs(seqs []uint64) { slices.Sort(seqs) }
 
 // timeEstimateLocked is the candidate count of the time-index path: how
 // many instances the per-event index would touch for q.

@@ -148,9 +148,6 @@ type Stats struct {
 	// Materialized counts instances copied out of the immutable chunks
 	// without holding any lock.
 	Materialized uint64 `json:"materialized"`
-	// LockedReads counts pages served by QuerySTLocked, the retained
-	// monolithic-lock reference path.
-	LockedReads uint64 `json:"lockedReads"`
 	// SpilledSeq is the cold/chunk boundary of the unified cursor
 	// space: history below it lives in on-disk segments.
 	SpilledSeq uint64 `json:"spilledSeq"`
@@ -217,7 +214,6 @@ type Store struct {
 	reads        atomic.Uint64
 	readLocks    atomic.Uint64
 	materialized atomic.Uint64
-	lockedReads  atomic.Uint64
 	coldReads    atomic.Uint64
 	spillErrs    atomic.Uint64
 }
@@ -366,7 +362,6 @@ func (s *Store) Stats() Stats {
 		Reads:             s.reads.Load(),
 		ReadLocks:         s.readLocks.Load(),
 		Materialized:      s.materialized.Load(),
-		LockedReads:       s.lockedReads.Load(),
 		SpilledSeq:        s.spilled,
 		ColdReads:         s.coldReads.Load(),
 		SpillErrs:         s.spillErrs.Load(),
@@ -378,8 +373,11 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Log appends an instance. Invalid instances are rejected; duplicate
-// entity ids (same observer, event, seq) are idempotently ignored.
+// Log appends an instance. Invalid instances are rejected, and so are
+// instances over the wire codec's bounds (event.ErrWireBounds): spilled
+// to a segment, such a record would fail every cold page over its
+// block. Duplicate entity ids (same observer, event, seq) are
+// idempotently ignored.
 func (s *Store) Log(in event.Instance) error {
 	_, _, err := s.LogSeq(in)
 	return err
@@ -392,7 +390,7 @@ func (s *Store) Log(in event.Instance) error {
 // instance was newly logged; a duplicate entity id returns its existing
 // sequence number with fresh=false.
 func (s *Store) LogSeq(in event.Instance) (seq uint64, fresh bool, err error) {
-	if err := in.Validate(); err != nil {
+	if err := in.ValidateWire(); err != nil {
 		return 0, false, fmt.Errorf("db: log: %w", err)
 	}
 	s.mu.Lock()
@@ -413,7 +411,7 @@ func (s *Store) LogSeq(in event.Instance) (seq uint64, fresh bool, err error) {
 // invalid instance fails the whole batch before any mutation.
 func (s *Store) LogBatch(ins []event.Instance) (seqs []uint64, fresh []bool, err error) {
 	for i := range ins {
-		if err := ins[i].Validate(); err != nil {
+		if err := ins[i].ValidateWire(); err != nil {
 			return nil, nil, fmt.Errorf("db: log[%d]: %w", i, err)
 		}
 	}

@@ -216,6 +216,61 @@ func TestTieredQueryMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestTieredOverBoundInstanceRefused: an instance whose record the
+// segment reader would refuse (4,097 attributes, one over the codec's
+// bound) is refused at log time with event.ErrWireBounds. Its batch
+// fails whole, the per-instance retry the engine falls back to stores
+// every other instance, and cold pages over the spilled history match
+// the all-in-RAM oracle instead of failing on a poisoned block.
+func TestTieredOverBoundInstanceRefused(t *testing.T) {
+	ins := tieredFeed(600)
+	const bad = 3
+	ins[bad].Attrs = make(event.Attrs, 4097)
+	for i := range 4097 {
+		ins[bad].Attrs[strconv.Itoa(i)] = 1
+	}
+	s, err := New(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := segment.Open(segment.Config{Dir: filepath.Join(t.TempDir(), "cold"), CellSize: 16, BlockSize: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AttachCold(d); err != nil {
+		t.Fatal(err)
+	}
+	s.SetRetention(Retention{MaxInstances: 100})
+	if _, _, err := s.LogBatch(ins[:256]); !errors.Is(err, event.ErrWireBounds) {
+		t.Fatalf("batch holding an over-bound instance: err %v, want ErrWireBounds", err)
+	}
+	for i := range ins {
+		if err := s.Log(ins[i]); (i == bad) != errors.Is(err, event.ErrWireBounds) || (i != bad && err != nil) {
+			t.Fatalf("Log(ins[%d]) = %v", i, err)
+		}
+	}
+	if err := s.FlushCold(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.SpilledSeq < 400 {
+		t.Fatalf("spilled only %d seqs; the cold tier is not exercised", st.SpilledSeq)
+	}
+	oracle := oracleStore(t, append(ins[:bad:bad], ins[bad+1:]...))
+	for _, q := range []QuerySpec{{Limit: 50}, {Event: "E4"}} {
+		got, err := s.QueryST(q)
+		if err != nil {
+			t.Fatalf("%+v: %v", q, err)
+		}
+		want, err := oracle.QueryST(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Instances, want.Instances) || !reflect.DeepEqual(got.Seqs, want.Seqs) || got.Cold.Records == 0 {
+			t.Fatalf("%+v: %d instances over %d cold records, oracle %d", q, len(got.Instances), got.Cold.Records, len(want.Instances))
+		}
+	}
+}
+
 // TestTieredTierSelection pins the Tier field: hot sees only the live
 // window, cold only the spilled history, all their union.
 func TestTieredTierSelection(t *testing.T) {

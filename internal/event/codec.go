@@ -475,39 +475,6 @@ func (c *wireCursor) location() (spatial.Location, error) {
 	}
 }
 
-func (c *wireCursor) attrs(it *Interner) (Attrs, error) {
-	n, err := c.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	if n > maxWireAttrs {
-		return nil, ErrWireBounds
-	}
-	a := make(Attrs, n)
-	prev := ""
-	for i := uint64(0); i < n; i++ {
-		name, err := c.internedString(it)
-		if err != nil {
-			return nil, err
-		}
-		// Names must be strictly ascending: the canonical order the
-		// encoder writes, which also rules out duplicates.
-		if i > 0 && name <= prev {
-			return nil, ErrWireBounds
-		}
-		prev = name
-		v, err := c.f64()
-		if err != nil {
-			return nil, err
-		}
-		a[name] = v
-	}
-	return a, nil
-}
-
 // rawAttrs returns the attrs section (count prefix included) as a view
 // into the record buffer, validating its structure so later lookups
 // cannot fail.
@@ -535,6 +502,37 @@ func (c *wireCursor) rawAttrs() ([]byte, int, error) {
 		}
 	}
 	return c.b[start:c.off], int(n), nil
+}
+
+// attrsOf materializes an attrs section rawAttrs validated, deduping
+// the names through it (which may be nil).
+func attrsOf(raw []byte, n int, it *Interner) Attrs {
+	if n == 0 {
+		return nil
+	}
+	a := make(Attrs, n)
+	c := wireCursor{b: raw}
+	c.uvarint()
+	for i := 0; i < n; i++ {
+		name, _ := c.stringBytes()
+		a[it.Intern(name)], _ = c.f64()
+	}
+	return a
+}
+
+// inputsOf materializes an inputs section the instance walk validated.
+func inputsOf(raw []byte, n int) []string {
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, n)
+	c := wireCursor{b: raw}
+	c.uvarint()
+	for i := range out {
+		b, _ := c.stringBytes()
+		out[i] = string(b)
+	}
+	return out
 }
 
 func (c *wireCursor) done() error {
@@ -568,53 +566,66 @@ func DecodeObservationWire(data []byte, o *Observation, it *Interner) error {
 	if o.Loc, err = c.location(); err != nil {
 		return err
 	}
-	if o.Attrs, err = c.attrs(it); err != nil {
+	raw, n, err := c.rawAttrs()
+	if err != nil {
 		return err
 	}
+	o.Attrs = attrsOf(raw, n, it)
 	return c.done()
 }
 
-// DecodeInstanceWire parses and validates the binary wire form of an
-// instance into *in. The decoded instance does not alias data except
-// through interned strings. Materializing Attrs and Inputs allocates
-// by design; observations, the high-rate entity kind, go through
-// DecodeObservationView instead.
-func DecodeInstanceWire(data []byte, in *Instance, it *Interner) error {
+// instanceWire is one instance record walked in place: the embedded
+// Instance holds every field but the ids, Attrs and Inputs, which stay
+// in the record buffer (attrs and inputs as validated sections, count
+// prefix included).
+type instanceWire struct {
+	Instance
+	observer, event, attrs, inputs []byte
+	nattrs, ninputs                int
+}
+
+// walk parses one instance record, checking every varint, bound, field
+// ring and the canonical attribute order, and that nothing trails it.
+// It is the one parser of the instance wire form: SkimInstanceWire
+// stops after it and the validation, DecodeInstanceWire materializes
+// what it found, so the two accept exactly the same records.
+func (w *instanceWire) walk(data []byte) error {
 	c := wireCursor{b: data}
 	layer, err := c.byte()
 	if err != nil {
 		return err
 	}
-	in.Layer = Layer(layer)
-	if in.Observer, err = c.internedString(it); err != nil {
+	w.Layer = Layer(layer)
+	if w.observer, err = c.stringBytes(); err != nil {
 		return err
 	}
-	if in.Event, err = c.internedString(it); err != nil {
+	if w.event, err = c.stringBytes(); err != nil {
 		return err
 	}
-	if in.Seq, err = c.uvarint(); err != nil {
+	if w.Seq, err = c.uvarint(); err != nil {
 		return err
 	}
 	gen, err := c.varint()
 	if err != nil {
 		return err
 	}
-	in.Gen = timemodel.Tick(gen)
-	if in.GenLoc, err = c.location(); err != nil {
+	w.Gen = timemodel.Tick(gen)
+	if w.GenLoc, err = c.location(); err != nil {
 		return err
 	}
-	if in.Occ, err = c.time(); err != nil {
+	if w.Occ, err = c.time(); err != nil {
 		return err
 	}
-	if in.Loc, err = c.location(); err != nil {
+	if w.Loc, err = c.location(); err != nil {
 		return err
 	}
-	if in.Attrs, err = c.attrs(it); err != nil {
+	if w.attrs, w.nattrs, err = c.rawAttrs(); err != nil {
 		return err
 	}
-	if in.Confidence, err = c.f64(); err != nil {
+	if w.Confidence, err = c.f64(); err != nil {
 		return err
 	}
+	w.inputs = c.b[c.off:] // the last section
 	n, err := c.uvarint()
 	if err != nil {
 		return err
@@ -622,23 +633,46 @@ func DecodeInstanceWire(data []byte, in *Instance, it *Interner) error {
 	if n > maxWireInputs {
 		return ErrWireBounds
 	}
-	in.Inputs = nil
-	if n > 0 {
-		in.Inputs = make([]string, n)
-		for i := range in.Inputs {
-			b, err := c.stringBytes()
-			if err != nil {
-				return err
-			}
-			in.Inputs[i] = string(b)
+	for i := uint64(0); i < n; i++ {
+		if _, err := c.stringBytes(); err != nil {
+			return err
 		}
 	}
-	if err := c.done(); err != nil {
+	w.ninputs = int(n)
+	return c.done()
+}
+
+// SkimInstanceWire accepts exactly the records DecodeInstanceWire
+// accepts, but materializes only what a query filter reads: the event
+// id (aliasing data), the occurrence time and the location. A record
+// with point locations skims without allocating, so a scan pays the
+// full decode only for the records its filter keeps.
+//
+//stcps:hotpath
+func SkimInstanceWire(data []byte) (ev []byte, occ timemodel.Time, loc spatial.Location, err error) {
+	var w instanceWire
+	if err = w.walk(data); err == nil {
+		err = checkInstance(w.Layer, len(w.observer), len(w.event), w.Confidence)
+	}
+	return w.event, w.Occ, w.Loc, err
+}
+
+// DecodeInstanceWire parses and validates the binary wire form of an
+// instance into *in; on error *in is left as it was. The decoded
+// instance does not alias data except through interned strings.
+// Materializing Attrs and Inputs allocates by design; observations, the
+// high-rate entity kind, go through DecodeObservationView instead.
+func DecodeInstanceWire(data []byte, in *Instance, it *Interner) error {
+	var w instanceWire
+	if err := w.walk(data); err != nil {
 		return err
 	}
-	if err := in.Validate(); err != nil {
+	if err := checkInstance(w.Layer, len(w.observer), len(w.event), w.Confidence); err != nil {
 		return fmt.Errorf("event: decode: %w", err)
 	}
+	*in = w.Instance
+	in.Observer, in.Event = it.Intern(w.observer), it.Intern(w.event)
+	in.Attrs, in.Inputs = attrsOf(w.attrs, w.nattrs, it), inputsOf(w.inputs, w.ninputs)
 	return nil
 }
 
@@ -735,16 +769,7 @@ func (v *ObservationView) Materialize() Observation {
 		Time:   v.time,
 		Loc:    v.loc,
 	}
-	if v.nattrs > 0 {
-		o.Attrs = make(Attrs, v.nattrs)
-		c := wireCursor{b: v.attrs}
-		n, _ := c.uvarint()
-		for i := uint64(0); i < n; i++ {
-			nb, _ := c.stringBytes()
-			val, _ := c.f64()
-			o.Attrs[string(nb)] = val
-		}
-	}
+	o.Attrs = attrsOf(v.attrs, v.nattrs, nil)
 	return o
 }
 

@@ -431,3 +431,91 @@ func TestWireBoundsFreeBytes(t *testing.T) {
 		t.Fatalf("a refused record is %d bytes, within WireBoundsFreeBytes = %d", len(rec), WireBoundsFreeBytes)
 	}
 }
+
+// TestSkimInstanceWireAllocs pins the cold scan's per-record cost: a
+// record with point locations, attributes and inputs skims without a
+// single allocation.
+func TestSkimInstanceWireAllocs(t *testing.T) {
+	in := wireInst(3)
+	enc, err := new(WireEncoder).AppendInstance(nil, &in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, _, _, err := SkimInstanceWire(enc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("SkimInstanceWire allocates %.2f/op, budget is 0", allocs)
+	}
+}
+
+// FuzzInstanceSkimMatchesDecode pins the skim to the decoder: it accepts
+// a record exactly when DecodeInstanceWire does, and on success yields
+// the decoded event, occurrence time and location.
+func FuzzInstanceSkimMatchesDecode(f *testing.F) {
+	for i, loc := range []spatial.Location{spatial.AtPoint(1, 2), spatial.InField(spatial.MustField(
+		spatial.Pt(0, 0), spatial.Pt(4, 0), spatial.Pt(4, 4), spatial.Pt(0, 4)))} {
+		in := wireInst(i)
+		in.Loc = loc
+		enc, err := new(WireEncoder).AppendInstance(nil, &in)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ev, occ, loc, serr := SkimInstanceWire(data)
+		var in Instance
+		derr := DecodeInstanceWire(data, &in, nil)
+		if (serr == nil) != (derr == nil) {
+			t.Fatalf("skim err %v, decode err %v", serr, derr)
+		}
+		if derr != nil {
+			return
+		}
+		// Locations compare by wire form: bit for bit, NaN included.
+		if string(ev) != in.Event || !occ.Equal(in.Occ) || !bytes.Equal(appendLocation(nil, loc), appendLocation(nil, in.Loc)) {
+			t.Fatalf("skim (%q, %v, %v) != decode (%q, %v, %v)", ev, occ, loc, in.Event, in.Occ, in.Loc)
+		}
+	})
+}
+
+// TestValidateWire refuses exactly the instances whose record the
+// decoder refuses, one bound at a time. The ring bound is left out: a
+// field that large takes minutes to build (its self-intersection check
+// is quadratic).
+func TestValidateWire(t *testing.T) {
+	long := string(make([]byte, maxWireString+1))
+	for name, mutate := range map[string]func(*Instance){
+		"fits":      func(*Instance) {},
+		"observer":  func(in *Instance) { in.Observer = long },
+		"event":     func(in *Instance) { in.Event = long },
+		"attr name": func(in *Instance) { in.Attrs = Attrs{long: 1} },
+		"attr count": func(in *Instance) {
+			in.Attrs = make(Attrs)
+			for i := 0; i <= maxWireAttrs; i++ {
+				in.Attrs[strconv.Itoa(i)] = 1
+			}
+		},
+		"input":  func(in *Instance) { in.Inputs = []string{long} },
+		"inputs": func(in *Instance) { in.Inputs = make([]string, maxWireInputs+1) },
+	} {
+		in := wireInst(0)
+		mutate(&in)
+		enc, err := new(WireEncoder).AppendInstance(nil, &in)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", name, err)
+		}
+		derr := DecodeInstanceWire(enc, new(Instance), nil)
+		cerr := in.ValidateWire()
+		if (derr == nil) != (cerr == nil) || (cerr != nil && !errors.Is(cerr, ErrWireBounds)) {
+			t.Fatalf("%s: ValidateWire %v, decode %v", name, cerr, derr)
+		}
+		if name != "fits" && cerr == nil {
+			t.Fatalf("%s: over-bound instance passed", name)
+		}
+	}
+}

@@ -68,21 +68,55 @@ type Instance struct {
 
 // Validate checks the structural invariants of an instance.
 func (in Instance) Validate() error {
-	switch in.Layer {
+	return checkInstance(in.Layer, len(in.Observer), len(in.Event), in.Confidence)
+}
+
+// checkInstance is Validate over the fields the wire walk yields.
+func checkInstance(layer Layer, observerLen, eventLen int, confidence float64) error {
+	switch layer {
 	case LayerSensor, LayerCyberPhysical, LayerCyber:
 	default:
-		return fmt.Errorf("%v: %w", in.Layer, ErrBadLayer) //stcps:ignore hotpath error path rejects the record
+		return fmt.Errorf("%v: %w", layer, ErrBadLayer) //stcps:ignore hotpath error path rejects the record
 	}
-	if in.Observer == "" {
+	if observerLen == 0 {
 		return ErrMissingObserver
 	}
-	if in.Event == "" {
+	if eventLen == 0 {
 		return ErrMissingEventID
 	}
-	if in.Confidence < 0 || in.Confidence > 1 {
-		return fmt.Errorf("ρ=%g: %w", in.Confidence, ErrConfidenceRange) //stcps:ignore hotpath error path rejects the record
+	if confidence < 0 || confidence > 1 {
+		return fmt.Errorf("ρ=%g: %w", confidence, ErrConfidenceRange) //stcps:ignore hotpath error path rejects the record
 	}
 	return nil
+}
+
+// ValidateWire is Validate plus the binary codec's bounds: it returns
+// ErrWireBounds for an instance larger than a record may carry (a
+// string over 64 KiB, over 4,096 attributes or 64 Ki inputs, a ring
+// over 64 Ki vertices), whose record would encode but never decode.
+func (in *Instance) ValidateWire() error {
+	if err := in.Validate(); err != nil {
+		return err
+	}
+	over := len(in.Observer) > maxWireString || len(in.Event) > maxWireString ||
+		len(in.Attrs) > maxWireAttrs || len(in.Inputs) > maxWireInputs ||
+		vertices(in.GenLoc) > maxWireVerts || vertices(in.Loc) > maxWireVerts
+	for name := range in.Attrs {
+		over = over || len(name) > maxWireString
+	}
+	for _, id := range in.Inputs {
+		over = over || len(id) > maxWireString
+	}
+	if over {
+		return ErrWireBounds
+	}
+	return nil
+}
+
+// vertices is the ring size of a field location, 0 for a point.
+func vertices(l spatial.Location) int {
+	f, _ := l.Field()
+	return f.NumVertices()
 }
 
 // EntityID implements Entity using the paper's E(OB,E,i) notation.

@@ -389,12 +389,13 @@ func (d *Dir) Scan(f Filter, it *event.Interner, fn func(seq uint64, in *event.I
 
 	d.scans.Add(1)
 	info.Segments = len(pinned)
+	var buf []byte // one block buffer for every segment of the scan
 	for _, s := range pinned {
 		if f.HasTime && (s.minStart > f.To || s.maxEnd < f.From) {
 			info.BlocksPruned += len(s.blocks)
 			continue
 		}
-		read, pruned, recs, stopped, err := s.scan(&f, it, fn)
+		read, pruned, recs, stopped, err := s.scan(&f, it, &buf, fn)
 		info.BlocksRead += read
 		info.BlocksPruned += pruned
 		info.Records += recs

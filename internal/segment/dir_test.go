@@ -353,3 +353,60 @@ func BenchmarkSegmentScan(b *testing.B) {
 		}
 	}
 }
+
+// TestColdPageDecodesOnlyMatches pins a cold page's work to the page: a
+// scan whose filter keeps 1 record in 10 and whose page takes L+1
+// matches skims every record it passes but fully decodes only the L+1
+// it yields. Decodes are counted through allocations: a skim allocates
+// nothing, a decode of these records several times.
+func TestColdPageDecodesOnlyMatches(t *testing.T) {
+	d := openDir(t, Config{Dir: t.TempDir(), BlockSize: 64, NoSync: true})
+	ins := mkIns(640, 0)
+	for i := range ins {
+		ins[i].Event = "S.miss"
+		if i%10 == 0 {
+			ins[i].Event = "S.hit"
+		}
+		ins[i].Attrs = event.Attrs{"v": float64(i)}
+		ins[i].Inputs = []string{"O(MT1,SR1,1)"}
+	}
+	if err := d.Spill(0, ins); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := new(event.WireEncoder).AppendInstance(nil, &ins[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := event.NewInterner()
+	var in event.Instance
+	perDecode := testing.AllocsPerRun(50, func() {
+		if err := event.DecodeInstanceWire(rec, &in, it); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perDecode < 2 {
+		t.Fatalf("a decode allocates %.1f times; the count below cannot see decodes", perDecode)
+	}
+
+	const limit = 5
+	var info ScanInfo
+	perPage := testing.AllocsPerRun(20, func() {
+		n := 0
+		info, err = d.Scan(Filter{Event: "S.hit"}, it, func(uint64, *event.Instance) bool {
+			n++
+			return n < limit+1
+		})
+		if err != nil || n != limit+1 {
+			t.Fatalf("page of %d matches, err %v", n, err)
+		}
+	})
+	if info.Records < 5*(limit+1) {
+		t.Fatalf("the page skimmed only %d records; the pin is vacuous", info.Records)
+	}
+	// The scan's own allocations (pinned segments, the block buffer) are
+	// a small constant beside the decodes.
+	if budget := float64(limit+1)*perDecode + 4; perPage > budget {
+		t.Fatalf("a page of %d matches over %d records allocates %.0f times, budget %.0f (%.1f per decode)",
+			limit+1, info.Records, perPage, budget, perDecode)
+	}
+}

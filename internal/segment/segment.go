@@ -549,15 +549,16 @@ type Filter struct {
 	From, To timemodel.Tick
 }
 
-// match verifies the non-sequence predicates exactly.
-func (f *Filter) match(in *event.Instance) bool {
-	if f.Event != "" && in.Event != f.Event {
+// match verifies the non-sequence predicates exactly, on the fields a
+// record skim yields.
+func (f *Filter) match(ev []byte, occ timemodel.Time, loc spatial.Location) bool {
+	if f.Event != "" && string(ev) != f.Event {
 		return false
 	}
-	if f.HasTime && (in.Occ.Start() > f.To || in.Occ.End() < f.From) {
+	if f.HasTime && (occ.Start() > f.To || occ.End() < f.From) {
 		return false
 	}
-	if f.Region != nil && !spatial.OpJoint.Apply(in.Loc, *f.Region) {
+	if f.Region != nil && !spatial.OpJoint.Apply(loc, *f.Region) {
 		return false
 	}
 	return true
@@ -623,12 +624,14 @@ func bloomHas(bloom, h uint64) bool {
 }
 
 // scan yields matching instances of the segment in ascending sequence
-// order, pruning blocks via the footer index. fn returning false stops
-// the scan early. blocksRead/blocksPruned/records report the work
-// done. A CRC or decode failure aborts the whole scan with ErrCorrupt:
-// a damaged block never yields a silently partial page.
-func (s *Segment) scan(f *Filter, it *event.Interner, fn func(seq uint64, in *event.Instance) bool) (blocksRead, blocksPruned, records int, stopped bool, err error) {
-	var buf []byte
+// order, pruning blocks via the footer index and reading them into buf,
+// which it grows as needed. Each record at or above MinSeq is skimmed
+// (validated whole) and only a match is decoded. fn returning false
+// stops the scan early. blocksRead/blocksPruned/records (records
+// skimmed) report the work done. A CRC or record failure, in a match or
+// not, aborts the whole scan with ErrCorrupt: a damaged block never
+// yields a silently partial page.
+func (s *Segment) scan(f *Filter, it *event.Interner, buf *[]byte, fn func(seq uint64, in *event.Instance) bool) (blocksRead, blocksPruned, records int, stopped bool, err error) {
 	var in event.Instance
 	for bi := range s.blocks {
 		b := &s.blocks[bi]
@@ -636,17 +639,17 @@ func (s *Segment) scan(f *Filter, it *event.Interner, fn func(seq uint64, in *ev
 			blocksPruned++
 			continue
 		}
-		if int(b.length) > cap(buf) {
-			buf = make([]byte, b.length)
+		if int(b.length) > cap(*buf) {
+			*buf = make([]byte, b.length)
 		}
-		buf = buf[:b.length]
-		if _, rerr := s.f.ReadAt(buf, b.off); rerr != nil {
+		block := (*buf)[:b.length]
+		if _, rerr := s.f.ReadAt(block, b.off); rerr != nil {
 			return blocksRead, blocksPruned, records, false, fmt.Errorf("%w: %s: block %d: %w", ErrCorrupt, s.path, bi, rerr)
 		}
 		blocksRead++
-		ln := binary.LittleEndian.Uint32(buf[0:4])
-		sum := binary.LittleEndian.Uint32(buf[4:8])
-		payload := buf[frame.HeaderSize:]
+		ln := binary.LittleEndian.Uint32(block[0:4])
+		sum := binary.LittleEndian.Uint32(block[4:8])
+		payload := block[frame.HeaderSize:]
 		if int(ln) != len(payload) || crc32.ChecksumIEEE(payload) != sum {
 			return blocksRead, blocksPruned, records, false, fmt.Errorf("%w: %s: block %d: %w", ErrCorrupt, s.path, bi, frame.ErrChecksum)
 		}
@@ -666,12 +669,18 @@ func (s *Segment) scan(f *Filter, it *event.Interner, fn func(seq uint64, in *ev
 			if f.MaxSeq != 0 && cur >= f.MaxSeq {
 				return blocksRead, blocksPruned, records, false, nil
 			}
-			if derr := event.DecodeInstanceWire(rec, &in, it); derr != nil {
+			ev, occ, loc, derr := event.SkimInstanceWire(rec)
+			if derr != nil {
 				return blocksRead, blocksPruned, records, false, fmt.Errorf("%w: %s: block %d seq %d: %w", ErrCorrupt, s.path, bi, cur, derr)
 			}
 			records++
-			if !f.match(&in) {
+			if !f.match(ev, occ, loc) {
 				continue
+			}
+			// The decode repeats the walk the skim passed, so it fails
+			// only if the two ever drift apart.
+			if derr := event.DecodeInstanceWire(rec, &in, it); derr != nil {
+				return blocksRead, blocksPruned, records, false, fmt.Errorf("%w: %s: block %d seq %d: %w", ErrCorrupt, s.path, bi, cur, derr)
 			}
 			if !fn(cur, &in) {
 				return blocksRead, blocksPruned, records, true, nil

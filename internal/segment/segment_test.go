@@ -2,8 +2,11 @@ package segment
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -56,7 +59,7 @@ func writeSegFile(t *testing.T, path string, firstSeq, walSeq uint64, blockSize 
 func collect(t *testing.T, s *Segment, f Filter) (seqs []uint64, got []event.Instance) {
 	t.Helper()
 	it := event.NewInterner()
-	_, _, _, _, err := s.scan(&f, it, func(seq uint64, in *event.Instance) bool {
+	_, _, _, _, err := s.scan(&f, it, new([]byte), func(seq uint64, in *event.Instance) bool {
 		seqs = append(seqs, seq)
 		cp := *in
 		cp.Inputs = append([]string(nil), in.Inputs...)
@@ -129,7 +132,7 @@ func TestSegmentPruning(t *testing.T) {
 
 	// Narrow time window: only blocks covering it are read.
 	f := Filter{HasTime: true, From: 110, To: 120}
-	read, pruned, _, _, err := s.scan(&f, nil, func(uint64, *event.Instance) bool { return true })
+	read, pruned, _, _, err := s.scan(&f, nil, new([]byte), func(uint64, *event.Instance) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +142,7 @@ func TestSegmentPruning(t *testing.T) {
 
 	// Absent event id: the bloom prunes every block.
 	f = Filter{Event: "S.absent"}
-	read, pruned, _, _, err = s.scan(&f, nil, func(uint64, *event.Instance) bool { return true })
+	read, pruned, _, _, err = s.scan(&f, nil, new([]byte), func(uint64, *event.Instance) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +153,7 @@ func TestSegmentPruning(t *testing.T) {
 	// Far-away region: cell extent prunes every block.
 	far := spatial.AtPoint(1e6, 1e6)
 	f = Filter{Region: &far}
-	read, pruned, _, _, err = s.scan(&f, nil, func(uint64, *event.Instance) bool { return true })
+	read, pruned, _, _, err = s.scan(&f, nil, new([]byte), func(uint64, *event.Instance) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +169,7 @@ func TestSegmentPruning(t *testing.T) {
 	loc := spatial.InField(region)
 	f = Filter{Event: "S.cold", Region: &loc, HasTime: true, From: 100, To: 250}
 	var fast []uint64
-	if _, _, _, _, err := s.scan(&f, nil, func(seq uint64, in *event.Instance) bool {
+	if _, _, _, _, err := s.scan(&f, nil, new([]byte), func(seq uint64, in *event.Instance) bool {
 		fast = append(fast, seq)
 		return true
 	}); err != nil {
@@ -174,8 +177,8 @@ func TestSegmentPruning(t *testing.T) {
 	}
 	var slow []uint64
 	full := Filter{}
-	if _, _, _, _, err := s.scan(&full, nil, func(seq uint64, in *event.Instance) bool {
-		if f.match(in) {
+	if _, _, _, _, err := s.scan(&full, nil, new([]byte), func(seq uint64, in *event.Instance) bool {
+		if f.match([]byte(in.Event), in.Occ, in.Loc) {
 			slow = append(slow, seq)
 		}
 		return true
@@ -200,7 +203,7 @@ func TestSegmentEarlyStop(t *testing.T) {
 	}
 	defer s.kill()
 	n := 0
-	_, _, _, stopped, err := s.scan(&Filter{}, nil, func(uint64, *event.Instance) bool {
+	_, _, _, stopped, err := s.scan(&Filter{}, nil, new([]byte), func(uint64, *event.Instance) bool {
 		n++
 		return n < 10
 	})
@@ -258,9 +261,41 @@ func TestSegmentCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.kill()
-	_, _, _, _, serr := s.scan(&Filter{}, nil, func(uint64, *event.Instance) bool { return true })
+	_, _, _, _, serr := s.scan(&Filter{}, nil, new([]byte), func(uint64, *event.Instance) bool { return true })
 	if !errors.Is(serr, ErrCorrupt) {
 		t.Fatalf("scan over damaged block err = %v, want ErrCorrupt", serr)
+	}
+
+	// A record that is malformed inside a CRC-valid block still fails
+	// the scan when the filter would skip it: seq 1 (an "S.hot" record)
+	// gets confidence 1.5, past its location, where a skim that read
+	// only what the filter needs would stop; the block CRC is
+	// recomputed. A scan for "S.cold" must fail, not skip the record.
+	buf = append([]byte(nil), good...)
+	payload := buf[8+headerSize+8 : 8+headerSize+8+int(binary.LittleEndian.Uint32(buf[8+headerSize:]))]
+	n0, w0 := binary.Uvarint(payload)
+	rec1 := payload[w0+int(n0):]
+	n1, w1 := binary.Uvarint(rec1)
+	rec1 = rec1[w1 : w1+int(n1)]
+	if ev, _, _, err := event.SkimInstanceWire(rec1); err != nil || string(ev) != "S.hot" {
+		t.Fatalf("record 1 is %q (%v), want a valid S.hot record", ev, err)
+	}
+	// mkIns records end attrs(0) | f64 confidence | inputs(0).
+	binary.LittleEndian.PutUint64(rec1[len(rec1)-9:], math.Float64bits(1.5))
+	binary.LittleEndian.PutUint32(buf[8+headerSize+4:], crc32.ChecksumIEEE(payload))
+	path = filepath.Join(dir, "badrecord.seg")
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.kill()
+	cold := Filter{Event: "S.cold"}
+	_, _, _, _, serr = s2.scan(&cold, nil, new([]byte), func(uint64, *event.Instance) bool { return true })
+	if !errors.Is(serr, ErrCorrupt) || !errors.Is(serr, event.ErrConfidenceRange) {
+		t.Fatalf("scan past a malformed unmatched record err = %v, want ErrCorrupt", serr)
 	}
 }
 
@@ -294,7 +329,7 @@ func FuzzSegmentOpen(f *testing.F) {
 		defer s.kill()
 		prev := uint64(0)
 		first := true
-		_, _, _, _, serr := s.scan(&Filter{}, event.NewInterner(), func(seq uint64, in *event.Instance) bool {
+		_, _, _, _, serr := s.scan(&Filter{}, event.NewInterner(), new([]byte), func(seq uint64, in *event.Instance) bool {
 			if !first && seq != prev+1 {
 				t.Fatalf("non-contiguous seqs %d -> %d", prev, seq)
 			}

@@ -8,7 +8,7 @@
 # count; raising one needs a reason in CHANGES.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-budget=26955
+budget=27013
 ignore_budget=34
 files() { find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0; }
 lines=$(files | xargs -0 cat | wc -l)
